@@ -1,0 +1,8 @@
+"""Make the benchmark modules and the quadnf sources importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
