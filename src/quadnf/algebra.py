@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Config, maxnorm
+from .core import form_product
 from .errors import ContractViolationError, NondegeneracyError
 from .spectrum import JordanChain, make_chain
 
@@ -167,23 +168,6 @@ def apply_poly(p: NilpotentPoly, k, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _chain_down(k, lam: complex, x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[x, Ax, ..., A^(depth-1) x] for A = K - lam I."""
-    k = np.asarray(k)
-    shift = k - lam * np.eye(k.shape[0])
-    if lam.imag == 0 and not np.iscomplexobj(x):
-        shift = shift.real
-    out = [x]
-    for _ in range(depth - 1):
-        out.append(shift @ out[-1])
-    return out
-
-
-def _form_product(x: np.ndarray, y: np.ndarray) -> complex:
-    n = x.shape[0] // 2
-    return complex(x[:n] @ y[n:] - x[n:] @ y[:n])
-
-
 def omega(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> NilpotentPoly:
     """Generalized symplectic Gram form of x against y at eigenvalue lam.
 
@@ -192,15 +176,13 @@ def omega(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> Nilpotent
     or beyond the actual rank of x vanish, so a longer rank only pads
     leading zeros.
     """
-    down = _chain_down(k, lam, x, rank)
-    coefs = [_form_product(down[rank - kk], y) for kk in range(1, rank + 1)]
+    coefs = [form_product(v, y) for v in make_chain(k, lam, x, rank).vectors]
     return NilpotentPoly(lam, coefs)
 
 
 def alpha(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> complex:
     """Leading Gram coefficient ((K - lam I)^(rank-1) x)^T J y."""
-    down = _chain_down(k, lam, x, rank)
-    return _form_product(down[rank - 1], y)
+    return form_product(make_chain(k, lam, x, rank).vectors[0], y)
 
 
 def _alpha_threshold(cfg: Config, x: np.ndarray, y: np.ndarray) -> float:
@@ -541,7 +523,7 @@ def bogoliubov_orthonormalize(k, lam: complex, vectors, cfg: Config = DEFAULT):
     while work:
         best = None
         for i, g in enumerate(work):
-            a = _form_product(g, g.conj())
+            a = form_product(g, g.conj())
             if abs(a.imag) > _alpha_threshold(cfg, g, g):
                 if best is None or abs(a.imag) > abs(best[0]):
                     best = (a.imag, a, i)
@@ -549,7 +531,7 @@ def bogoliubov_orthonormalize(k, lam: complex, vectors, cfg: Config = DEFAULT):
             pair = None
             for i in range(len(work)):
                 for j in range(i + 1, len(work)):
-                    a = _form_product(work[i], work[j].conj())
+                    a = form_product(work[i], work[j].conj())
                     if abs(a.imag) > _alpha_threshold(cfg, work[i], work[j]):
                         if pair is None or abs(a.imag) > pair[0]:
                             pair = (abs(a.imag), i, j)
@@ -568,6 +550,6 @@ def bogoliubov_orthonormalize(k, lam: complex, vectors, cfg: Config = DEFAULT):
         e = g / np.sqrt((-sigma * a).real)
         done.append((e, sigma))
         for idx, g_o in enumerate(work):
-            a_o = _form_product(e, g_o.conj())
+            a_o = form_product(e, g_o.conj())
             work[idx] = _unit(g_o - sigma * np.conj(a_o) * e)
     return done

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import DEFAULT, Config, maxnorm
 from .errors import (
@@ -179,16 +178,17 @@ def transform_hamiltonian(m, t, cfg: Config = DEFAULT) -> np.ndarray:
     return (n + n.T) / 2.0
 
 
-def similarity(k, t, cfg: Config = DEFAULT) -> np.ndarray:
+def similarity(k, t, cfg: Config = DEFAULT, *, _cond: float | None = None) -> np.ndarray:
     """Similarity transformation T^{-1} K T (spectrum preserving).
 
     Refuses matrices whose condition estimate exceeds ``cfg.cond_limit``,
-    beyond which the result would be numerical noise.
+    beyond which the result would be numerical noise.  ``_cond`` is that
+    estimate, cond(T), when the caller has computed it already.
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
     _even_dim(k)
-    cond = np.linalg.cond(t)
+    cond = np.linalg.cond(t) if _cond is None else _cond
     if not np.isfinite(cond) or cond > cfg.cond_limit:
         raise IllConditionedError(f"condition estimate {cond:.3e} exceeds {cfg.cond_limit:.1e}")
     return np.linalg.solve(t, k @ t)
@@ -222,6 +222,7 @@ def propagate(k, t: float, cfg: Config = DEFAULT) -> np.ndarray:
     Raises ``SaturationError`` when the exponential overflows (strongly
     unstable K at large t); the error carries the norm of K t.
     """
+    from scipy.linalg import expm  # SciPy costs ~0.2 s to import; only expm needs it
     k = np.asarray(k, dtype=float)
     _even_dim(k)
     if not np.isfinite(t):
@@ -250,6 +251,7 @@ def stability_oracle(
     counts as unbounded.  This is a cross-check for the spectral
     stability verdict, not a replacement for it.
     """
+    from scipy.linalg import expm
     k = np.asarray(k, dtype=float)
     _even_dim(k)
     if t_max <= 0:

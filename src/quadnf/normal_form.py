@@ -14,7 +14,7 @@ diagonalizable purely-imaginary case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -28,11 +28,12 @@ from .algebra import (
 )
 from .config import DEFAULT, Config, maxnorm
 from .core import build_eom, similarity, symplectic_form, symplectic_residual
-from .errors import AssemblyError, ConstructionError, VerificationError, WrongPathError
+from .errors import AssemblyError, ConstructionError, PipelineError, VerificationError, WrongPathError
 from .spectrum import (
     EigenvalueKind,
     JordanChain,
     SpectrumReport,
+    _factor_shift,
     _nullspace,
     assign_cases,
     classify_spectrum,
@@ -608,8 +609,8 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     blocks = expected_blocks(units)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
-    kn_actual = similarity(k, t, cfg)
-    cond = np.linalg.cond(t)
+    cond = float(np.linalg.cond(t))
+    kn_actual = similarity(k, t, cfg, _cond=cond)
     block_residual = maxnorm(kn_actual - kn_expected)
     budget = cfg.verify_tol * (1.0 + maxnorm(k)) * max(1.0, cond)
     if block_residual > budget:
@@ -627,7 +628,7 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
         "symplectic": symplectic_residual(t),
         "block_match": block_residual,
         "n_reconstruction": maxnorm(n_matrix - (-j @ kn_expected)),
-        "condition": float(cond),
+        "condition": cond,
     }
     return NormalFormReport(
         n_modes=n_modes,
@@ -651,19 +652,21 @@ def _bogoliubov_applicable(spectrum: SpectrumReport) -> bool:
     )
 
 
-def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | None = None):
+def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | None = None,
+                         *, _shifts=None):
     """Fast diagonalization path for K diagonalizable with imaginary spectrum.
 
     Under this precondition the Hamiltonian is a sum of independent
     harmonic oscillators: N = T^T M T is diagonal with paired entries
     (the K_N it induces is in real Jordan form, not diagonal).  Raises
     ``WrongPathError`` when any other eigenvalue family is present or
-    any eigenvalue is defective.
+    any eigenvalue is defective.  ``_shifts`` is as in ``classify_spectrum``.
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
     if spectrum is None:
-        spectrum = classify_spectrum(k, cfg=cfg)
+        _shifts = {}
+        spectrum = classify_spectrum(k, cfg=cfg, _shifts=_shifts)
     if not _bogoliubov_applicable(spectrum):
         raise WrongPathError(
             "spectrum is not diagonalizable-imaginary; use the general pipeline"
@@ -671,8 +674,8 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | No
     units = []
     for cls in spectrum.classes:
         lam = cls.representative
-        shift = k - lam * np.eye(k.shape[0])
-        vecs = _nullspace(shift, cfg)
+        shift = _shifts[lam] if _shifts else _factor_shift(k, lam, cfg)
+        vecs = _nullspace(shift, cfg.rank_tol * (1.0 + shift[0][0]))
         if vecs.shape[1] != cls.algebraic:
             raise WrongPathError(
                 f"eigenspace of {lam:.6g} has dimension {vecs.shape[1]}, "
@@ -691,14 +694,15 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | No
     return _finish_report(m, k, spectrum, units, cfg)
 
 
-def _attempt_normal_form(m, k, cfg: Config, fast_path: bool) -> NormalFormReport:
-    spectrum = classify_spectrum(k, cfg=cfg)
+def _attempt_normal_form(m, k, eigenvalues, cfg: Config, fast_path: bool) -> NormalFormReport:
+    shifts: dict = {}  # representative -> the one SVD of K - lam I in this attempt
+    spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _shifts=shifts)
     if fast_path and _bogoliubov_applicable(spectrum):
-        return bogoliubov_transform(m, cfg, spectrum)
+        return bogoliubov_transform(m, cfg, spectrum, _shifts=shifts)
 
     units: list[_Unit] = []
     for cls in spectrum.classes:
-        chains = assign_cases(extract_class_chains(k, cls, cfg))
+        chains = assign_cases(extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative]))
         kind = cls.kind
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             case = 1 if kind is EigenvalueKind.REAL_PAIR else 2
@@ -736,12 +740,9 @@ def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormR
     widened tenfold, up to four times; the first consistent structure
     wins.  Clean spectra never trigger the escalation.
     """
-    from dataclasses import replace
-
-    from .errors import PipelineError
-
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
+    eigenvalues = np.linalg.eigvals(k)
     last: Exception | None = None
     tol = cfg.clustering_tol
     for _ in range(5):
@@ -749,7 +750,7 @@ def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormR
             cfg, clustering_tol=tol, rank_tol=max(cfg.rank_tol, tol)
         )
         try:
-            return _attempt_normal_form(m, k, attempt_cfg, fast_path)
+            return _attempt_normal_form(m, k, eigenvalues, attempt_cfg, fast_path)
         except (PipelineError, VerificationError) as exc:
             last = exc
             tol *= 10.0

@@ -115,7 +115,7 @@ def _union_clusters(values, mults, eps):
     return values, mults
 
 
-def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None):
+def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _eigenvalues=None):
     """Clustered, axis-snapped, symmetrized eigenvalues of K.
 
     Returns a list of (eigenvalue, algebraic multiplicity) covering the
@@ -134,7 +134,7 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None):
     if tol is None:
         tol = cfg.clustering_tol
     eps = tol * (1.0 + maxnorm(k))
-    raw = np.linalg.eigvals(k)
+    raw = np.linalg.eigvals(k) if _eigenvalues is None else _eigenvalues
 
     values, mults = _union_clusters(list(raw), [1] * len(raw), eps)
     # Snap onto the real/imaginary axes, then re-merge anything that collided.
@@ -198,18 +198,49 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None):
     return out
 
 
-def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT) -> int:
+def _factor(a: np.ndarray, widest_cut):
+    """One SVD of ``a``: all singular values, largest first, and as columns the
+    right singular vectors of those <= ``widest_cut(sigma_max)``; all of them
+    for a zero matrix, such as a nilpotent power whose true value is zero."""
+    if maxnorm(a) == 0.0:
+        return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype)
+    _, s, vh = np.linalg.svd(a)
+    return s, np.conjugate(vh[len(s) - int(np.sum(s <= widest_cut(s[0]))):]).T
+
+
+def _nullspace(factor, thresh: float) -> np.ndarray:
+    """Orthonormal basis of the factored matrix's directions with singular value <= thresh."""
+    s, null = factor
+    return null[:, null.shape[1] - int(np.sum(s <= thresh)):]
+
+
+def _filtration_cut(top: float, norm_a: float, prev_top: float, dim: int, cfg: Config) -> float:
+    # Threshold singular values of A^k against sigma_max(A^k) itself (for
+    # non-normal A, norm(A)^k overshoots it by orders of magnitude and
+    # would swallow structural singular values), plus a round-off floor
+    # for the case A^k = 0 where sigma_max is pure multiplication noise.
+    return cfg.rank_tol * top + 1e3 * dim * np.finfo(float).eps * norm_a * prev_top
+
+
+def _factor_shift(k: np.ndarray, lam: complex, cfg: Config):
+    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1."""
+    a = k - lam * np.eye(k.shape[0])
+    return _factor(a.real if lam.imag == 0 else a, lambda top: max(
+        cfg.rank_tol * (1.0 + top), _filtration_cut(top, top, 1.0, k.shape[0], cfg)))
+
+
+def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=None) -> int:
     """Dimension of null(K - lam I) via a singular-value threshold.
 
     A singular value within a factor 10 of the threshold makes the rank
     decision fragile; a ``BorderlineRankWarning`` is emitted in that
     case (the returned value still reflects the configured threshold).
+    The SVD of K - lam I it reads is left in ``_shifts[lam]`` if given.
     """
-    k = np.asarray(k, dtype=float)
-    a = k - lam * np.eye(k.shape[0])
-    if lam.imag == 0:
-        a = a.real
-    s = np.linalg.svd(a, compute_uv=False)
+    factor = _factor_shift(np.asarray(k, dtype=float), lam, cfg)
+    if _shifts is not None:
+        _shifts[lam] = factor
+    s = factor[0]
     thresh = cfg.rank_tol * (1.0 + s[0])
     borderline = [float(v) for v in s if thresh / 10 < v <= 10 * thresh]
     if borderline:
@@ -222,7 +253,8 @@ def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT) -> int:
     return int(np.sum(s <= thresh))
 
 
-def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT) -> SpectrumReport:
+def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=None,
+                      _shifts=None) -> SpectrumReport:
     """Group the clustered spectrum into the four eigenvalue families.
 
     Each family is represented once; the exact sum rule
@@ -230,7 +262,8 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT) -> SpectrumReport
     When the mirror pairing cannot be symmetrized at the configured
     clustering radius (defective eigenvalues of rank D split like
     eps^(1/D)), the clustering is retried at up to 10^4 times the
-    radius before giving up.
+    radius before giving up, on ``_eigenvalues`` if given.  ``_shifts``
+    collects each class's SVD of K - lam I (see geometric_multiplicity).
     """
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
@@ -238,7 +271,7 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT) -> SpectrumReport
         tol = cfg.clustering_tol
         for attempt in range(5):
             try:
-                clusters = cluster_eigenvalues(k, cfg, tol=tol)
+                clusters = cluster_eigenvalues(k, cfg, tol=tol, _eigenvalues=_eigenvalues)
                 break
             except (SpectrumStructureError, AmbiguousSpectrumError):
                 if attempt == 4:
@@ -265,7 +298,7 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT) -> SpectrumReport
         if any(abs(m - o) == 0 for m in cls.members for o in seen):
             continue
         seen.update(cls.members)
-        classes.append(replace(cls, geometric=geometric_multiplicity(k, rep, cfg)))
+        classes.append(replace(cls, geometric=geometric_multiplicity(k, rep, cfg, _shifts=_shifts)))
     report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
     if report.sum_rule_residual != 0:
         raise SpectrumStructureError(
@@ -306,29 +339,13 @@ def make_chain(k, lam: complex, generator: np.ndarray, rank: int) -> JordanChain
     return JordanChain(eigenvalue=lam, rank=rank, vectors=tuple(vecs))
 
 
-def _nullspace(a: np.ndarray, cfg: Config, thresh: float | None = None) -> np.ndarray:
-    """Orthonormal nullspace basis columns of a (possibly zero) matrix.
-
-    ``thresh`` overrides the singular-value cutoff; it matters for
-    powers of nilpotent matrices whose true value is zero, where any
-    cutoff relative to the matrix's own largest singular value fails.
-    """
-    if maxnorm(a) == 0.0:
-        return np.eye(a.shape[1], dtype=a.dtype)
-    u, s, vh = np.linalg.svd(a)
-    if thresh is None:
-        thresh = cfg.rank_tol * (1.0 + s[0])
-    null_dim = int(np.sum(s <= thresh))
-    if null_dim == 0:
-        return np.zeros((a.shape[1], 0), dtype=vh.dtype)
-    return vh[len(s) - null_dim:].conj().T
-
-
 def jordan_chains(
     k,
     lam: complex,
     algebraic: int,
     cfg: Config = DEFAULT,
+    *,
+    _level1=None,
 ) -> list[JordanChain]:
     """Jordan chains for one eigenvalue via the nullspace filtration.
 
@@ -338,7 +355,7 @@ def jordan_chains(
     residual, ties by lowest index) in V_D, orthogonally to V_{D-1} and
     to the rank-D members of chains already chosen.  Real eigenvalues
     (including zero) are processed in real arithmetic so their chains
-    are exactly real.
+    are exactly real.  ``_level1`` is the SVD of K - lam I if known.
 
     Raises ``ChainExtractionError`` when the filtration dimensions are
     inconsistent with the algebraic multiplicity.
@@ -347,23 +364,18 @@ def jordan_chains(
     dim = k.shape[0]
     real_case = lam.imag == 0
     a = (k - lam * np.eye(dim)).real if real_case else k - lam * np.eye(dim)
+    level = _factor_shift(k, lam, cfg) if _level1 is None else _level1
 
     bases = [np.zeros((dim, 0), dtype=a.dtype)]
     dims = [0]
-    power = np.eye(dim, dtype=a.dtype)
-    # Threshold singular values of A^k against sigma_max(A^k) itself (for
-    # non-normal A, norm(A)^k overshoots it by orders of magnitude and
-    # would swallow structural singular values), plus a round-off floor
-    # for the case A^k = 0 where sigma_max is pure multiplication noise.
-    norm_a = float(np.linalg.norm(a, 2))
-    prev_top = 1.0
+    power, norm_a, prev_top = a, level[0][0], 1.0
     while dims[-1] < algebraic:
-        power = a @ power
-        top = float(np.linalg.norm(power, 2))
-        noise_floor = 1e3 * dim * np.finfo(float).eps * norm_a * prev_top
-        thresh = cfg.rank_tol * top + noise_floor
+        if len(dims) > 1:
+            power = a @ power
+            level = _factor(power, lambda top: _filtration_cut(top, norm_a, prev_top, dim, cfg))
+        top = level[0][0]
+        basis = _nullspace(level, _filtration_cut(top, norm_a, prev_top, dim, cfg))
         prev_top = top
-        basis = _nullspace(power, cfg, thresh=thresh)
         if basis.shape[1] <= dims[-1]:
             raise ChainExtractionError(
                 f"nullspace filtration stalled at dimension {dims[-1]} "
@@ -456,11 +468,12 @@ class ClassChains:
         return sum(1 for c in self.chains if c.rank % 2 == 1)
 
 
-def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT) -> ClassChains:
+def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
+                         _level1=None) -> ClassChains:
     """Chains (and partner chains where applicable) for one eigenvalue class."""
     k = np.asarray(k, dtype=float)
     lam = cls.representative
-    chains = jordan_chains(k, lam, cls.algebraic, cfg)
+    chains = jordan_chains(k, lam, cls.algebraic, cfg, _level1=_level1)
     chains.sort(key=lambda c: -c.rank)
     partners: list[JordanChain] = []
     if cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):

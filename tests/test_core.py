@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -233,3 +237,15 @@ class TestStabilityOracle:
     def test_requires_positive_horizon(self):
         with pytest.raises(ContractViolationError):
             stability_oracle(np.zeros((2, 2)), t_max=0.0, growth_threshold=1.0)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # SciPy serves only expm in propagate and stability_oracle; the package
+    # and the CLI's analyze path must not pay for importing it
+    code = ("import sys, quadnf, quadnf.cli\n"
+            "quadnf.normal_form([[1.0, 0.2], [0.2, 1.0]])\n"
+            "print('scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import (
     GOLDEN_E11,
@@ -24,6 +27,8 @@ from quadnf import (
     symplectic_residual,
     terms_matrix,
 )
+from quadnf.cli import main
+from quadnf.errors import BorderlineRankWarning
 from quadnf.normal_form import (
     TermKind,
     _block_for_unit,
@@ -31,7 +36,7 @@ from quadnf.normal_form import (
     build_case_columns,
     expected_kn,
 )
-from quadnf.spectrum import make_chain
+from quadnf.spectrum import EigenvalueKind, make_chain
 
 
 def unit_spec(case, lam, rank, sigma=None):
@@ -361,3 +366,48 @@ class TestPipeline:
         assert widths == [b.size for b in rep.blocks]
         flat = [m for g in rep.transform.layout for m in g.modes]
         assert flat == list(range(1, rep.n_modes + 1))
+
+
+class TestFactorizationCounts:
+    """Each matrix the spectral stage factors gets one SVD per attempt, and
+    K gets one eigvals per normal_form call, however many attempts it takes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        svd, norm, eigvals = np.linalg.svd, np.linalg.norm, np.linalg.eigvals
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            counts["norm2"] += ord == 2 and np.ndim(x) == 2
+            return norm(x, ord, *args, **kwargs)
+
+        def counted_eigvals(*args, **kwargs):
+            counts["eigvals"] += 1
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        return counts
+
+    def test_one_svd_per_class_member(self, calls):
+        a = np.random.default_rng(11).normal(size=(6, 6))
+        rep = normal_form((a + a.T) / 2)
+        classes = rep.spectrum.classes
+        assert all(c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO for c in classes)
+        assert any(c.kind is not EigenvalueKind.IMAGINARY_PAIR for c in classes)
+        paired = (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)
+        members = sum(2 if c.kind in paired else 1 for c in classes)
+        assert (calls["svd"], calls["norm2"], calls["eigvals"]) == (members, 0, 1)
+
+    def test_escalation_reuses_eigvals(self, calls):
+        with pytest.warns(BorderlineRankWarning):
+            result = CliRunner().invoke(
+                main, ["analyze", "-", "--tolerance", "1e-3"], input="modes 1\n1 1e-6\n0 1\n"
+            )
+        assert result.exit_code == 0
+        assert calls["eigvals"] == 1
