@@ -566,12 +566,19 @@ def terms_matrix(terms, n_modes: int) -> np.ndarray:
     return n
 
 
-def _fmt_eig(lam: complex) -> str:
-    if lam.imag == 0:
-        return f"{lam.real:.6g}"
-    if lam.real == 0:
-        return f"{lam.imag:.6g}i"
-    return f"{lam.real:.6g}{'+' if lam.imag >= 0 else '-'}{abs(lam.imag):.6g}i"
+def _format_value(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return f"{x:.6g}"
+
+
+def _format_eigenvalue(lam: complex) -> str:
+    re, im = lam.real, lam.imag
+    if im == 0:
+        return _format_value(re)
+    if re == 0:
+        return f"{_format_value(im)}i"
+    return f"{_format_value(re)}{'+' if im >= 0 else '-'}{_format_value(abs(im))}i"
 
 
 def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
@@ -585,7 +592,7 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
         if b.case == 4 and b.rank == 1:
             zero_modes = True
             continue
-        lam = _fmt_eig(b.eigenvalue)
+        lam = _format_eigenvalue(b.eigenvalue)
         if b.case in (1, 2):
             msg = f"case {b.case} block at {lam}: exponential growth rate {b.exp_rate:.6g}"
             if b.rank > 1:
@@ -653,17 +660,18 @@ def _bogoliubov_applicable(spectrum: SpectrumReport) -> bool:
 
 
 def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | None = None,
-                         *, _shifts=None):
+                         *, _k=None, _shifts=None):
     """Fast diagonalization path for K diagonalizable with imaginary spectrum.
 
     Under this precondition the Hamiltonian is a sum of independent
     harmonic oscillators: N = T^T M T is diagonal with paired entries
     (the K_N it induces is in real Jordan form, not diagonal).  Raises
     ``WrongPathError`` when any other eigenvalue family is present or
-    any eigenvalue is defective.  ``_shifts`` is as in ``classify_spectrum``.
+    any eigenvalue is defective.  ``_k`` is K = J M if already built from
+    a validated ``m``; ``_shifts`` is as in ``classify_spectrum``.
     """
     m = np.asarray(m, dtype=float)
-    k = build_eom(m, cfg)
+    k = build_eom(m, cfg) if _k is None else _k
     if spectrum is None:
         _shifts = {}
         spectrum = classify_spectrum(k, cfg=cfg, _shifts=_shifts)
@@ -698,7 +706,7 @@ def _attempt_normal_form(m, k, eigenvalues, cfg: Config, fast_path: bool) -> Nor
     shifts: dict = {}  # representative -> the one SVD of K - lam I in this attempt
     spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _shifts=shifts)
     if fast_path and _bogoliubov_applicable(spectrum):
-        return bogoliubov_transform(m, cfg, spectrum, _shifts=shifts)
+        return bogoliubov_transform(m, cfg, spectrum, _k=k, _shifts=shifts)
 
     units: list[_Unit] = []
     for cls in spectrum.classes:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT, Config, maxnorm
 from .errors import ParseError, QuadnfError, StructureError
-from .normal_form import NormalFormReport, normal_form
+from .normal_form import NormalFormReport, _format_eigenvalue, normal_form
 from .spectrum import EigenvalueKind
 
 __all__ = [
@@ -142,21 +142,6 @@ def two_mode_matrix(eta: float, lam: float) -> np.ndarray:
          [0.0, 0.0, 1.0, 0.0],
          [0.0, 0.0, 0.0, eta]]
     )
-
-
-def _format_value(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:.6g}"
-
-
-def _format_eigenvalue(lam: complex) -> str:
-    re, im = lam.real, lam.imag
-    if im == 0:
-        return _format_value(re)
-    if re == 0:
-        return "0" if im == 0 else f"{_format_value(im)}i"
-    return f"{_format_value(re)}{'+' if im >= 0 else '-'}{_format_value(abs(im))}i"
 
 
 def _format_sigma(sigma: complex) -> str:

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Config, maxnorm
+from .core import apply_form
 from .errors import (
     AmbiguousSpectrumError,
     BorderlineRankWarning,
@@ -199,18 +200,20 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
 
 
 def _factor(a: np.ndarray, widest_cut):
-    """One SVD of ``a``: all singular values, largest first, and as columns the
-    right singular vectors of those <= ``widest_cut(sigma_max)``; all of them
-    for a zero matrix, such as a nilpotent power whose true value is zero."""
+    """One SVD of ``a``: all singular values, largest first, and copies of the right
+    and left singular vectors of those <= ``widest_cut(sigma_max)`` as columns; all
+    of them for a zero matrix, such as a nilpotent power whose true value is zero."""
     if maxnorm(a) == 0.0:
-        return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype)
-    _, s, vh = np.linalg.svd(a)
-    return s, np.conjugate(vh[len(s) - int(np.sum(s <= widest_cut(s[0]))):]).T
+        eye = np.eye(a.shape[1], dtype=a.dtype)
+        return np.zeros(a.shape[1]), eye, eye
+    u, s, vh = np.linalg.svd(a)
+    cut = len(s) - int(np.sum(s <= widest_cut(s[0])))
+    return s, np.conjugate(vh[cut:]).T, u[:, cut:].copy()
 
 
 def _nullspace(factor, thresh: float) -> np.ndarray:
     """Orthonormal basis of the factored matrix's directions with singular value <= thresh."""
-    s, null = factor
+    s, null = factor[:2]
     return null[:, null.shape[1] - int(np.sum(s <= thresh)):]
 
 
@@ -223,7 +226,12 @@ def _filtration_cut(top: float, norm_a: float, prev_top: float, dim: int, cfg: C
 
 
 def _factor_shift(k: np.ndarray, lam: complex, cfg: Config):
-    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1."""
+    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1.
+
+    It also factors K + lam I: J K + K^T J = 0 gives K + lam I =
+    -J^-1 (K - lam I)^T J, so both share their singular values and
+    null(K + lam I) = J^-1 conj(left null vectors of K - lam I).
+    """
     a = k - lam * np.eye(k.shape[0])
     return _factor(a.real if lam.imag == 0 else a, lambda top: max(
         cfg.rank_tol * (1.0 + top), _filtration_cut(top, top, 1.0, k.shape[0], cfg)))
@@ -322,10 +330,6 @@ class JordanChain:
     @property
     def generator(self) -> np.ndarray:
         return self.vectors[-1]
-
-    def with_generator(self, g: np.ndarray, k) -> "JordanChain":
-        """Rebuild the chain from a replacement generator of the same rank."""
-        return make_chain(k, self.eigenvalue, g, self.rank)
 
 
 def make_chain(k, lam: complex, generator: np.ndarray, rank: int) -> JordanChain:
@@ -455,30 +459,33 @@ class ClassChains:
     partners: list[JordanChain] = field(default_factory=list)
     cases: list[int] = field(default_factory=list)
 
-    @property
-    def ranks(self) -> list[int]:
-        return [c.rank for c in self.chains]
-
-    @property
-    def even_count(self) -> int:
-        return sum(1 for c in self.chains if c.rank % 2 == 0)
-
-    @property
-    def odd_count(self) -> int:
-        return sum(1 for c in self.chains if c.rank % 2 == 1)
-
 
 def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
                          _level1=None) -> ClassChains:
-    """Chains (and partner chains where applicable) for one eigenvalue class."""
+    """Chains (and partner chains where applicable) for one eigenvalue class.
+
+    ``_level1`` is the SVD of K - lam I if known.  The partner chains of
+    -lam come from the same SVD when lam is simple (algebraic
+    multiplicity 1): null(K + lam I) = J^-1 conj(left null(K - lam I)),
+    see ``_factor_shift``.  A defective lam gets its own nullspace
+    filtration of K + lam I, since mirroring a nullspace of dimension 2
+    or more would rotate the basis the generators are picked from.
+    """
     k = np.asarray(k, dtype=float)
     lam = cls.representative
-    chains = jordan_chains(k, lam, cls.algebraic, cfg, _level1=_level1)
+    level1 = _factor_shift(k, lam, cfg) if _level1 is None else _level1
+    chains = jordan_chains(k, lam, cls.algebraic, cfg, _level1=level1)
     chains.sort(key=lambda c: -c.rank)
     partners: list[JordanChain] = []
     if cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
-        partners = jordan_chains(k, -lam, cls.algebraic, cfg)
-        partners.sort(key=lambda c: -c.rank)
+        if cls.algebraic == 1:
+            # J^-1 conj(u) for the left singular vector u of the smallest sigma,
+            # the one below the level-1 cut that gave lam its single chain.
+            g = apply_form(-np.conjugate(level1[2][:, -1]))  # J^-1 = -J
+            partners = [make_chain(k, -lam, g / np.linalg.norm(g), 1)]
+        else:
+            partners = jordan_chains(k, -lam, cls.algebraic, cfg)
+            partners.sort(key=lambda c: -c.rank)
         if [c.rank for c in chains] != [c.rank for c in partners]:
             raise ChainExtractionError(
                 f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up"

@@ -394,15 +394,22 @@ class TestFactorizationCounts:
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         return counts
 
-    def test_one_svd_per_class_member(self, calls):
+    def test_one_svd_per_class(self, calls):
+        # A simple lam's partner -lam is read off the SVD of K - lam I.
         a = np.random.default_rng(11).normal(size=(6, 6))
         rep = normal_form((a + a.T) / 2)
         classes = rep.spectrum.classes
         assert all(c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO for c in classes)
         assert any(c.kind is not EigenvalueKind.IMAGINARY_PAIR for c in classes)
-        paired = (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)
-        members = sum(2 if c.kind in paired else 1 for c in classes)
-        assert (calls["svd"], calls["norm2"], calls["eigvals"]) == (members, 0, 1)
+        assert (calls["svd"], calls["norm2"], calls["eigvals"]) == (len(classes), 0, 1)
+
+    def test_defective_partner_keeps_its_own_svds(self, calls, rng):
+        # A rank-2 real pair: K - lam I and (K - lam I)^2 for lam, and the
+        # same two for -lam, whose chains get their own filtration.
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None)], rng)
+        rep = normal_form(m)
+        assert [(b.case, b.rank) for b in rep.blocks] == [(1, 2)]
+        assert (calls["svd"], calls["eigvals"]) == (4, 1)
 
     def test_escalation_reuses_eigvals(self, calls):
         with pytest.warns(BorderlineRankWarning):

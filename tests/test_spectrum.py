@@ -210,6 +210,27 @@ class TestJordanChains:
         assert stack.shape == (6, 6)
         assert np.linalg.cond(stack) < 1e7
 
+    def test_simple_partner_mirrors_own_filtration(self, rng):
+        # A simple lam's partner eigenvector of -lam is read off the SVD of
+        # K - lam I; it must be a null vector of K + lam I and span the same
+        # line as the one the filtration of K + lam I finds.
+        m, _ = seeded_matrix([(1, 0.9 + 0j, 1, None), (2, 0.6 + 1.2j, 1, None),
+                              (6, 2.0j, 1, -1j)], rng)
+        k = build_eom(m)
+        paired = [c for c in classify_spectrum(k).classes
+                  if c.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)]
+        assert sorted(c.kind.value for c in paired) == ["complex_quadruplet", "real_pair"]
+        for cls in paired:
+            lam = cls.representative
+            (partner,) = extract_class_chains(k, cls).partners
+            v = partner.generator
+            assert partner.eigenvalue == -lam and partner.rank == 1
+            assert np.iscomplexobj(v) == (cls.kind is EigenvalueKind.COMPLEX_QUADRUPLET)
+            a = k + lam * np.eye(k.shape[0])
+            assert np.linalg.norm(a @ v) <= 1e-12 * np.linalg.norm(a, 2)
+            (own,) = jordan_chains(k, -lam, 1)
+            assert 1 - abs(np.vdot(v, own.generator)) <= 1e-12
+
 
 class TestCases:
     def test_case_table(self):
