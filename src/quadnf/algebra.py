@@ -154,17 +154,15 @@ def apply_poly(p: NilpotentPoly, k, x: np.ndarray) -> np.ndarray:
     k = np.asarray(k)
     lam = complex(p.eigenvalue)
     real = lam.imag == 0 and not np.iscomplexobj(x) and all(c.imag == 0 for c in p.coef)
-    shift = k - lam * np.eye(k.shape[0])
-    if real:
-        shift = shift.real
-        coefs = [c.real for c in p.coef]
-    else:
-        coefs = list(p.coef)
+    coefs = [c.real for c in p.coef] if real else list(p.coef)
     acc = coefs[0] * x
-    vec = x
-    for c in coefs[1:]:
-        vec = shift @ vec
-        acc = acc + c * vec
+    if len(coefs) > 1:
+        shift = k - lam * np.eye(k.shape[0])
+        shift = shift.real if real else shift
+        vec = x
+        for c in coefs[1:]:
+            vec = shift @ vec
+            acc = acc + c * vec
     return acc
 
 

@@ -683,7 +683,8 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | No
     for cls in spectrum.classes:
         lam = cls.representative
         shift = _shifts[lam] if _shifts else _factor_shift(k, lam, cfg)
-        vecs = _nullspace(shift, cfg.rank_tol * (1.0 + shift[0][0]))
+        vecs = shift if isinstance(shift, np.ndarray) else _nullspace(  # eig(K) column
+            shift, cfg.rank_tol * (1.0 + shift[0][0]))
         if vecs.shape[1] != cls.algebraic:
             raise WrongPathError(
                 f"eigenspace of {lam:.6g} has dimension {vecs.shape[1]}, "
@@ -702,9 +703,11 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | No
     return _finish_report(m, k, spectrum, units, cfg)
 
 
-def _attempt_normal_form(m, k, eigenvalues, cfg: Config, fast_path: bool) -> NormalFormReport:
-    shifts: dict = {}  # representative -> the one SVD of K - lam I in this attempt
-    spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _shifts=shifts)
+def _attempt_normal_form(m, k, eigenvalues, vectors, cfg: Config, fast_path: bool
+                         ) -> NormalFormReport:
+    shifts: dict = {}  # representative -> eig(K) columns or the one SVD of K - lam I
+    spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                                 _shifts=shifts)
     if fast_path and _bogoliubov_applicable(spectrum):
         return bogoliubov_transform(m, cfg, spectrum, _k=k, _shifts=shifts)
 
@@ -750,7 +753,7 @@ def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormR
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
-    eigenvalues = np.linalg.eigvals(k)
+    eigenvalues, vectors = np.linalg.eig(k)
     last: Exception | None = None
     tol = cfg.clustering_tol
     for _ in range(5):
@@ -758,7 +761,7 @@ def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormR
             cfg, clustering_tol=tol, rank_tol=max(cfg.rank_tol, tol)
         )
         try:
-            return _attempt_normal_form(m, k, eigenvalues, attempt_cfg, fast_path)
+            return _attempt_normal_form(m, k, eigenvalues, vectors, attempt_cfg, fast_path)
         except (PipelineError, VerificationError) as exc:
             last = exc
             tol *= 10.0

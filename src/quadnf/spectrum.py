@@ -18,7 +18,6 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Config, maxnorm
-from .core import apply_form
 from .errors import (
     AmbiguousSpectrumError,
     BorderlineRankWarning,
@@ -200,20 +199,18 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
 
 
 def _factor(a: np.ndarray, widest_cut):
-    """One SVD of ``a``: all singular values, largest first, and copies of the right
-    and left singular vectors of those <= ``widest_cut(sigma_max)`` as columns; all
+    """One SVD of ``a`` as (s, null): all singular values, largest first, and as
+    columns the right singular vectors of those <= ``widest_cut(sigma_max)``; all
     of them for a zero matrix, such as a nilpotent power whose true value is zero."""
     if maxnorm(a) == 0.0:
-        eye = np.eye(a.shape[1], dtype=a.dtype)
-        return np.zeros(a.shape[1]), eye, eye
-    u, s, vh = np.linalg.svd(a)
-    cut = len(s) - int(np.sum(s <= widest_cut(s[0])))
-    return s, np.conjugate(vh[cut:]).T, u[:, cut:].copy()
+        return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype)
+    _, s, vh = np.linalg.svd(a)
+    return s, np.conjugate(vh[len(s) - int(np.sum(s <= widest_cut(s[0]))):]).T
 
 
 def _nullspace(factor, thresh: float) -> np.ndarray:
     """Orthonormal basis of the factored matrix's directions with singular value <= thresh."""
-    s, null = factor[:2]
+    s, null = factor
     return null[:, null.shape[1] - int(np.sum(s <= thresh)):]
 
 
@@ -226,25 +223,26 @@ def _filtration_cut(top: float, norm_a: float, prev_top: float, dim: int, cfg: C
 
 
 def _factor_shift(k: np.ndarray, lam: complex, cfg: Config):
-    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1.
-
-    It also factors K + lam I: J K + K^T J = 0 gives K + lam I =
-    -J^-1 (K - lam I)^T J, so both share their singular values and
-    null(K + lam I) = J^-1 conj(left null vectors of K - lam I).
-    """
+    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1."""
     a = k - lam * np.eye(k.shape[0])
     return _factor(a.real if lam.imag == 0 else a, lambda top: max(
         cfg.rank_tol * (1.0 + top), _filtration_cut(top, top, 1.0, k.shape[0], cfg)))
 
 
-def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=None) -> int:
+def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=None,
+                           _eigenvectors=None) -> int:
     """Dimension of null(K - lam I) via a singular-value threshold.
 
     A singular value within a factor 10 of the threshold makes the rank
     decision fragile; a ``BorderlineRankWarning`` is emitted in that
     case (the returned value still reflects the configured threshold).
     The SVD of K - lam I it reads is left in ``_shifts[lam]`` if given.
+    Given ``_eigenvectors`` (lam simple), it leaves them there instead and
+    returns 1 without factoring, as 1 <= geometric <= algebraic = 1.
     """
+    if _eigenvectors is not None:
+        _shifts[lam] = _eigenvectors
+        return 1
     factor = _factor_shift(np.asarray(k, dtype=float), lam, cfg)
     if _shifts is not None:
         _shifts[lam] = factor
@@ -262,7 +260,7 @@ def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=No
 
 
 def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=None,
-                      _shifts=None) -> SpectrumReport:
+                      _eigenvectors=None, _shifts=None) -> SpectrumReport:
     """Group the clustered spectrum into the four eigenvalue families.
 
     Each family is represented once; the exact sum rule
@@ -272,6 +270,11 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
     eps^(1/D)), the clustering is retried at up to 10^4 times the
     radius before giving up, on ``_eigenvalues`` if given.  ``_shifts``
     collects each class's SVD of K - lam I (see geometric_multiplicity).
+
+    Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
+    nonzero class takes no SVD: ``_shifts`` gets the columns of lam and,
+    if paired, -lam, each owned by exactly one raw eigenvalue nearest to
+    it among the cluster members, else ``AmbiguousSpectrumError``.
     """
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
@@ -285,6 +288,9 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
                 if attempt == 4:
                     raise
                 tol *= 10.0
+    if _eigenvectors is not None:
+        centers = np.array([lam for lam, _ in clusters])
+        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
     seen: set[complex] = set()
     classes = []
     for lam, mult in clusters:
@@ -303,10 +309,19 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
             kind = EigenvalueKind.COMPLEX_QUADRUPLET
             rep = complex(abs(lam.real), abs(lam.imag))
         cls = EigenvalueClass(kind=kind, representative=rep, algebraic=mult)
-        if any(abs(m - o) == 0 for m in cls.members for o in seen):
+        if not seen.isdisjoint(cls.members):
             continue
         seen.update(cls.members)
-        classes.append(replace(cls, geometric=geometric_multiplicity(k, rep, cfg, _shifts=_shifts)))
+        columns = None
+        if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
+            own = [np.flatnonzero(owner == np.flatnonzero(centers == mu)[0])
+                   for mu in cls.members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]]
+            if any(len(raw) != 1 for raw in own):
+                raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
+            columns = _eigenvectors[:, [raw[0] for raw in own]]
+            columns = columns.real if rep.imag == 0 else columns
+        classes.append(replace(cls, geometric=geometric_multiplicity(
+            k, rep, cfg, _shifts=_shifts, _eigenvectors=columns)))
     report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
     if report.sum_rule_residual != 0:
         raise SpectrumStructureError(
@@ -333,12 +348,12 @@ class JordanChain:
 
 
 def make_chain(k, lam: complex, generator: np.ndarray, rank: int) -> JordanChain:
-    a = np.asarray(k) - lam * np.eye(np.asarray(k).shape[0])
-    if lam.imag == 0 and not np.iscomplexobj(generator):
-        a = a.real
     vecs = [generator]
-    for _ in range(rank - 1):
-        vecs.append(a @ vecs[-1])
+    if rank > 1:
+        a = np.asarray(k) - lam * np.eye(np.asarray(k).shape[0])
+        a = a.real if lam.imag == 0 and not np.iscomplexobj(generator) else a
+        for _ in range(rank - 1):
+            vecs.append(a @ vecs[-1])
     vecs.reverse()
     return JordanChain(eigenvalue=lam, rank=rank, vectors=tuple(vecs))
 
@@ -464,32 +479,26 @@ def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
                          _level1=None) -> ClassChains:
     """Chains (and partner chains where applicable) for one eigenvalue class.
 
-    ``_level1`` is the SVD of K - lam I if known.  The partner chains of
-    -lam come from the same SVD when lam is simple (algebraic
-    multiplicity 1): null(K + lam I) = J^-1 conj(left null(K - lam I)),
-    see ``_factor_shift``.  A defective lam gets its own nullspace
-    filtration of K + lam I, since mirroring a nullspace of dimension 2
-    or more would rotate the basis the generators are picked from.
+    ``_level1`` is what ``classify_spectrum`` left in ``_shifts`` for the
+    class.  For a simple lam these are eigenvector columns of eig(K):
+    the one rank-1 chain of lam and, for real pairs and quadruplets, the
+    partner of -lam.  Otherwise it is the SVD of K - lam I (computed if
+    not given), and the chains come from the nullspace filtration of
+    K - lam I, the partner chains from that of K + lam I.
     """
     k = np.asarray(k, dtype=float)
     lam = cls.representative
-    level1 = _factor_shift(k, lam, cfg) if _level1 is None else _level1
-    chains = jordan_chains(k, lam, cls.algebraic, cfg, _level1=level1)
-    chains.sort(key=lambda c: -c.rank)
-    partners: list[JordanChain] = []
-    if cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
-        if cls.algebraic == 1:
-            # J^-1 conj(u) for the left singular vector u of the smallest sigma,
-            # the one below the level-1 cut that gave lam its single chain.
-            g = apply_form(-np.conjugate(level1[2][:, -1]))  # J^-1 = -J
-            partners = [make_chain(k, -lam, g / np.linalg.norm(g), 1)]
-        else:
-            partners = jordan_chains(k, -lam, cls.algebraic, cfg)
-            partners.sort(key=lambda c: -c.rank)
-        if [c.rank for c in chains] != [c.rank for c in partners]:
-            raise ChainExtractionError(
-                f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up"
-            )
+    paired = cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)
+    if isinstance(_level1, np.ndarray):
+        chains = [make_chain(k, lam, _level1[:, 0], 1)]
+        partners = [make_chain(k, -lam, _level1[:, 1], 1)] if paired else []
+    else:
+        chains = sorted(jordan_chains(k, lam, cls.algebraic, cfg, _level1=_level1),
+                        key=lambda c: -c.rank)
+        partners = sorted(jordan_chains(k, -lam, cls.algebraic, cfg),
+                          key=lambda c: -c.rank) if paired else []
+    if paired and [c.rank for c in chains] != [c.rank for c in partners]:
+        raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
     got_m = len(chains)
     if cls.geometric is not None and got_m != cls.geometric:
         raise ChainExtractionError(

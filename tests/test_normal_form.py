@@ -1,8 +1,8 @@
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from conftest import (
     GOLDEN_E11,
@@ -27,8 +27,6 @@ from quadnf import (
     symplectic_residual,
     terms_matrix,
 )
-from quadnf.cli import main
-from quadnf.errors import BorderlineRankWarning
 from quadnf.normal_form import (
     TermKind,
     _block_for_unit,
@@ -369,13 +367,14 @@ class TestPipeline:
 
 
 class TestFactorizationCounts:
-    """Each matrix the spectral stage factors gets one SVD per attempt, and
-    K gets one eigvals per normal_form call, however many attempts it takes."""
+    """K gets one eig per normal_form call, however many attempts it takes;
+    a simple class takes its eigenvectors from it, and each matrix the
+    filtration of a defective class factors gets one SVD per attempt."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        svd, norm, eigvals = np.linalg.svd, np.linalg.norm, np.linalg.eigvals
+        svd, norm, eig, eigvals = np.linalg.svd, np.linalg.norm, np.linalg.eig, np.linalg.eigvals
 
         def counted_svd(*args, **kwargs):
             counts["svd"] += 1
@@ -385,23 +384,29 @@ class TestFactorizationCounts:
             counts["norm2"] += ord == 2 and np.ndim(x) == 2
             return norm(x, ord, *args, **kwargs)
 
+        def counted_eig(*args, **kwargs):
+            counts["eig"] += 1
+            return eig(*args, **kwargs)
+
         def counted_eigvals(*args, **kwargs):
             counts["eigvals"] += 1
             return eigvals(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         return counts
 
-    def test_one_svd_per_class(self, calls):
-        # A simple lam's partner -lam is read off the SVD of K - lam I.
+    def test_no_svd_for_simple_classes(self, calls):
+        # Every eigenvector of a simple lam, and of its partner -lam, is a
+        # column of eig(K).
         a = np.random.default_rng(11).normal(size=(6, 6))
         rep = normal_form((a + a.T) / 2)
         classes = rep.spectrum.classes
         assert all(c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO for c in classes)
         assert any(c.kind is not EigenvalueKind.IMAGINARY_PAIR for c in classes)
-        assert (calls["svd"], calls["norm2"], calls["eigvals"]) == (len(classes), 0, 1)
+        assert (calls["svd"], calls["norm2"], calls["eig"], calls["eigvals"]) == (0, 0, 1, 0)
 
     def test_defective_partner_keeps_its_own_svds(self, calls, rng):
         # A rank-2 real pair: K - lam I and (K - lam I)^2 for lam, and the
@@ -409,12 +414,20 @@ class TestFactorizationCounts:
         m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None)], rng)
         rep = normal_form(m)
         assert [(b.case, b.rank) for b in rep.blocks] == [(1, 2)]
-        assert (calls["svd"], calls["eigvals"]) == (4, 1)
+        assert (calls["svd"], calls["eig"]) == (4, 1)
 
-    def test_escalation_reuses_eigvals(self, calls):
-        with pytest.warns(BorderlineRankWarning):
-            result = CliRunner().invoke(
-                main, ["analyze", "-", "--tolerance", "1e-3"], input="modes 1\n1 1e-6\n0 1\n"
-            )
-        assert result.exit_code == 0
-        assert calls["eigvals"] == 1
+    def test_escalation_reuses_eigvals(self, calls, rng, monkeypatch):
+        # A rank-3 real pair splits beyond the first clustering radius.
+        nf = sys.modules["quadnf.normal_form"]
+        classify = nf.classify_spectrum
+
+        def counted_classify(*args, **kwargs):
+            calls["attempts"] += 1
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(nf, "classify_spectrum", counted_classify)
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 3, None)], rng)
+        rep = normal_form(m)
+        assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
+        assert calls["attempts"] >= 2
+        assert (calls["eig"], calls["eigvals"]) == (1, 0)

@@ -10,7 +10,7 @@ from conftest import (
     two_mode_m,
 )
 from quadnf import build_eom, symplectic_form
-from quadnf.errors import SpectrumStructureError
+from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
 from quadnf.spectrum import (
     ClassChains,
     EigenvalueKind,
@@ -211,18 +211,21 @@ class TestJordanChains:
         assert np.linalg.cond(stack) < 1e7
 
     def test_simple_partner_mirrors_own_filtration(self, rng):
-        # A simple lam's partner eigenvector of -lam is read off the SVD of
-        # K - lam I; it must be a null vector of K + lam I and span the same
-        # line as the one the filtration of K + lam I finds.
+        # A simple lam's partner eigenvector of -lam is a column of eig(K); it
+        # must be a null vector of K + lam I and span the same line as the one
+        # the filtration of K + lam I finds.
         m, _ = seeded_matrix([(1, 0.9 + 0j, 1, None), (2, 0.6 + 1.2j, 1, None),
                               (6, 2.0j, 1, -1j)], rng)
         k = build_eom(m)
-        paired = [c for c in classify_spectrum(k).classes
+        eigenvalues, vectors = np.linalg.eig(k)
+        shifts = {}
+        paired = [c for c in classify_spectrum(k, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                                               _shifts=shifts).classes
                   if c.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)]
         assert sorted(c.kind.value for c in paired) == ["complex_quadruplet", "real_pair"]
         for cls in paired:
             lam = cls.representative
-            (partner,) = extract_class_chains(k, cls).partners
+            (partner,) = extract_class_chains(k, cls, _level1=shifts[lam]).partners
             v = partner.generator
             assert partner.eigenvalue == -lam and partner.rank == 1
             assert np.iscomplexobj(v) == (cls.kind is EigenvalueKind.COMPLEX_QUADRUPLET)
@@ -230,6 +233,20 @@ class TestJordanChains:
             assert np.linalg.norm(a @ v) <= 1e-12 * np.linalg.norm(a, 2)
             (own,) = jordan_chains(k, -lam, 1)
             assert 1 - abs(np.vdot(v, own.generator)) <= 1e-12
+
+    def test_eigenvector_match_must_be_one_to_one(self, rng):
+        # If -lam's own eigenvalue is replaced by lam, lam owns two eig(K)
+        # columns and -lam none: that raises rather than pairing wrongly.
+        m, _ = seeded_matrix([(1, 0.9 + 0j, 1, None), (6, 2.0j, 1, -1j)], rng)
+        k = build_eom(m)
+        eigenvalues, vectors = np.linalg.eig(k)
+        clusters = cluster_eigenvalues(k, _eigenvalues=eigenvalues)
+        real = np.flatnonzero(eigenvalues.imag == 0)
+        lam = eigenvalues[real[np.argmax(eigenvalues[real].real)]]
+        eigenvalues[real[np.argmin(eigenvalues[real].real)]] = lam
+        with pytest.raises(AmbiguousSpectrumError, match="no single eigenvector"):
+            classify_spectrum(k, clusters, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                              _shifts={})
 
 
 class TestCases:
