@@ -13,9 +13,9 @@ Orthonormalizing the Jordan chains against this form is what makes the
 normal-form columns symplectic.  Each eigenvalue family gets its own
 routine below; all of them share the pattern pivot / normalize /
 square-root / deflate, with the degenerate-pivot superposition fixes
-for the zero and imaginary families, the f/h pairing for odd-rank zero
-chains, and the plain Bogoliubov Gram-Schmidt for the diagonalizable
-imaginary case.
+for the zero and imaginary families and the f/h pairing for odd-rank
+zero chains.  A Bogoliubov diagonalization is the imaginary routine on
+rank-1 chains, where the square root reduces to a real scaling.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "orthonormalize_zero",
     "zero_odd_pairing",
     "orthonormalize_imaginary",
-    "bogoliubov_orthonormalize",
 ]
 
 
@@ -55,7 +54,8 @@ class NilpotentPoly:
     coef: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coef", tuple(complex(c) for c in self.coef))
+        coef = self.coef.tolist() if isinstance(self.coef, np.ndarray) else self.coef
+        object.__setattr__(self, "coef", tuple(map(complex, coef)))
 
     @property
     def rank_bound(self) -> int:
@@ -183,8 +183,10 @@ def alpha(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> complex:
     return form_product(make_chain(k, lam, x, rank).vectors[0], y)
 
 
-def _alpha_threshold(cfg: Config, x: np.ndarray, y: np.ndarray) -> float:
-    return cfg.alpha_tol * (1.0 + maxnorm(x)) * (1.0 + maxnorm(y))
+def _alpha_threshold(cfg: Config, x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """Threshold for a vanishing pairing of x with y (with itself if y is None)."""
+    sx = 1.0 + maxnorm(x)
+    return cfg.alpha_tol * sx * (sx if y is None else 1.0 + maxnorm(y))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -276,7 +278,7 @@ def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
     in descending rank order and case4 the list of remaining chains.
     """
     k = np.asarray(k, dtype=float)
-    work = [(c.generator.copy().astype(float), c.rank) for c in chains]
+    work = [(c.generator.astype(float), c.rank) for c in chains]
     case3: list[tuple[JordanChain, int]] = []
 
     while any(r % 2 == 0 for _, r in work):
@@ -286,19 +288,19 @@ def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
             for i, (g, rg) in enumerate(work):
                 if rg != r:
                     continue
-                a = alpha(k, 0.0, g, g, r).real
-                if abs(a) > _alpha_threshold(cfg, g, g):
+                w = omega(k, 0.0, g, g, r)
+                a = w.leading.real
+                if abs(a) > _alpha_threshold(cfg, g):
                     if best is None or abs(a) > abs(best[0]):
-                        best = (a, i, r)
+                        best = (a, w, i, r)
             if best is not None:
                 break
         if best is None:
             _zero_superposition_fix(k, work, cfg)
             continue
-        a, i, r = best
+        a, w, i, r = best
         g, _ = work.pop(i)
         sigma = 1 if a > 0 else -1
-        w = omega(k, 0.0, g, g, r)
         phi = poly_sqrt(NilpotentPoly(0.0, sigma * w.array()))
         e_vec = apply_poly(poly_inverse(phi), k, g).real
         case3.append((make_chain(k, 0.0, e_vec, r), sigma))
@@ -355,7 +357,7 @@ def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
         raise NondegeneracyError(
             f"odd-rank zero chains must come in pairs, got {len(chains)}"
         )
-    work = [(c.generator.copy().astype(float), c.rank) for c in chains]
+    work = [(c.generator.astype(float), c.rank) for c in chains]
     pairs: list[tuple[JordanChain, JordanChain]] = []
 
     while work:
@@ -440,7 +442,7 @@ def orthonormalize_imaginary(
     Returns a list of (chain, sigma) in descending rank order.
     """
     k = np.asarray(k, dtype=float)
-    work = [(c.generator.copy().astype(complex), c.rank) for c in chains]
+    work = [(c.generator.astype(complex), c.rank) for c in chains]
     done: list[tuple[JordanChain, complex]] = []
 
     while work:
@@ -450,22 +452,24 @@ def orthonormalize_imaginary(
             for i, (g, rg) in enumerate(work):
                 if rg != r:
                     continue
-                a = alpha(k, lam, g, g.conj(), r)
+                w = omega(k, lam, g, g.conj(), r)
+                a = w.leading
                 useful = abs(a.real) if r % 2 == 0 else abs(a.imag)
-                if useful > _alpha_threshold(cfg, g, g):
+                if useful > _alpha_threshold(cfg, g):
                     if best is None or useful > abs(best[0]):
                         key = a.real if r % 2 == 0 else a.imag
-                        best = (key, a, i, r)
+                        best = (key, w, i, r)
             if best is not None:
                 break
         if best is None:
             _imaginary_superposition_fix(k, lam, work, cfg)
             continue
-        key, a, i, r = best
+        key, w, i, r = best
         g, _ = work.pop(i)
         sigma = complex(np.sign(key)) if r % 2 == 0 else 1j * np.sign(key)
-        w = omega(k, lam, g, g.conj(), r)
-        phi = poly_sqrt(NilpotentPoly(lam, sigma * w.array()))
+        # (-1)^r sigma W leads with |key| > 0 up to round-off, so phi leads with
+        # a positive real: a rank-1 e is g times a positive real, with no phase.
+        phi = poly_sqrt(NilpotentPoly(lam, (-1) ** r * sigma * w.array()))
         e_vec = apply_poly(poly_inverse(phi), k, g)
         done.append((make_chain(k, lam, e_vec, r), sigma))
         for idx, (g_o, r_o) in enumerate(work):
@@ -501,53 +505,3 @@ def _imaginary_superposition_fix(k, lam, work, cfg: Config):
     gj, _ = work[j]
     work[i] = (_unit(gi + gj), r)
     work[j] = (_unit(gi - gj), r)
-
-
-def bogoliubov_orthonormalize(k, lam: complex, vectors, cfg: Config = DEFAULT):
-    """Gram-Schmidt for the diagonalizable purely-imaginary case.
-
-    Here every chain has rank one, the Gram form collapses to
-    ``alpha(x, conj(y)) = x^T J conj(y)`` (purely imaginary on the
-    diagonal), and the orthonormalization reduces to a scaling
-    ``e = g / sqrt(-sigma alpha(g, conj(g)))`` plus deflation.  The
-    superposition recombination handles vanishing self-pairings.
-
-    Returns a list of (eigenvector, sigma) with sigma = +-i.
-    """
-    k = np.asarray(k, dtype=float)
-    work = [_unit(np.asarray(v, dtype=complex)) for v in vectors]
-    done: list[tuple[np.ndarray, complex]] = []
-
-    while work:
-        best = None
-        for i, g in enumerate(work):
-            a = form_product(g, g.conj())
-            if abs(a.imag) > _alpha_threshold(cfg, g, g):
-                if best is None or abs(a.imag) > abs(best[0]):
-                    best = (a.imag, a, i)
-        if best is None:
-            pair = None
-            for i in range(len(work)):
-                for j in range(i + 1, len(work)):
-                    a = form_product(work[i], work[j].conj())
-                    if abs(a.imag) > _alpha_threshold(cfg, work[i], work[j]):
-                        if pair is None or abs(a.imag) > pair[0]:
-                            pair = (abs(a.imag), i, j)
-            if pair is None:
-                raise NondegeneracyError(
-                    f"eigenvectors at {lam:.6g} have a fully degenerate pairing"
-                )
-            _, i, j = pair
-            gi, gj = work[i], work[j]
-            work[i] = _unit(gi + gj)
-            work[j] = _unit(gi - gj)
-            continue
-        key, a, i = best
-        g = work.pop(i)
-        sigma = 1j * np.sign(key)
-        e = g / np.sqrt((-sigma * a).real)
-        done.append((e, sigma))
-        for idx, g_o in enumerate(work):
-            a_o = form_product(e, g_o.conj())
-            work[idx] = _unit(g_o - sigma * np.conj(a_o) * e)
-    return done

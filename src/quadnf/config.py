@@ -74,4 +74,4 @@ def maxnorm(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())

@@ -70,7 +70,7 @@ class ContractViolationError(PipelineError):
 
 
 class WrongPathError(PipelineError):
-    """The fast diagonalization path was called outside its precondition."""
+    """``bogoliubov_transform`` was called outside its precondition."""
 
 
 class ConstructionError(PipelineError):

@@ -7,9 +7,10 @@ normal form K_N = T^{-1} K T block by block, and the transformed
 Hamiltonian matrix N = T^T M T = -J K_N decomposes into a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
 beam splitters).  This module builds the columns, assembles and
-verifies T, generates the expected blocks, emits the term list, decides
-the stability verdict, and provides the fast Bogoliubov path for the
-diagonalizable purely-imaginary case.
+verifies T, generates the expected blocks, emits the term list and
+decides the stability verdict.  A Bogoliubov diagonalization is the
+special case of an all-case-6, rank-1 spectrum and takes the same
+construction; ``bogoliubov_transform`` only checks that precondition.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (
-    bogoliubov_orthonormalize,
     orthonormalize_imaginary,
     orthonormalize_real_complex,
     orthonormalize_zero,
@@ -33,8 +33,6 @@ from .spectrum import (
     EigenvalueKind,
     JordanChain,
     SpectrumReport,
-    _factor_shift,
-    _nullspace,
     assign_cases,
     classify_spectrum,
     extract_class_chains,
@@ -207,18 +205,18 @@ class _Unit:
     s_cols: list
 
 
-def _real_columns(cols, tol: float):
+def _real_columns(cols, k, cfg: Config):
     out = []
     for c in cols:
         c = np.asarray(c)
         if np.iscomplexobj(c):
             imag = maxnorm(c.imag)
-            if imag > tol * (1.0 + maxnorm(c)):
+            if imag > cfg.tol(1.0 + maxnorm(k)) * (1.0 + maxnorm(c)):
                 raise ConstructionError(
                     f"transformation column has imaginary residual {imag:.3e}"
                 )
             c = c.real
-        out.append(c.astype(float))
+        out.append(np.asarray(c, dtype=float))
     return out
 
 
@@ -235,7 +233,6 @@ def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
     for case 4.  Output columns are validated to be real.
     """
     k = np.asarray(k, dtype=float)
-    tol = cfg.tol(1.0 + maxnorm(k))
     if case == 1:
         e_chain, et_chain = data
         lam, d = e_chain.eigenvalue, e_chain.rank
@@ -297,8 +294,8 @@ def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
         eigenvalue=complex(lam),
         rank=d,
         sigma=None if sigma is None else complex(sigma),
-        t_cols=_real_columns(t_cols, tol),
-        s_cols=_real_columns(s_cols, tol),
+        t_cols=_real_columns(t_cols, k, cfg),
+        s_cols=_real_columns(s_cols, k, cfg),
     )
 
 
@@ -370,19 +367,20 @@ def expected_blocks(units) -> tuple[NormalFormBlock, ...]:
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
     """Assemble the full expected K_N = [[O_I, O_R], [O_L, -O_I^T]]."""
-    o_i = np.zeros((n_modes, n_modes))
-    o_r = np.zeros((n_modes, n_modes))
-    o_l = np.zeros((n_modes, n_modes))
+    covered = sum(b.size for b in blocks)
+    if covered != n_modes:
+        raise AssemblyError(f"blocks cover {covered} modes, expected {n_modes}")
+    n = n_modes
+    kn = np.zeros((2 * n, 2 * n))
     offset = 0
     for b in blocks:
         end = offset + b.size
-        o_i[offset:end, offset:end] = b.i_i
-        o_r[offset:end, offset:end] = b.i_r
-        o_l[offset:end, offset:end] = b.i_l
+        kn[offset:end, offset:end] = b.i_i
+        kn[offset:end, n + offset:n + end] = b.i_r
+        kn[n + offset:n + end, offset:end] = b.i_l
         offset = end
-    if offset != n_modes:
-        raise AssemblyError(f"blocks cover {offset} modes, expected {n_modes}")
-    return np.block([[o_i, o_r], [o_l, -o_i.T]])
+    kn[n:, n:] = -kn[:n, :n].T
+    return kn
 
 
 def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT) -> CanonicalTransform:
@@ -652,65 +650,30 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     )
 
 
-def _bogoliubov_applicable(spectrum: SpectrumReport) -> bool:
-    return all(
-        c.kind is EigenvalueKind.IMAGINARY_PAIR and c.geometric == c.algebraic
-        for c in spectrum.classes
-    )
+def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
+    """Normal form of M, required to be a Bogoliubov diagonalization.
 
-
-def bogoliubov_transform(m, cfg: Config = DEFAULT, spectrum: SpectrumReport | None = None,
-                         *, _k=None, _shifts=None):
-    """Fast diagonalization path for K diagonalizable with imaginary spectrum.
-
-    Under this precondition the Hamiltonian is a sum of independent
-    harmonic oscillators: N = T^T M T is diagonal with paired entries
-    (the K_N it induces is in real Jordan form, not diagonal).  Raises
-    ``WrongPathError`` when any other eigenvalue family is present or
-    any eigenvalue is defective.  ``_k`` is K = J M if already built from
-    a validated ``m``; ``_shifts`` is as in ``classify_spectrum``.
+    Under this precondition (K diagonalizable with purely imaginary
+    spectrum) the Hamiltonian is a sum of independent harmonic
+    oscillators: N = T^T M T is diagonal with paired entries (the K_N it
+    induces is in real Jordan form, not diagonal).  Raises
+    ``WrongPathError`` before any construction when any other eigenvalue
+    family is present or any eigenvalue is defective; otherwise returns
+    ``normal_form(m, cfg)``.
     """
-    m = np.asarray(m, dtype=float)
-    k = build_eom(m, cfg) if _k is None else _k
-    if spectrum is None:
-        _shifts = {}
-        spectrum = classify_spectrum(k, cfg=cfg, _shifts=_shifts)
-    if not _bogoliubov_applicable(spectrum):
+    spectrum = classify_spectrum(build_eom(m, cfg), cfg=cfg)
+    if not all(c.kind is EigenvalueKind.IMAGINARY_PAIR and c.geometric == c.algebraic
+               for c in spectrum.classes):
         raise WrongPathError(
-            "spectrum is not diagonalizable-imaginary; use the general pipeline"
+            "spectrum is not diagonalizable-imaginary; use normal_form"
         )
-    units = []
-    for cls in spectrum.classes:
-        lam = cls.representative
-        shift = _shifts[lam] if _shifts else _factor_shift(k, lam, cfg)
-        vecs = shift if isinstance(shift, np.ndarray) else _nullspace(  # eig(K) column
-            shift, cfg.rank_tol * (1.0 + shift[0][0]))
-        if vecs.shape[1] != cls.algebraic:
-            raise WrongPathError(
-                f"eigenspace of {lam:.6g} has dimension {vecs.shape[1]}, "
-                f"expected {cls.algebraic}"
-            )
-        for e, sigma in bogoliubov_orthonormalize(k, lam, vecs.T, cfg):
-            unit = _Unit(
-                case=6,
-                eigenvalue=lam,
-                rank=1,
-                sigma=sigma,
-                t_cols=[SQRT2 * np.real(e)],
-                s_cols=[float(np.real(1j * sigma)) * SQRT2 * np.imag(e)],
-            )
-            units.append(unit)
-    return _finish_report(m, k, spectrum, units, cfg)
+    return normal_form(m, cfg)
 
 
-def _attempt_normal_form(m, k, eigenvalues, vectors, cfg: Config, fast_path: bool
-                         ) -> NormalFormReport:
+def _attempt_normal_form(m, k, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
     shifts: dict = {}  # representative -> eig(K) columns or the one SVD of K - lam I
     spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _eigenvectors=vectors,
                                  _shifts=shifts)
-    if fast_path and _bogoliubov_applicable(spectrum):
-        return bogoliubov_transform(m, cfg, spectrum, _k=k, _shifts=shifts)
-
     units: list[_Unit] = []
     for cls in spectrum.classes:
         chains = assign_cases(extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative]))
@@ -737,12 +700,12 @@ def _attempt_normal_form(m, k, eigenvalues, vectors, cfg: Config, fast_path: boo
     return _finish_report(m, k, spectrum, units, cfg)
 
 
-def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormReport:
+def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     """Full pipeline: spectrum, chains, orthonormalization, T, blocks, verdict.
 
-    The Bogoliubov fast path is taken automatically when the spectrum is
-    purely imaginary and diagonalizable (disable with
-    ``fast_path=False`` to force the general construction).
+    Every spectrum takes the same construction; a stable one (purely
+    imaginary and diagonalizable) comes out as case-6 blocks of rank 1,
+    the Bogoliubov diagonalization.
 
     A defective eigenvalue of rank D splits under round-off like
     eps^(1/D), which no fixed clustering radius can absorb for every D.
@@ -761,7 +724,7 @@ def normal_form(m, cfg: Config = DEFAULT, fast_path: bool = True) -> NormalFormR
             cfg, clustering_tol=tol, rank_tol=max(cfg.rank_tol, tol)
         )
         try:
-            return _attempt_normal_form(m, k, eigenvalues, vectors, attempt_cfg, fast_path)
+            return _attempt_normal_form(m, k, eigenvalues, vectors, attempt_cfg)
         except (PipelineError, VerificationError) as exc:
             last = exc
             tol *= 10.0

@@ -12,7 +12,7 @@ eigenvectors with their ranks) for every eigenvalue.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -95,23 +95,22 @@ class SpectrumReport:
 
 
 def _union_clusters(values, mults, eps):
-    """Greedy union of (value, multiplicity) pairs within distance eps."""
+    """Greedy union of (value, multiplicity) pairs within distance eps: each pass
+    merges the first close pair i < j, in row-major order, into its weighted mean at i."""
     values = list(values)
     mults = list(mults)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) <= eps:
-                    total = mults[i] + mults[j]
-                    values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
-                    mults[i] = total
-                    del values[j], mults[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    while len(values) > 1:
+        v = np.array(values)
+        close = np.abs(v[:, None] - v) <= eps
+        np.fill_diagonal(close, False)  # symmetric, so the first hit has i < j
+        hit = int(np.argmax(close))
+        if not close.flat[hit]:
+            break
+        i, j = divmod(hit, len(values))
+        total = mults[i] + mults[j]
+        values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
+        mults[i] = total
+        del values[j], mults[j]
     return values, mults
 
 
@@ -291,6 +290,10 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
     if _eigenvectors is not None:
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
+        owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
+        raw_of = np.empty(len(centers), dtype=int)
+        raw_of[owner] = np.arange(len(owner))
+        index = {lam: i for i, (lam, _) in enumerate(clusters)}
     seen: set[complex] = set()
     classes = []
     for lam, mult in clusters:
@@ -308,20 +311,19 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
         else:
             kind = EigenvalueKind.COMPLEX_QUADRUPLET
             rep = complex(abs(lam.real), abs(lam.imag))
-        cls = EigenvalueClass(kind=kind, representative=rep, algebraic=mult)
-        if not seen.isdisjoint(cls.members):
+        members = EigenvalueClass(kind=kind, representative=rep, algebraic=mult).members
+        if not seen.isdisjoint(members):
             continue
-        seen.update(cls.members)
+        seen.update(members)
         columns = None
         if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
-            own = [np.flatnonzero(owner == np.flatnonzero(centers == mu)[0])
-                   for mu in cls.members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]]
-            if any(len(raw) != 1 for raw in own):
+            own = [index[mu] for mu in members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]]
+            if any(owned[i] != 1 for i in own):
                 raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
-            columns = _eigenvectors[:, [raw[0] for raw in own]]
+            columns = _eigenvectors[:, raw_of[own]]
             columns = columns.real if rep.imag == 0 else columns
-        classes.append(replace(cls, geometric=geometric_multiplicity(
-            k, rep, cfg, _shifts=_shifts, _eigenvectors=columns)))
+        geometric = geometric_multiplicity(k, rep, cfg, _shifts=_shifts, _eigenvectors=columns)
+        classes.append(EigenvalueClass(kind, rep, mult, geometric))
     report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
     if report.sum_rule_residual != 0:
         raise SpectrumStructureError(

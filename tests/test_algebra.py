@@ -20,7 +20,6 @@ from quadnf.algebra import (
     NilpotentPoly,
     alpha,
     apply_poly,
-    bogoliubov_orthonormalize,
     identity_poly,
     omega,
     orthonormalize_imaginary,
@@ -463,27 +462,30 @@ class TestImaginaryOrthonormalization:
         chains = [make_chain(k, 1j, w1, 1), make_chain(k, 1j, w2, 1)]
         results = orthonormalize_imaginary(k, 1j, chains)
         assert sorted((s for _, s in results), key=lambda z: z.imag) == [-1j, 1j]
+        for e, sigma in results:
+            assert abs(alpha(k, 1j, e.generator, e.generator.conj(), 1) - sigma) < 1e-10
 
 
 class TestBogoliubovOrthonormalization:
+    """The Bogoliubov case: orthonormalize_imaginary on rank-1 chains."""
+
     def test_single_oscillator(self):
         k = build_eom(np.eye(2))
         g = np.array([1.0, 1j])
-        ((e, sigma),) = bogoliubov_orthonormalize(k, 1j, [g])
+        ((e, sigma),) = orthonormalize_imaginary(k, 1j, [make_chain(k, 1j, g, 1)])
         assert sigma == -1j
-        a = e @ np.array([e.conj()[1], -e.conj()[0]])
+        v = e.generator
+        a = v @ np.array([v.conj()[1], -v.conj()[0]])
         assert abs(a - sigma) < 1e-12
 
     def test_decoupled_oscillators(self):
         m = np.diag([2.0, 3.0, 2.0, 3.0])
         k = build_eom(m)
+        w, v = np.linalg.eig(k)
         for lam in (2j, 3j):
-            vecs = []
-            w, v = np.linalg.eig(k)
-            for i, val in enumerate(w):
-                if abs(val - lam) < 1e-9:
-                    vecs.append(v[:, i])
-            results = bogoliubov_orthonormalize(k, lam, vecs)
+            chains = [make_chain(k, lam, v[:, i], 1) for i, val in enumerate(w)
+                      if abs(val - lam) < 1e-9]
+            results = orthonormalize_imaginary(k, lam, chains)
             assert [s for _, s in results] == [-1j]
 
     def test_random_positive_definite(self, rng):
@@ -492,22 +494,21 @@ class TestBogoliubovOrthonormalization:
         k = build_eom(m)
         report = classify_spectrum(k)
         for cls in report.classes:
-            shift = k - cls.representative * np.eye(4)
-            _, _, vh = np.linalg.svd(shift)
-            vecs = [vh[-1].conj()]
-            for e, sigma in bogoliubov_orthonormalize(k, cls.representative, vecs):
-                a_val = alpha(k, cls.representative, e, e.conj(), 1)
+            lam = cls.representative
+            _, _, vh = np.linalg.svd(k - lam * np.eye(4))
+            for e, sigma in orthonormalize_imaginary(k, lam, [make_chain(k, lam, vh[-1].conj(), 1)]):
+                a_val = alpha(k, lam, e.generator, e.generator.conj(), 1)
                 assert abs(a_val - sigma) < 1e-10
 
-    def test_superposition_fix(self, rng):
-        m, t0 = seeded_matrix([(6, 1.0j, 1, -1j), (6, 1.0j, 1, 1j)], rng)
-        k = build_eom(m)
-        e1 = (t0[:, 0] + 1j * t0[:, 2]) / np.sqrt(2)
-        e2 = (t0[:, 1] - 1j * t0[:, 3]) / np.sqrt(2)
-        w1, w2 = e1 + e2, e1 - e2
-        results = bogoliubov_orthonormalize(k, 1j, [w1, w2])
-        sigmas = sorted((s for _, s in results), key=lambda z: z.imag)
-        assert sigmas == [-1j, 1j]
-        for e, sigma in results:
-            a = alpha(k, 1j, e, e.conj(), 1)
-            assert abs(a - sigma) < 1e-10
+    def test_generator_scaled_by_positive_real(self, rng):
+        # e = g / sqrt|alpha(g, conj g)|: no phase, so M = I keeps T = I
+        a = rng.normal(size=(6, 6))
+        k = build_eom(a @ a.T + 0.5 * np.eye(6))
+        w, v = np.linalg.eig(k)
+        for i in np.flatnonzero(w.imag > 0):
+            lam = 1j * w[i].imag
+            g = v[:, i] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            ((e, _),) = orthonormalize_imaginary(k, lam, [make_chain(k, lam, g, 1)])
+            c = np.vdot(g, e.generator) / np.vdot(g, g)
+            assert abs(c.imag) <= 1e-12 * abs(c) and c.real > 0
+            assert np.linalg.norm(e.generator - c * g) <= 1e-12 * np.linalg.norm(e.generator)

@@ -249,18 +249,17 @@ class TestBogoliubov:
         with pytest.raises(WrongPathError):
             bogoliubov_transform(two_mode_m(1.0, 2.0))
 
-    def test_matches_general_path(self, rng):
+    def test_frequencies_match_eigenvalues(self, rng):
         for _ in range(5):
             a = rng.normal(size=(6, 6))
             m = a @ a.T + 0.3 * np.eye(6)
-            fast = normal_form(m)
-            slow = normal_form(m, fast_path=False)
-            assert fast.verdict is slow.verdict is Verdict.STABLE
-            for rep in (fast, slow):
-                scale = 1 + np.max(np.abs(rep.transform.matrix)) ** 2
-                assert rep.residuals["symplectic"] <= 1e-8 * scale
+            rep = normal_form(m)
+            assert rep.verdict is Verdict.STABLE
+            scale = 1 + np.max(np.abs(rep.transform.matrix)) ** 2
+            assert rep.residuals["symplectic"] <= 1e-8 * scale
+            freqs = np.abs(np.linalg.eigvals(build_eom(m)).imag)
             assert np.allclose(
-                np.diag(fast.n_matrix), np.diag(slow.n_matrix), atol=1e-8
+                np.sort(np.abs(np.diag(rep.n_matrix))), np.sort(freqs), atol=1e-8
             )
 
     def test_indefinite_oscillators(self):
