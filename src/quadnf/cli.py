@@ -89,7 +89,11 @@ def analyze(input, tolerance, fmt, output):
               help="Write the scan table to a file instead of stdout.")
 def scan(eta_min, eta_max, lambda_min, lambda_max, steps, boundary, output):
     """Scan the two-mode position-coupling model over a parameter grid."""
-    grid = scan_two_mode((eta_min, eta_max), (lambda_min, lambda_max), steps)
+    try:
+        grid = scan_two_mode((eta_min, eta_max), (lambda_min, lambda_max), steps)
+    except QuadnfError as exc:
+        click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
+        sys.exit(_exit_code(exc))
     table = serialize_scan(grid, boundary=boundary)
     if output:
         with open(output, "w", encoding="utf-8") as handle:

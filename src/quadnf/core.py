@@ -84,13 +84,28 @@ def form_product(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def require_hamiltonian_matrix(m, cfg: Config = DEFAULT) -> np.ndarray:
-    """Validate and return M as a float array (symmetric, even-dimensional)."""
+    """Validate and return M as a float array (finite, symmetric, even-dimensional)."""
     m = np.asarray(m, dtype=float)
     _even_dim(m)
+    scale = maxnorm(m)
+    if not scale < np.inf:
+        raise _non_finite_error(m)
     asym = maxnorm(m - m.T)
-    if asym > cfg.tol(maxnorm(m)):
+    if asym > cfg.tol(scale):
         raise StructureError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
     return m
+
+
+def _non_finite_error(m: np.ndarray) -> StructureError:
+    """The error for a matrix with NaN or infinite entries, naming the first few.
+
+    Whether there are any is free to tell: max |M| is NaN or inf exactly
+    when some entry is.
+    """
+    bad = np.argwhere(~np.isfinite(m))
+    shown = ", ".join(f"({i}, {j}) = {m[i, j]}" for i, j in bad[:4])
+    more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+    return StructureError(f"matrix has non-finite entries: {shown}{more}")
 
 
 def build_eom(m, cfg: Config = DEFAULT) -> np.ndarray:
@@ -146,11 +161,10 @@ def validate_eom_structure(k, tol: float | None = None, cfg: Config = DEFAULT) -
 
 
 def symplectic_residual(t: np.ndarray) -> float:
-    """Max-norm of T J T^T - J, the defect of the symplectic condition."""
+    """Max-norm of T J T^T - J, the symplectic defect; T J is formed exactly, as a column swap."""
     t = np.asarray(t)
     n = _even_dim(t)
-    j = symplectic_form(n)
-    return maxnorm(t @ j @ t.T - j)
+    return maxnorm(np.hstack([-t[:, n:], t[:, :n]]) @ t.T - symplectic_form(n))
 
 
 def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:

@@ -383,11 +383,13 @@ def expected_kn(blocks, n_modes: int) -> np.ndarray:
     return kn
 
 
-def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT) -> CanonicalTransform:
+def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT, *,
+                       _residuals: dict | None = None) -> CanonicalTransform:
     """Stack unit columns into T = (T_+ T_-) and check the symplectic condition.
 
     Units must already be in final mode order.  On failure, the raised
-    ``AssemblyError`` carries the offending Gram residual matrix.
+    ``AssemblyError`` carries the offending Gram residual matrix.  On
+    success, ``_residuals["symplectic"]`` receives the residual checked.
     """
     t_cols, s_cols, layout = [], [], []
     offset = 0
@@ -416,6 +418,8 @@ def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT) -> CanonicalT
             f"assembled transformation is not symplectic: residual {res:.3e}",
             gram_residual=t @ j @ t.T - j,
         )
+    if _residuals is not None:
+        _residuals["symplectic"] = res
     return CanonicalTransform(matrix=t, layout=tuple(layout))
 
 
@@ -610,7 +614,8 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
 def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     n_modes = k.shape[0] // 2
     units = sorted(units, key=_unit_sort_key)
-    transform = assemble_transform(units, n_modes, cfg)
+    residuals: dict = {}
+    transform = assemble_transform(units, n_modes, cfg, _residuals=residuals)
     blocks = expected_blocks(units)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
@@ -626,15 +631,14 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
         )
     n_matrix = t.T @ m @ t
     n_matrix = (n_matrix + n_matrix.T) / 2.0
-    j = symplectic_form(n_modes)
     terms, zero_modes = emit_terms(blocks, transform.layout)
     verdict, reasons = _verdict(blocks)
-    residuals = {
-        "symplectic": symplectic_residual(t),
-        "block_match": block_residual,
-        "n_reconstruction": maxnorm(n_matrix - (-j @ kn_expected)),
-        "condition": cond,
-    }
+    n_expected = np.vstack([-kn_expected[n_modes:], kn_expected[:n_modes]])  # -J K_N, exactly
+    residuals.update(
+        block_match=block_residual,
+        n_reconstruction=maxnorm(n_matrix - n_expected),
+        condition=cond,
+    )
     return NormalFormReport(
         n_modes=n_modes,
         spectrum=spectrum,

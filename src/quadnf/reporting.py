@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Config, maxnorm
-from .errors import ParseError, QuadnfError, StructureError
+from .core import _non_finite_error
+from .errors import ParseError, QuadnfError, StructureError, ValidationError
 from .normal_form import NormalFormReport, _format_eigenvalue, normal_form
 from .spectrum import EigenvalueKind
 
@@ -59,18 +60,31 @@ def _parse_json_document(text: str) -> MatrixDocument:
     n = obj["modes"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"'modes' must be a positive integer, got {n!r}")
-    matrix = np.asarray(obj["matrix"], dtype=float)
+    try:
+        matrix = np.asarray(obj["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"'matrix' must be rows of numbers: {exc}") from exc
     if matrix.shape != (2 * n, 2 * n):
         raise ParseError(
             f"matrix shape {matrix.shape} does not match modes {n} (need {2*n}x{2*n})"
         )
-    labels = tuple(obj["labels"]) if "labels" in obj else None
+    labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError(f"'labels' must be a list, got {labels!r}")
     tol = obj.get("tolerances", {}).get("structure") if isinstance(obj.get("tolerances"), dict) else obj.get("tolerances")
-    return MatrixDocument(n, matrix, labels, tol)
+    return MatrixDocument(n, matrix, None if labels is None else tuple(labels), tol)
 
 
 def _validated(doc: MatrixDocument) -> MatrixDocument:
-    tol = doc.tolerance if doc.tolerance is not None else DEFAULT.tol(maxnorm(doc.matrix))
+    tol = doc.tolerance
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                            or not 0 < tol < np.inf):
+        raise ParseError(f"tolerance must be a finite number > 0, got {tol!r}")
+    scale = maxnorm(doc.matrix)
+    if not scale < np.inf:
+        raise _non_finite_error(doc.matrix)
+    if tol is None:
+        tol = DEFAULT.tol(scale)
     asym = maxnorm(doc.matrix - doc.matrix.T)
     if asym > tol:
         raise StructureError(
@@ -205,10 +219,6 @@ def signature_string(report: NormalFormReport, with_eigenvalues: bool = True) ->
     return "|".join(tokens)
 
 
-def _matrix_to_list(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
-
-
 def report_to_dict(report: NormalFormReport) -> dict:
     """Structured form of a report with stable key names."""
     return {
@@ -247,9 +257,9 @@ def report_to_dict(report: NormalFormReport) -> dict:
             }
             for t in report.terms
         ],
-        "transform": _matrix_to_list(report.transform.matrix),
-        "k_normal": _matrix_to_list(report.k_normal),
-        "n_matrix": _matrix_to_list(report.n_matrix),
+        "transform": np.asarray(report.transform.matrix, dtype=float).tolist(),
+        "k_normal": np.asarray(report.k_normal, dtype=float).tolist(),
+        "n_matrix": np.asarray(report.n_matrix, dtype=float).tolist(),
         "residuals": {k: float(v) for k, v in report.residuals.items()},
     }
 
@@ -362,6 +372,8 @@ def scan_two_mode(
     """
     if isinstance(steps, int):
         steps = (steps, steps)
+    if min(steps) < 1:
+        raise ValidationError(f"a scan needs at least 1 step per axis, got {steps}")
     etas = np.linspace(eta_range[0], eta_range[1], steps[0])
     lambdas = np.linspace(lambda_range[0], lambda_range[1], steps[1])
     verdicts, signatures, structure, errors = [], [], [], {}

@@ -168,9 +168,9 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
             raise SpectrumStructureError(
                 f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
             )
-        # Average the orbit onto exact mirror symmetry.
-        re = float(np.mean([abs(values[j].real) for j in orbit]))
-        im = float(np.mean([abs(values[j].imag) for j in orbit]))
+        # Average the orbit onto exact mirror symmetry (left to right, as np.mean sums 1-4 values).
+        re = sum([abs(values[j].real) for j in orbit]) / len(orbit)
+        im = sum([abs(values[j].imag) for j in orbit]) / len(orbit)
         spread = max(
             min(abs(values[j] - s) for s in {complex(re, im), complex(re, -im),
                                              complex(-re, im), complex(-re, -im)})

@@ -14,6 +14,7 @@ from quadnf import (
     StructureError,
     build_eom,
     bosonic_conversion,
+    normal_form,
     propagate,
     similarity,
     stability_oracle,
@@ -76,6 +77,33 @@ class TestBuildEom:
     def test_odd_dimension_rejected(self):
         with pytest.raises(InvalidDimensionError):
             build_eom(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_non_finite_entry_rejected(self, bad, mirrored):
+        # an inf entry with a finite mirror makes both max|M - M^T| and the
+        # tolerance scale inf, so the symmetry check alone would pass it
+        m = np.eye(4)
+        m[1, 2] = bad
+        if mirrored:
+            m[2, 1] = bad
+        with pytest.raises(StructureError, match=r"non-finite entries: \(1, 2\)"):
+            build_eom(m)
+
+    def test_non_finite_entry_rejected_by_normal_form(self):
+        with pytest.raises(StructureError, match="non-finite"):
+            normal_form(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestSymplecticResidual:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_equal_to_dense_product(self, n, rng):
+        # T J is formed by a column swap; the dense T @ J @ T^T - J must
+        # give the same bits, on symplectic T and on arbitrary T.
+        j = symplectic_form(n)
+        for t in (random_symplectic(n, rng, scale=0.8), rng.normal(size=(2 * n, 2 * n))):
+            dense = float(np.max(np.abs(t @ j @ t.T - j)))
+            assert symplectic_residual(t) == dense
 
 
 class TestEomStructure:

@@ -430,3 +430,27 @@ class TestFactorizationCounts:
         assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
         assert calls["attempts"] >= 2
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
+
+    @pytest.mark.parametrize("specs", [
+        None,  # a random all-simple spectrum
+        [(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j)],
+    ])
+    def test_one_symplectic_residual_per_report(self, specs, rng, monkeypatch):
+        # The report carries the residual that assemble_transform checked.
+        nf = sys.modules["quadnf.normal_form"]
+        residual, seen = nf.symplectic_residual, []
+
+        def counted_residual(t):
+            seen.append(residual(t))
+            return seen[-1]
+
+        monkeypatch.setattr(nf, "symplectic_residual", counted_residual)
+        if specs is None:
+            a = rng.normal(size=(8, 8))
+            m = (a + a.T) / 2
+        else:
+            m, _ = seeded_matrix(specs, rng)
+        rep = normal_form(m)
+        assert seen == [rep.residuals["symplectic"]]
+        assert list(rep.residuals) == ["symplectic", "block_match", "n_reconstruction",
+                                       "condition"]

@@ -85,6 +85,42 @@ class TestDocumentFormat:
         doc = parse_matrix("# a comment\nmodes 1\n1 0\n0 1\n")
         assert doc.n_modes == 1
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(StructureError, match=r"non-finite entries: \(1, 0\)"):
+            parse_matrix(f"modes 1\n1 0\n{entry} 1\n")
+
+    def test_json_tolerance_must_be_a_number(self):
+        obj = {"modes": 1, "matrix": [[1, 0], [0, 1]], "tolerances": "x"}
+        with pytest.raises(ParseError, match="tolerance"):
+            parse_matrix(json.dumps(obj))
+
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance would turn the symmetry check off
+        with pytest.raises(ParseError, match="tolerance"):
+            parse_matrix("modes 1\n1 2\n0 1\n", tolerance=float("nan"))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ParseError, match="tolerance"):
+            parse_matrix("modes 1\n1 0\n0 1\n", tolerance=-1.0)
+
+    def test_json_ragged_matrix(self):
+        obj = {"modes": 1, "matrix": [[1, 0], [0]]}
+        with pytest.raises(ParseError):
+            parse_matrix(json.dumps(obj))
+
+    def test_json_labels_must_be_a_list(self):
+        obj = {"modes": 1, "matrix": [[1, 0], [0, 1]], "labels": 5}
+        with pytest.raises(ParseError, match="labels"):
+            parse_matrix(json.dumps(obj))
+        obj["labels"] = ["a", "b"]
+        assert parse_matrix(json.dumps(obj)).labels == ("a", "b")
+
+    def test_json_non_numeric_matrix(self):
+        obj = {"modes": 1, "matrix": [[1, "a"], [0, 1]]}
+        with pytest.raises(ParseError):
+            parse_matrix(json.dumps(obj))
+
 
 class TestSignatures:
     def test_stable_point(self):
@@ -128,6 +164,17 @@ class TestReportSerialization:
         assert "2*X1*P1" in text
         assert "1.5*(X4^2 + P4^2)" in text
         assert "zero-frequency modes: 1" in text
+
+    @pytest.mark.parametrize("m", [GOLDEN_M, np.eye(4)])  # M = I: T and K_N hold -0.0
+    def test_matrices_keep_every_bit(self, m):
+        rep = normal_form(m)
+        d = report_to_dict(rep)
+        for key, arr in (("transform", rep.transform.matrix), ("k_normal", rep.k_normal),
+                         ("n_matrix", rep.n_matrix)):
+            assert all(type(v) is float for row in d[key] for v in row)
+            got = np.array(d[key])
+            assert np.array_equal(got, arr)
+            assert np.array_equal(np.signbit(got), np.signbit(arr))
 
     def test_embedded_residuals(self):
         d = report_to_dict(normal_form(GOLDEN_M))
@@ -213,6 +260,42 @@ class TestCli:
     def test_analyze_parse_exit_code(self):
         result = self.runner.invoke(main, ["analyze", "-"], input="nonsense\n")
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_analyze_non_finite_exit_code(self, entry):
+        result = self.runner.invoke(main, ["analyze", "-"], input=f"modes 1\n{entry} 0\n0 1\n")
+        assert result.exit_code == 1
+        assert "StructureError" in result.output
+        assert f"(0, 0) = {entry}" in result.output
+
+    def test_analyze_nan_tolerance_exit_code(self):
+        result = self.runner.invoke(main, ["analyze", "-", "--tolerance", "nan"],
+                                    input="modes 1\n1 2\n0 1\n")
+        assert result.exit_code == 1
+        assert "tolerance" in result.output
+
+    def test_analyze_negative_tolerance_exit_code(self):
+        result = self.runner.invoke(main, ["analyze", "-", "--tolerance", "-1"],
+                                    input="modes 1\n1 0\n0 1\n")
+        assert result.exit_code == 1
+        assert "tolerance" in result.output
+
+    def test_analyze_bad_json_tolerance_exit_code(self):
+        doc = json.dumps({"modes": 1, "matrix": [[1, 0], [0, 1]], "tolerances": "x"})
+        result = self.runner.invoke(main, ["analyze", "-"], input=doc)
+        assert result.exit_code == 1
+        assert "ParseError" in result.output
+
+    def test_analyze_ragged_json_exit_code(self):
+        doc = json.dumps({"modes": 1, "matrix": [[1, 0], [0]]})
+        result = self.runner.invoke(main, ["analyze", "-"], input=doc)
+        assert result.exit_code == 1
+        assert "ParseError" in result.output
+
+    def test_scan_zero_steps_exit_code(self):
+        result = self.runner.invoke(main, ["scan", "--steps", "0"])
+        assert result.exit_code == 1
+        assert "step" in result.output
 
     def test_check(self):
         result = self.runner.invoke(main, ["check", "-"], input="modes 1\n1 0\n0 1\n")

@@ -55,6 +55,19 @@ class TestClustering:
             clusters = cluster_eigenvalues(build_eom((a + a.T) / 2))
             assert sum(m for _, m in clusters) == 2 * n
 
+    def test_quadruplet_representative_is_numpy_mean(self, rng):
+        # The orbit average must keep np.mean's bits: every later stage,
+        # and the report, starts from the representative.
+        for _ in range(20):
+            lam = complex(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+            m, _ = seeded_matrix([(2, lam, 1, None)], rng)
+            raw = np.linalg.eigvals(build_eom(m))
+            got = cluster_eigenvalues(build_eom(m), _eigenvalues=raw)
+            assert [mult for _, mult in got] == [1, 1, 1, 1]
+            rep = got[0][0]  # sorted by descending real, then imaginary part
+            assert rep.real == float(np.mean([abs(v.real) for v in raw]))
+            assert rep.imag == float(np.mean([abs(v.imag) for v in raw]))
+
     def test_mirror_symmetry_exact(self, rng):
         a = rng.uniform(-3, 3, size=(8, 8))
         clusters = cluster_eigenvalues(build_eom((a + a.T) / 2))

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""A digest of every report the benchmark's workloads produce.
+
+    python3 tools/report_digests.py SRC_DIR SEED
+
+imports quadnf from SRC_DIR and prints one line per pool input of
+``generic-n32``, ``pd-n32`` and ``planted-defective`` for SEED (the
+inputs ``bench/run.py --seed SEED`` checks): the workload, the input's
+index and the SHA-1 of ``json.dumps(report_to_dict(...))``, or of the
+exception's class and message when the pipeline raises.  A last line
+gives the SHA-1 of the ``scan-2mode`` table, ``serialize_scan(...,
+boundary=True)`` of the default 41x41 grid.  Two source trees produce
+bit-identical reports when the outputs of this script on them are
+identical, e.g.
+
+    diff <(python3 tools/report_digests.py old/src 1) \\
+         <(python3 tools/report_digests.py src 1)
+
+BLAS is pinned to one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import SCAN_RANGE, SCAN_STEPS, PlantedInput, make_workload  # noqa: E402
+
+MATRIX_WORKLOADS = ("generic-n32", "pd-n32", "planted-defective")
+
+
+def _sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def digests(seed: int):
+    """Yield (workload, index, digest) for each pool input, then the scan's."""
+    import quadnf
+    from quadnf import normal_form
+    from quadnf.reporting import report_to_dict, scan_two_mode, serialize_scan
+
+    print("# quadnf from", Path(quadnf.__file__).resolve().parent, file=sys.stderr)
+
+    for name in MATRIX_WORKLOADS:
+        workload = make_workload(name)
+        pool = itertools.islice(workload.inputs(np.random.default_rng([seed, 0])), workload.pool)
+        for index, inp in enumerate(pool):
+            m = inp.m if isinstance(inp, PlantedInput) else inp
+            try:
+                text = json.dumps(report_to_dict(normal_form(m)))
+            except Exception as exc:  # a crash outside QuadnfError is an output too
+                text = f"{type(exc).__name__}: {exc}"
+            yield name, index, _sha1(text)
+    grid = scan_two_mode(SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
+    yield "scan-2mode", 0, _sha1(serialize_scan(grid, boundary=True))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: report_digests.py SRC_DIR SEED", file=sys.stderr)
+        return 2
+    src, seed = Path(argv[0]).resolve(), int(argv[1])
+    sys.path.insert(0, str(src))
+    warnings.simplefilter("ignore")
+    for name, index, digest in digests(seed):
+        print(name, index, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
