@@ -11,10 +11,15 @@ coefficient).
 
 Orthonormalizing the Jordan chains against this form is what makes the
 normal-form columns symplectic.  Each eigenvalue family gets its own
-routine below; all of them share the pattern pivot / normalize /
-square-root / deflate, with the degenerate-pivot superposition fixes
-for the zero and imaginary families and the f/h pairing for odd-rank
-zero chains.  A Bogoliubov diagonalization is the imaginary routine on
+routine below, and all of them run one recipe on shared helpers:
+``_pivot`` picks the pivot by a single rule (descending rank; at the
+first rank with a pairing above its threshold, the largest such
+pairing, the first on ties), the pivot is normalized through a square
+root in the algebra (``_dual_normalize`` for a pivot pair), and
+``_deflate`` removes it from the remaining chains.  When every
+self-pairing vanishes, ``_recombine`` replaces an equal-rank pair g, g'
+(picked by the same rule) by g +- g'.  The odd-rank zero chains add the
+f/h pairing.  A Bogoliubov diagonalization is the imaginary routine on
 rank-1 chains, where the square root reduces to a real scaling.
 """
 
@@ -194,6 +199,66 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / nrm if nrm > 0 else v
 
 
+def _pivot(ranks, candidates):
+    """The pivot rule every routine shares.
+
+    ``candidates(r)`` yields ``(score, threshold, payload)`` for rank r.
+    Returns ``(score, payload, r)`` for the first rank of ``ranks`` with
+    a usable candidate (``|score| > threshold``): the one of largest
+    ``|score|``, the first on ties.  None if no rank has one.
+    """
+    for r in ranks:
+        best = None
+        for score, threshold, payload in candidates(r):
+            if abs(score) > threshold and (best is None or abs(score) > abs(best[0])):
+                best = (score, payload, r)
+        if best is not None:
+            return best
+    return None
+
+
+def _pair_candidates(work, pairing, cfg: Config):
+    """``_pivot`` candidates: equal-rank pairs i < j of work, row-major,
+    scored by ``pairing(g_i, g_j, r)``, with payload ``(i, j)``."""
+    def candidates(r):
+        idxs = [i for i, (_, rg) in enumerate(work) if rg == r]
+        for ii, i in enumerate(idxs):
+            for j in idxs[ii + 1:]:
+                gi, gj = work[i][0], work[j][0]
+                yield pairing(gi, gj, r), _alpha_threshold(cfg, gi, gj), (i, j)
+    return candidates
+
+
+def _recombine(work, pick, message: str):
+    """Superposition fix: replace the picked stuck pair g, g' by g +- g'.
+
+    When every self-pairing at a rank vanishes, nondegeneracy leaves a
+    nonvanishing cross pairing, so one of g +- g' pairs with itself.
+    """
+    if pick is None:
+        raise NondegeneracyError(message)
+    _, (i, j), _ = pick
+    gi, r = work[i]
+    gj, _ = work[j]
+    work[i] = (_unit(gi + gj), r)
+    work[j] = (_unit(gi - gj), r)
+
+
+def _dual_normalize(k, w: NilpotentPoly, x: np.ndarray, y: np.ndarray, lam_y: complex):
+    """``(x Phi^-1, y Phi*^-1)`` for ``Phi = sqrt(W)``: turns a Gram pairing
+    ``Omega(x, y) = W`` into the identity, y taken at eigenvalue lam_y."""
+    phi = poly_sqrt(w)
+    x_new = apply_poly(poly_inverse(phi), k, x)
+    y_new = apply_poly(_rebase(poly_inverse(poly_star(phi)), lam_y), k, y)
+    return x_new, y_new
+
+
+def _deflate(work, update):
+    """Rewrite each remaining generator g as the unit vector along update(g)."""
+    for idx, (g, r) in enumerate(work):
+        work[idx] = (_unit(update(g)), r)
+
+
 def orthonormalize_real_complex(
     k,
     lam: complex,
@@ -205,10 +270,10 @@ def orthonormalize_real_complex(
 
     Transforms generators g (at lam) and partner generators (at -lam)
     into e, e~ with Omega(e_j, e~_j') = delta_jj' * identity.  Pivot
-    pairs are chosen among equal-rank chains, descending rank first,
-    then by largest pairing magnitude (the Gram pairing between the
-    generalized eigenspaces of lam and -lam is nondegenerate, so a
-    usable pivot always exists in exact arithmetic).
+    pairs are chosen among equal-rank chains by ``_pivot`` on the
+    pairing alpha(g, g~) (the Gram pairing between the generalized
+    eigenspaces of lam and -lam is nondegenerate, so a usable pivot
+    always exists in exact arithmetic).
 
     Returns a list of (chain, partner_chain) in descending rank order.
     """
@@ -217,46 +282,30 @@ def orthonormalize_real_complex(
     work_p = [(c.generator.copy(), c.rank) for c in partners]
     done: list[tuple[JordanChain, JordanChain]] = []
 
+    def candidates(r):
+        for i, (g, rg) in enumerate(work):
+            if rg != r:
+                continue
+            for j, (gt, rt) in enumerate(work_p):
+                if rt == r:
+                    yield alpha(k, lam, g, gt, r), _alpha_threshold(cfg, g, gt), (i, j)
+
     while work:
-        ranks = sorted({r for _, r in work}, reverse=True)
-        best = None
-        for r in ranks:
-            for i, (g, rg) in enumerate(work):
-                if rg != r:
-                    continue
-                for j, (gt, rt) in enumerate(work_p):
-                    if rt != r:
-                        continue
-                    a = alpha(k, lam, g, gt, r)
-                    if best is None or abs(a) > abs(best[0]):
-                        best = (a, i, j, r)
-            if best is not None and abs(best[0]) > _alpha_threshold(
-                cfg, work[best[1]][0], work_p[best[2]][0]
-            ):
-                break
-            best = None
-        if best is None:
+        pick = _pivot(sorted({r for _, r in work}, reverse=True), candidates)
+        if pick is None:
             raise NondegeneracyError(
                 f"no nonvanishing chain pairing left for eigenvalue {lam:.6g}"
             )
-        a, i, j, r = best
+        a, (i, j), r = pick
         g, _ = work.pop(i)
         gt, _ = work_p.pop(j)
         gt = gt / a
-        w = omega(k, lam, g, gt, r)
-        phi = poly_sqrt(w)
-        e_vec = apply_poly(poly_inverse(phi), k, g)
-        et_vec = apply_poly(_rebase(poly_inverse(poly_star(phi)), -lam), k, gt)
+        e_vec, et_vec = _dual_normalize(k, omega(k, lam, g, gt, r), g, gt, -lam)
         done.append((make_chain(k, lam, e_vec, r), make_chain(k, -lam, et_vec, r)))
 
-        for idx, (g_o, r_o) in enumerate(work):
-            w_o = omega(k, lam, g_o, et_vec, r)
-            g_new = _unit(g_o - apply_poly(w_o, k, e_vec))
-            work[idx] = (g_new, r_o)
-        for idx, (gt_o, r_o) in enumerate(work_p):
-            w_o = poly_star(omega(k, lam, e_vec, gt_o, r))
-            gt_new = _unit(gt_o - apply_poly(_rebase(w_o, -lam), k, et_vec))
-            work_p[idx] = (gt_new, r_o)
+        _deflate(work, lambda g_o: g_o - apply_poly(omega(k, lam, g_o, et_vec, r), k, e_vec))
+        _deflate(work_p, lambda gt_o: gt_o - apply_poly(
+            _rebase(poly_star(omega(k, lam, e_vec, gt_o, r)), -lam), k, et_vec))
 
     done.sort(key=lambda pair: -pair[0].rank)
     return done
@@ -281,63 +330,33 @@ def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
     work = [(c.generator.astype(float), c.rank) for c in chains]
     case3: list[tuple[JordanChain, int]] = []
 
-    while any(r % 2 == 0 for _, r in work):
-        best = None
-        ranks = sorted({r for _, r in work if r % 2 == 0}, reverse=True)
-        for r in ranks:
-            for i, (g, rg) in enumerate(work):
-                if rg != r:
-                    continue
+    def candidates(r):
+        for i, (g, rg) in enumerate(work):
+            if rg == r:
                 w = omega(k, 0.0, g, g, r)
-                a = w.leading.real
-                if abs(a) > _alpha_threshold(cfg, g):
-                    if best is None or abs(a) > abs(best[0]):
-                        best = (a, w, i, r)
-            if best is not None:
-                break
-        if best is None:
-            _zero_superposition_fix(k, work, cfg)
+                yield w.leading.real, _alpha_threshold(cfg, g), (w, i)
+
+    cross_pairs = _pair_candidates(work, lambda gi, gj, r: alpha(k, 0.0, gi, gj, r).real, cfg)
+    while any(r % 2 == 0 for _, r in work):
+        ranks = sorted({r for _, r in work if r % 2 == 0}, reverse=True)
+        pick = _pivot(ranks, candidates)
+        if pick is None:
+            _recombine(work, _pivot(ranks, cross_pairs),
+                       "even-rank zero chains have a fully degenerate Gram pairing")
             continue
-        a, w, i, r = best
+        a, (w, i), r = pick
         g, _ = work.pop(i)
         sigma = 1 if a > 0 else -1
         phi = poly_sqrt(NilpotentPoly(0.0, sigma * w.array()))
         e_vec = apply_poly(poly_inverse(phi), k, g).real
         case3.append((make_chain(k, 0.0, e_vec, r), sigma))
-        for idx, (g_o, r_o) in enumerate(work):
-            w_o = poly_star(omega(k, 0.0, e_vec, g_o, r))
-            g_new = _unit(g_o - sigma * apply_poly(w_o, k, e_vec).real)
-            work[idx] = (g_new, r_o)
+        _deflate(work, lambda g_o: g_o - sigma * apply_poly(
+            poly_star(omega(k, 0.0, e_vec, g_o, r)), k, e_vec).real)
 
     case3.sort(key=lambda pair: -pair[0].rank)
     case4 = [make_chain(k, 0.0, g, r) for g, r in work]
     case4.sort(key=lambda c: -c.rank)
     return case3, case4
-
-
-def _zero_superposition_fix(k, work, cfg: Config):
-    """Recombine one equal-rank pair of stuck even-rank zero chains."""
-    best = None
-    ranks = sorted({r for _, r in work if r % 2 == 0}, reverse=True)
-    for r in ranks:
-        idxs = [i for i, (_, rg) in enumerate(work) if rg == r]
-        for ii, i in enumerate(idxs):
-            for j in idxs[ii + 1:]:
-                a = alpha(k, 0.0, work[i][0], work[j][0], r).real
-                if abs(a) > _alpha_threshold(cfg, work[i][0], work[j][0]):
-                    if best is None or abs(a) > abs(best[0]):
-                        best = (a, i, j, r)
-        if best is not None:
-            break
-    if best is None:
-        raise NondegeneracyError(
-            "even-rank zero chains have a fully degenerate Gram pairing"
-        )
-    _, i, j, _ = best
-    gi, r = work[i]
-    gj, _ = work[j]
-    work[i] = (_unit(gi + gj), r)
-    work[j] = (_unit(gi - gj), r)
 
 
 def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
@@ -359,51 +378,39 @@ def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
         )
     work = [(c.generator.astype(float), c.rank) for c in chains]
     pairs: list[tuple[JordanChain, JordanChain]] = []
+    candidates = _pair_candidates(work, lambda gi, gj, r: alpha(k, 0.0, gi, gj, r).real, cfg)
 
     while work:
-        best = None
-        ranks = sorted({r for _, r in work}, reverse=True)
-        for r in ranks:
-            idxs = [i for i, (_, rg) in enumerate(work) if rg == r]
-            for ii, i in enumerate(idxs):
-                for j in idxs[ii + 1:]:
-                    a = alpha(k, 0.0, work[i][0], work[j][0], r).real
-                    if abs(a) > _alpha_threshold(cfg, work[i][0], work[j][0]):
-                        if best is None or abs(a) > abs(best[0]):
-                            best = (a, i, j, r)
-            if best is not None:
-                break
-        if best is None:
+        pick = _pivot(sorted({r for _, r in work}, reverse=True), candidates)
+        if pick is None:
             raise NondegeneracyError(
                 "no odd-rank zero chain pair with a nonzero Gram pairing"
             )
-        a, i, j, r = best
+        a, (i, j), r = pick
         e1 = work[i][0]
         e2 = work[j][0] / a
-        work = [w for idx, w in enumerate(work) if idx not in (i, j)]
+        work[:] = [w for idx, w in enumerate(work) if idx not in (i, j)]
 
-        w12 = omega(k, 0.0, e1, e2, r)
-        phi = poly_sqrt(w12)
-        e1 = apply_poly(poly_inverse(phi), k, e1).real
-        e2 = apply_poly(poly_inverse(poly_star(phi)), k, e2).real
+        e1, e2 = _dual_normalize(k, omega(k, 0.0, e1, e2, r), e1, e2, 0.0)
+        e1, e2 = e1.real, e2.real
 
         a11 = omega(k, 0.0, e1, e1, r)
         a22 = omega(k, 0.0, e2, e2, r)
         psi = _solve_quadratic_correction(a11, a22)
         f = e1 + apply_poly(psi, k, e2).real
 
-        w_f2 = omega(k, 0.0, f, e2, r)
-        phi2 = poly_sqrt(w_f2)
-        f = apply_poly(poly_inverse(phi2), k, f).real
-        e2 = apply_poly(poly_inverse(poly_star(phi2)), k, e2).real
+        f, e2 = _dual_normalize(k, omega(k, 0.0, f, e2, r), f, e2, 0.0)
+        f, e2 = f.real, e2.real
 
         b22 = omega(k, 0.0, e2, e2, r)
         h = e2 - 0.5 * apply_poly(b22, k, f).real
 
-        for idx, (g_o, r_o) in enumerate(work):
+        def update(g_o):
             corr = apply_poly(poly_star(omega(k, 0.0, h, g_o, r)), k, f).real
             corr = corr - apply_poly(poly_star(omega(k, 0.0, f, g_o, r)), k, h).real
-            work[idx] = (_unit(g_o + corr), r_o)
+            return g_o + corr
+
+        _deflate(work, update)
         pairs.append((make_chain(k, 0.0, f, r), make_chain(k, 0.0, h, r)))
 
     pairs.sort(key=lambda pair: -pair[0].rank)
@@ -421,6 +428,12 @@ def _solve_quadratic_correction(a11: NilpotentPoly, a22: NilpotentPoly) -> Nilpo
         sq = poly_product(poly_product(p, p), NilpotentPoly(0.0, cb)).array()
         psi[kk] = (ca[kk] - sq[kk]) / 2.0
     return NilpotentPoly(0.0, psi)
+
+
+def _parity_part(a: complex, r: int) -> float:
+    """The part of an imaginary-family pairing that can be nonzero at rank r:
+    real for even ranks, imaginary for odd ones."""
+    return a.real if r % 2 == 0 else a.imag
 
 
 def orthonormalize_imaginary(
@@ -445,26 +458,23 @@ def orthonormalize_imaginary(
     work = [(c.generator.astype(complex), c.rank) for c in chains]
     done: list[tuple[JordanChain, complex]] = []
 
-    while work:
-        best = None
-        ranks = sorted({r for _, r in work}, reverse=True)
-        for r in ranks:
-            for i, (g, rg) in enumerate(work):
-                if rg != r:
-                    continue
+    def candidates(r):
+        for i, (g, rg) in enumerate(work):
+            if rg == r:
                 w = omega(k, lam, g, g.conj(), r)
-                a = w.leading
-                useful = abs(a.real) if r % 2 == 0 else abs(a.imag)
-                if useful > _alpha_threshold(cfg, g):
-                    if best is None or useful > abs(best[0]):
-                        key = a.real if r % 2 == 0 else a.imag
-                        best = (key, w, i, r)
-            if best is not None:
-                break
-        if best is None:
-            _imaginary_superposition_fix(k, lam, work, cfg)
+                yield _parity_part(w.leading, r), _alpha_threshold(cfg, g), (w, i)
+
+    cross_pairs = _pair_candidates(
+        work, lambda gi, gj, r: _parity_part(alpha(k, lam, gi, gj.conj(), r), r), cfg
+    )
+    while work:
+        ranks = sorted({r for _, r in work}, reverse=True)
+        pick = _pivot(ranks, candidates)
+        if pick is None:
+            _recombine(work, _pivot(ranks, cross_pairs),
+                       f"imaginary chains at {lam:.6g} have a fully degenerate Gram pairing")
             continue
-        key, w, i, r = best
+        key, (w, i), r = pick
         g, _ = work.pop(i)
         sigma = complex(np.sign(key)) if r % 2 == 0 else 1j * np.sign(key)
         # (-1)^r sigma W leads with |key| > 0 up to round-off, so phi leads with
@@ -472,36 +482,8 @@ def orthonormalize_imaginary(
         phi = poly_sqrt(NilpotentPoly(lam, (-1) ** r * sigma * w.array()))
         e_vec = apply_poly(poly_inverse(phi), k, g)
         done.append((make_chain(k, lam, e_vec, r), sigma))
-        for idx, (g_o, r_o) in enumerate(work):
-            w_o = poly_star(omega(k, lam, e_vec, g_o.conj(), r))
-            g_new = _unit(g_o - sigma * apply_poly(w_o, k, e_vec))
-            work[idx] = (g_new, r_o)
+        _deflate(work, lambda g_o: g_o - sigma * apply_poly(
+            poly_star(omega(k, lam, e_vec, g_o.conj(), r)), k, e_vec))
 
     done.sort(key=lambda pair: -pair[0].rank)
     return done
-
-
-def _imaginary_superposition_fix(k, lam, work, cfg: Config):
-    """Recombine one equal-rank pair of stuck imaginary chains."""
-    best = None
-    ranks = sorted({r for _, r in work}, reverse=True)
-    for r in ranks:
-        idxs = [i for i, (_, rg) in enumerate(work) if rg == r]
-        for ii, i in enumerate(idxs):
-            for j in idxs[ii + 1:]:
-                a = alpha(k, lam, work[i][0], work[j][0].conj(), r)
-                useful = abs(a.real) if r % 2 == 0 else abs(a.imag)
-                if useful > _alpha_threshold(cfg, work[i][0], work[j][0]):
-                    if best is None or useful > best[0]:
-                        best = (useful, i, j, r)
-        if best is not None:
-            break
-    if best is None:
-        raise NondegeneracyError(
-            f"imaginary chains at {lam:.6g} have a fully degenerate Gram pairing"
-        )
-    _, i, j, _ = best
-    gi, r = work[i]
-    gj, _ = work[j]
-    work[i] = (_unit(gi + gj), r)
-    work[j] = (_unit(gi - gj), r)

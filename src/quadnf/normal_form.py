@@ -717,6 +717,13 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     tolerance, it is retried with the clustering and rank thresholds
     widened tenfold, up to four times; the first consistent structure
     wins.  Clean spectra never trigger the escalation.
+
+    Each of these five attempts also runs ``classify_spectrum``'s own
+    five-step clustering retry (see its docstring), so attempt i
+    (i = 0..4) clusters at the first of 10^i ... 10^(i+4) times
+    ``clustering_tol`` that pairs the spectrum up: up to 25 clustering
+    passes in all, with a radius of up to 10^8 ``clustering_tol`` (1 +
+    max|K|), i.e. 10 (1 + max|K|) at the default tolerance.
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)

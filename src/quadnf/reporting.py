@@ -58,7 +58,7 @@ def _parse_json_document(text: str) -> MatrixDocument:
     if not isinstance(obj, dict) or "modes" not in obj or "matrix" not in obj:
         raise ParseError("JSON document requires 'modes' and 'matrix' fields")
     n = obj["modes"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"'modes' must be a positive integer, got {n!r}")
     try:
         matrix = np.asarray(obj["matrix"], dtype=float)

@@ -305,6 +305,14 @@ class TestRealComplexOrthonormalization:
                 want = identity_poly(1.0, e.rank).array() if i == j else 0
                 assert np.max(np.abs(w.array() - want)) < 1e-9
 
+    def test_vanishing_pairing_rejected(self):
+        k = build_eom([[0.0, 1.0], [1.0, 0.0]])
+        e1 = np.eye(2)[0]
+        chains = [make_chain(k, 1.0, e1, 1)]
+        partners = [make_chain(k, -1.0, e1, 1)]
+        with pytest.raises(NondegeneracyError, match="no nonvanishing chain pairing left"):
+            orthonormalize_real_complex(k, 1.0, chains, partners)
+
 
 class TestZeroOrthonormalization:
     def test_boundary_sign_positive_frequency(self):
@@ -361,6 +369,15 @@ class TestZeroOrthonormalization:
         cross = omega(k, 0.0, case3[0][0].generator, case3[1][0].generator, 2)
         assert np.max(np.abs(cross.array())) < 1e-9
 
+    def test_fully_degenerate_rejected(self):
+        k = build_eom(np.diag([1.0, 0.0]))
+        chains = [make_chain(k, 0.0, np.eye(2)[1], 2)]
+        with pytest.raises(
+            NondegeneracyError,
+            match="even-rank zero chains have a fully degenerate Gram pairing",
+        ):
+            orthonormalize_zero(k, chains)
+
 
 class TestZeroOddPairing:
     def test_golden_pair_reproduced(self):
@@ -414,6 +431,16 @@ class TestZeroOddPairing:
         with pytest.raises(NondegeneracyError):
             zero_odd_pairing(k, chains)
 
+    def test_vanishing_pairing_rejected(self):
+        k = build_eom(np.zeros((2, 2)))
+        e1 = np.eye(2)[0]
+        chains = [make_chain(k, 0.0, e1, 1), make_chain(k, 0.0, e1, 1)]
+        with pytest.raises(
+            NondegeneracyError,
+            match="no odd-rank zero chain pair with a nonzero Gram pairing",
+        ):
+            zero_odd_pairing(k, chains)
+
 
 class TestImaginaryOrthonormalization:
     def test_golden_seeded(self):
@@ -464,6 +491,15 @@ class TestImaginaryOrthonormalization:
         assert sorted((s for _, s in results), key=lambda z: z.imag) == [-1j, 1j]
         for e, sigma in results:
             assert abs(alpha(k, 1j, e.generator, e.generator.conj(), 1) - sigma) < 1e-10
+
+    def test_fully_degenerate_rejected(self):
+        k = build_eom(np.eye(2))
+        chains = [make_chain(k, 1j, np.eye(2)[0], 1)]
+        with pytest.raises(
+            NondegeneracyError,
+            match=r"imaginary chains at 0\+1j have a fully degenerate Gram pairing",
+        ):
+            orthonormalize_imaginary(k, 1j, chains)
 
 
 class TestBogoliubovOrthonormalization:

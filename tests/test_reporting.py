@@ -60,6 +60,12 @@ class TestDocumentFormat:
         with pytest.raises(ParseError):
             parse_matrix(json.dumps(obj))
 
+    @pytest.mark.parametrize("modes", [True, 0, -1, 1.5, "1"])
+    def test_json_modes_must_be_positive_integer(self, modes):
+        obj = {"modes": modes, "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(ParseError, match="modes"):
+            parse_matrix(json.dumps(obj))
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_matrix("size 2\n1 0\n0 1\n")
