@@ -52,7 +52,7 @@ def main():
 @main.command()
 @click.argument("input", default="-")
 @click.option("--tolerance", type=float, default=None,
-              help="Override the structural tolerance (absolute and relative).")
+              help="Structural tolerance (absolute and relative) of a document that declares none.")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True, help="Report rendering.")
 @click.option("--output", type=click.Path(writable=True), default=None,
@@ -61,10 +61,7 @@ def analyze(input, tolerance, fmt, output):
     """Analyze a matrix document (file path or '-' for stdin)."""
     try:
         doc = _read_document(input, tolerance=tolerance)
-        cfg = doc.config(DEFAULT)
-        if tolerance is not None:
-            cfg = cfg.with_tolerance(tolerance)
-        report = normal_form(doc.matrix, cfg)
+        report = normal_form(doc.matrix, doc.config(DEFAULT))
     except QuadnfError as exc:
         click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
         sys.exit(_exit_code(exc))
@@ -108,11 +105,12 @@ def check(input):
     """Validate a matrix document and report structural diagnostics."""
     try:
         doc = _read_document(input)
-        k = build_eom(doc.matrix, doc.config(DEFAULT))
+        cfg = doc.config(DEFAULT)
+        k = build_eom(doc.matrix, cfg)
     except QuadnfError as exc:
         click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
         sys.exit(_exit_code(exc))
-    diag = validate_eom_structure(k)
+    diag = validate_eom_structure(k, cfg=cfg)
     click.echo(f"modes: {doc.n_modes}")
     click.echo(f"structure residual |JK + K^T J|: {diag.hamiltonian_residual:.3e}")
     click.echo(f"upper block asymmetry: {diag.upper_block_asymmetry:.3e}")

@@ -27,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "symplectic_form",
-    "apply_form",
     "form_product",
     "require_hamiltonian_matrix",
     "build_eom",
@@ -69,12 +68,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
     return j
-
-
-def apply_form(v: np.ndarray) -> np.ndarray:
-    """Apply J to a 2N vector without materializing J."""
-    n = v.shape[0] // 2
-    return np.concatenate([v[n:], -v[:n]])
 
 
 def form_product(x: np.ndarray, y: np.ndarray) -> complex:

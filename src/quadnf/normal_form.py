@@ -28,13 +28,22 @@ from .algebra import (
 )
 from .config import DEFAULT, Config, maxnorm
 from .core import build_eom, similarity, symplectic_form, symplectic_residual
-from .errors import AssemblyError, ConstructionError, PipelineError, VerificationError, WrongPathError
+from .errors import (
+    AmbiguousSpectrumError,
+    AssemblyError,
+    ConstructionError,
+    PipelineError,
+    SpectrumStructureError,
+    VerificationError,
+    WrongPathError,
+)
 from .spectrum import (
     EigenvalueKind,
     JordanChain,
     SpectrumReport,
     assign_cases,
     classify_spectrum,
+    cluster_eigenvalues,
     extract_class_chains,
 )
 
@@ -156,18 +165,6 @@ class CanonicalTransform:
 
     matrix: np.ndarray
     layout: tuple[ColumnGroup, ...]
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.matrix[:, : self.n_modes]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.matrix[:, self.n_modes:]
 
 
 class Verdict(Enum):
@@ -660,24 +657,24 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
     Under this precondition (K diagonalizable with purely imaginary
     spectrum) the Hamiltonian is a sum of independent harmonic
     oscillators: N = T^T M T is diagonal with paired entries (the K_N it
-    induces is in real Jordan form, not diagonal).  Raises
-    ``WrongPathError`` before any construction when any other eigenvalue
-    family is present or any eigenvalue is defective; otherwise returns
-    ``normal_form(m, cfg)``.
+    induces is in real Jordan form, not diagonal).  Returns
+    ``normal_form(m, cfg)``, checked afterwards on its own spectrum:
+    ``WrongPathError`` when any other eigenvalue family is present or
+    any eigenvalue is defective.
     """
-    spectrum = classify_spectrum(build_eom(m, cfg), cfg=cfg)
+    report = normal_form(m, cfg)
     if not all(c.kind is EigenvalueKind.IMAGINARY_PAIR and c.geometric == c.algebraic
-               for c in spectrum.classes):
+               for c in report.spectrum.classes):
         raise WrongPathError(
             "spectrum is not diagonalizable-imaginary; use normal_form"
         )
-    return normal_form(m, cfg)
+    return report
 
 
-def _attempt_normal_form(m, k, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
+def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
     shifts: dict = {}  # representative -> eig(K) columns or the one SVD of K - lam I
-    spectrum = classify_spectrum(k, cfg=cfg, _eigenvalues=eigenvalues, _eigenvectors=vectors,
-                                 _shifts=shifts)
+    spectrum = classify_spectrum(k, clusters, cfg, _eigenvalues=eigenvalues,
+                                 _eigenvectors=vectors, _shifts=shifts)
     units: list[_Unit] = []
     for cls in spectrum.classes:
         chains = assign_cases(extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative]))
@@ -712,31 +709,42 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     the Bogoliubov diagonalization.
 
     A defective eigenvalue of rank D splits under round-off like
-    eps^(1/D), which no fixed clustering radius can absorb for every D.
-    When the spectral stage fails structurally at the configured
-    tolerance, it is retried with the clustering and rank thresholds
-    widened tenfold, up to four times; the first consistent structure
-    wins.  Clean spectra never trigger the escalation.
-
-    Each of these five attempts also runs ``classify_spectrum``'s own
-    five-step clustering retry (see its docstring), so attempt i
-    (i = 0..4) clusters at the first of 10^i ... 10^(i+4) times
-    ``clustering_tol`` that pairs the spectrum up: up to 25 clustering
-    passes in all, with a radius of up to 10^8 ``clustering_tol`` (1 +
-    max|K|), i.e. 10 (1 + max|K|) at the default tolerance.
+    eps^(1/D), which no fixed clustering radius can absorb for every D,
+    so this function escalates, and nothing below it retries.  With
+    t_0 = ``clustering_tol`` and t_(j+1) = 10 t_j, attempt i (i = 0..4)
+    takes the clusters of the first radius among t_i .. t_(i+4) at which
+    ``cluster_eigenvalues`` pairs the spectrum up, and runs the rest of
+    the pipeline with ``rank_tol`` raised to t_i; the first attempt that
+    succeeds wins.  An attempt with no such radius is skipped.  Each
+    radius is clustered at most once, so a call makes at most 9
+    clustering passes, the widest at t_8 = 10^8 ``clustering_tol`` (1 +
+    max|K|), i.e. 10 (1 + max|K|) at the default tolerance.  Clean
+    spectra cluster once, at t_0.  After the fifth attempt the last
+    error is raised.
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
     eigenvalues, vectors = np.linalg.eig(k)
+    radii = [cfg.clustering_tol]
+    for _ in range(8):
+        radii.append(radii[-1] * 10.0)
+    clustered: dict = {}  # level -> clusters at radii[level], None if they do not pair up
     last: Exception | None = None
-    tol = cfg.clustering_tol
-    for _ in range(5):
-        attempt_cfg = replace(
-            cfg, clustering_tol=tol, rank_tol=max(cfg.rank_tol, tol)
-        )
+    for i in range(5):
+        for level in range(i, i + 5):
+            if level not in clustered:
+                try:
+                    clustered[level] = cluster_eigenvalues(k, cfg, tol=radii[level],
+                                                           _eigenvalues=eigenvalues)
+                except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+                    clustered[level], last = None, exc
+            if clustered[level] is not None:
+                break
+        else:
+            continue  # no radius pairs up; last is the error at radii[i + 4], new this attempt
         try:
-            return _attempt_normal_form(m, k, eigenvalues, vectors, attempt_cfg)
+            return _attempt_normal_form(m, k, clustered[level], eigenvalues, vectors,
+                                        replace(cfg, rank_tol=max(cfg.rank_tol, radii[i])))
         except (PipelineError, VerificationError) as exc:
             last = exc
-            tol *= 10.0
     raise last

@@ -326,15 +326,9 @@ class ScanGrid:
     lambdas: np.ndarray
     verdicts: list
     signatures: list
-    structure: list = None
-    boundary: np.ndarray = field(default=None)
+    structure: list
+    boundary: np.ndarray
     errors: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.structure is None:
-            self.structure = self.signatures
-        if self.boundary is None:
-            self.boundary = _boundary_flags(self.structure)
 
     def at(self, eta: float, lam: float):
         i = int(np.argmin(np.abs(self.etas - eta)))
@@ -394,7 +388,7 @@ def scan_two_mode(
         signatures.append(srow)
         structure.append(trow)
     return ScanGrid(etas=etas, lambdas=lambdas, verdicts=verdicts, signatures=signatures,
-                    structure=structure, errors=errors)
+                    structure=structure, boundary=_boundary_flags(structure), errors=errors)
 
 
 def serialize_scan(grid: ScanGrid, boundary: bool = False) -> str:

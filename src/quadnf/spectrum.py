@@ -264,11 +264,10 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
 
     Each family is represented once; the exact sum rule
     2N = a_0 + 2*sum_R a + 4*sum_C a + 2*sum_I a holds by construction.
-    When the mirror pairing cannot be symmetrized at the configured
-    clustering radius (defective eigenvalues of rank D split like
-    eps^(1/D)), the clustering is retried at up to 10^4 times the
-    radius before giving up, on ``_eigenvalues`` if given.  ``_shifts``
-    collects each class's SVD of K - lam I (see geometric_multiplicity).
+    Without ``clusters`` it clusters once, at ``clustering_tol``, on
+    ``_eigenvalues`` if given; a failure to pair up there is raised, not
+    retried (``normal_form`` widens the radius).  ``_shifts`` collects
+    each class's SVD of K - lam I (see geometric_multiplicity).
 
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
     nonzero class takes no SVD: ``_shifts`` gets the columns of lam and,
@@ -278,15 +277,7 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
     if clusters is None:
-        tol = cfg.clustering_tol
-        for attempt in range(5):
-            try:
-                clusters = cluster_eigenvalues(k, cfg, tol=tol, _eigenvalues=_eigenvalues)
-                break
-            except (SpectrumStructureError, AmbiguousSpectrumError):
-                if attempt == 4:
-                    raise
-                tol *= 10.0
+        clusters = cluster_eigenvalues(k, cfg, _eigenvalues=_eigenvalues)
     if _eigenvectors is not None:
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)

@@ -18,6 +18,7 @@ from conftest import (
     two_mode_m,
 )
 from quadnf import (
+    DEFAULT,
     Verdict,
     WrongPathError,
     bogoliubov_transform,
@@ -262,6 +263,15 @@ class TestBogoliubov:
                 np.sort(np.abs(np.diag(rep.n_matrix))), np.sort(freqs), atol=1e-8
             )
 
+    @pytest.mark.parametrize("specs", [
+        [(6, 0.8j, 3, 1j)],  # defective, odd rank
+        [(5, 0.8j, 2, 1.0)],  # defective, even rank
+    ])
+    def test_defective_imaginary_rejected(self, specs, rng):
+        m, _ = seeded_matrix(specs, rng)
+        with pytest.raises(WrongPathError):
+            bogoliubov_transform(m)
+
     def test_indefinite_oscillators(self):
         # two uncoupled oscillators of opposite energy sign share lambda = i
         m = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -366,9 +376,10 @@ class TestPipeline:
 
 
 class TestFactorizationCounts:
-    """K gets one eig per normal_form call, however many attempts it takes;
-    a simple class takes its eigenvectors from it, and each matrix the
-    filtration of a defective class factors gets one SVD per attempt."""
+    """K gets one eig per normal_form call, however many attempts it takes,
+    and each clustering radius at most one pass; a simple class takes its
+    eigenvectors from eig(K), and each matrix the filtration of a
+    defective class factors gets one SVD per attempt."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -429,6 +440,33 @@ class TestFactorizationCounts:
         rep = normal_form(m)
         assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
         assert calls["attempts"] >= 2
+        assert (calls["eig"], calls["eigvals"]) == (1, 0)
+
+    def test_escalation_clusters_each_radius_once(self, monkeypatch):
+        # The radii run clustering_tol, 10 clustering_tol, ... by repeated
+        # multiplication, and attempts that share a radius share its pass.
+        nf = sys.modules["quadnf.normal_form"]
+        cluster, radii = nf.cluster_eigenvalues, []
+
+        def counted_cluster(*args, tol, **kwargs):
+            radii.append(tol)
+            return cluster(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(nf, "cluster_eigenvalues", counted_cluster)
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 3, None)], np.random.default_rng(0))
+        rep = normal_form(m)
+        assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
+        schedule = [DEFAULT.clustering_tol]
+        for _ in range(8):
+            schedule.append(schedule[-1] * 10.0)
+        assert len(radii) >= 2
+        assert len(set(radii)) == len(radii)
+        assert radii == schedule[:len(radii)]
+
+    def test_bogoliubov_takes_one_eig(self, calls):
+        # The precondition is checked on normal_form's own spectrum.
+        rep = bogoliubov_transform(two_mode_m(1.0, 0.5))
+        assert rep.verdict is Verdict.STABLE
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
 
     @pytest.mark.parametrize("specs", [

@@ -308,6 +308,20 @@ class TestCli:
         assert result.exit_code == 0
         assert "status: ok" in result.output
 
+    def test_analyze_document_tolerance_takes_precedence(self):
+        # --tolerance applies only to a document that declares none
+        doc = json.dumps({"modes": 1, "matrix": [[1, 1e-6], [0, 1]], "tolerances": 1e-4})
+        result = self.runner.invoke(main, ["analyze", "-", "--tolerance", "1e-12"], input=doc)
+        assert result.exit_code == 0
+        assert "verdict: stable" in result.output
+
+    def test_check_applies_document_tolerance(self):
+        doc = json.dumps({"modes": 1, "matrix": [[1, 1e-6], [0, 1]], "tolerances": 1e-4})
+        result = self.runner.invoke(main, ["check", "-"], input=doc)
+        assert result.exit_code == 0
+        assert "tolerance: 2.000e-04" in result.output
+        assert "status: ok" in result.output
+
     def test_scan_output(self, tmp_path):
         dst = tmp_path / "scan.dat"
         result = self.runner.invoke(
