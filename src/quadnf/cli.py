@@ -12,7 +12,7 @@ import click
 
 from .config import DEFAULT
 from .core import build_eom, validate_eom_structure
-from .errors import PipelineError, QuadnfError, ValidationError, VerificationError
+from .errors import QuadnfError, ValidationError, VerificationError
 from .normal_form import normal_form
 from .reporting import (
     parse_matrix,
@@ -32,8 +32,6 @@ def _exit_code(exc: QuadnfError) -> int:
         return EXIT_VALIDATION
     if isinstance(exc, VerificationError):
         return EXIT_VERIFICATION
-    if isinstance(exc, PipelineError):
-        return EXIT_PIPELINE
     return EXIT_PIPELINE
 
 

@@ -3,14 +3,16 @@
 Given the symplectically orthonormalized Jordan chains of K = J M, each
 of the six chain cases prescribes real column vectors for the
 transformation T = (T_+ T_-).  The same data determines the real Jordan
-normal form K_N = T^{-1} K T block by block, and the transformed
-Hamiltonian matrix N = T^T M T = -J K_N decomposes into a short list of
+normal form K_N = T^{-1} K T block by block.  Each block is written down
+once, in ``_block_for_unit``; the transformed Hamiltonian matrix
+N = T^T M T = -J K_N is then read off those blocks as a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
-beam splitters).  This module builds the columns, assembles and
-verifies T, generates the expected blocks, emits the term list and
-decides the stability verdict.  A Bogoliubov diagonalization is the
-special case of an all-case-6, rank-1 spectrum and takes the same
-construction; ``bogoliubov_transform`` only checks that precondition.
+beam splitters), and one table gives each term kind's symbol and N
+entries.  This module builds the columns, assembles and verifies T,
+generates the expected blocks, emits the term list and decides the
+stability verdict.  A Bogoliubov diagonalization is the special case of
+an all-case-6, rank-1 spectrum and takes the same construction;
+``bogoliubov_transform`` only checks that precondition.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .spectrum import (
     JordanChain,
     SpectrumReport,
     assign_cases,
+    case_of,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
@@ -94,15 +97,35 @@ class NormalFormBlock:
 
 
 class TermKind(Enum):
-    HARMONIC_OSCILLATOR = "harmonic_oscillator"  # c (X_k^2 + P_k^2)
-    FREE_PARTICLE_X = "free_particle_x"          # c X_k^2
-    FREE_PARTICLE_P = "free_particle_p"          # c P_k^2
-    SINGLE_MODE_SQUEEZE = "single_mode_squeeze"  # c X_k P_k
-    BEAM_SPLITTER_XP = "beam_splitter_xp"        # c (X_a P_b - X_b P_a)
-    BEAM_SPLITTER_XXPP = "beam_splitter_xxpp"    # c (X_a X_b + P_a P_b)
-    SQUEEZE_BEAM_SPLITTER = "squeeze_beam_splitter"  # c X_a P_b
-    POSITION_COUPLING = "position_coupling"      # c X_a X_b (case 5, rank >= 4)
-    MOMENTUM_COUPLING = "momentum_coupling"      # c P_a P_b (case 5, rank >= 4)
+    HARMONIC_OSCILLATOR = "harmonic_oscillator"
+    FREE_PARTICLE_X = "free_particle_x"
+    FREE_PARTICLE_P = "free_particle_p"
+    SINGLE_MODE_SQUEEZE = "single_mode_squeeze"
+    BEAM_SPLITTER_XP = "beam_splitter_xp"
+    BEAM_SPLITTER_XXPP = "beam_splitter_xxpp"
+    SQUEEZE_BEAM_SPLITTER = "squeeze_beam_splitter"
+    POSITION_COUPLING = "position_coupling"
+    MOMENTUM_COUPLING = "momentum_coupling"
+
+
+# (quadrature, slot): X or P of the term's modes[slot].
+_X0, _X1, _P0, _P1 = (0, 0), (0, 1), (1, 0), (1, 1)
+
+# Each kind's expression, with {0} and {1} its modes, and the entries
+# (row, col, weight) it adds to N, as coefficient * weight.
+_TERM_TABLE = {
+    TermKind.HARMONIC_OSCILLATOR: ("(X{0}^2 + P{0}^2)", ((_X0, _X0, 2), (_P0, _P0, 2))),
+    TermKind.FREE_PARTICLE_X: ("X{0}^2", ((_X0, _X0, 2),)),
+    TermKind.FREE_PARTICLE_P: ("P{0}^2", ((_P0, _P0, 2),)),
+    TermKind.SINGLE_MODE_SQUEEZE: ("X{0}*P{0}", ((_X0, _P0, 1), (_P0, _X0, 1))),
+    TermKind.BEAM_SPLITTER_XP: ("(X{0}*P{1} - X{1}*P{0})",
+                                ((_X0, _P1, 1), (_P1, _X0, 1), (_X1, _P0, -1), (_P0, _X1, -1))),
+    TermKind.BEAM_SPLITTER_XXPP: ("(X{0}*X{1} + P{0}*P{1})",
+                                  ((_X0, _X1, 1), (_X1, _X0, 1), (_P0, _P1, 1), (_P1, _P0, 1))),
+    TermKind.SQUEEZE_BEAM_SPLITTER: ("X{0}*P{1}", ((_X0, _P1, 1), (_P1, _X0, 1))),
+    TermKind.POSITION_COUPLING: ("X{0}*X{1}", ((_X0, _X1, 1), (_X1, _X0, 1))),
+    TermKind.MOMENTUM_COUPLING: ("P{0}*P{1}", ((_P0, _P1, 1), (_P1, _P0, 1))),
+}
 
 
 @dataclass(frozen=True)
@@ -120,32 +143,7 @@ class HamiltonianTerm:
     def symbol(self) -> str:
         c = self.coefficient
         prefix = f"{c:g}*" if c != 1 else ""
-        if self.kind is TermKind.HARMONIC_OSCILLATOR:
-            (k,) = self.modes
-            return f"{prefix}(X{k}^2 + P{k}^2)"
-        if self.kind is TermKind.FREE_PARTICLE_X:
-            (k,) = self.modes
-            return f"{prefix}X{k}^2"
-        if self.kind is TermKind.FREE_PARTICLE_P:
-            (k,) = self.modes
-            return f"{prefix}P{k}^2"
-        if self.kind is TermKind.SINGLE_MODE_SQUEEZE:
-            (k,) = self.modes
-            return f"{prefix}X{k}*P{k}"
-        if self.kind is TermKind.BEAM_SPLITTER_XP:
-            a, b = self.modes
-            return f"{prefix}(X{a}*P{b} - X{b}*P{a})"
-        if self.kind is TermKind.BEAM_SPLITTER_XXPP:
-            a, b = self.modes
-            return f"{prefix}(X{a}*X{b} + P{a}*P{b})"
-        if self.kind is TermKind.POSITION_COUPLING:
-            a, b = self.modes
-            return f"{prefix}X{a}*X{b}"
-        if self.kind is TermKind.MOMENTUM_COUPLING:
-            a, b = self.modes
-            return f"{prefix}P{a}*P{b}"
-        a, b = self.modes
-        return f"{prefix}X{a}*P{b}"
+        return prefix + _TERM_TABLE[self.kind][0].format(*self.modes)
 
 
 @dataclass(frozen=True)
@@ -420,91 +418,64 @@ def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT, *,
     return CanonicalTransform(matrix=t, layout=tuple(layout))
 
 
+def _piece(entry, modes, a, b, single, pair) -> HamiltonianTerm:
+    """The term of a symmetric N entry at (a, b): ``single`` at entry / 2 on
+    the diagonal, ``pair`` at the full entry (counting (b, a) too) off it."""
+    if a == b:
+        return HamiltonianTerm(single, entry / 2, (modes[a],))
+    return HamiltonianTerm(pair, entry, (modes[a], modes[b]))
+
+
 def emit_terms(blocks, layout) -> tuple[tuple[HamiltonianTerm, ...], int]:
     """Elementary Hamiltonian terms of N = -J K_N, plus the count of
-    zero-frequency modes (case 4 of rank 1, which contribute nothing)."""
+    zero-frequency modes (those of blocks whose N is zero: case 4, rank 1).
+
+    Each block's terms are read off its own N sub-blocks N_xx = -I_L,
+    N_xp = I_I^T and N_pp = I_R, in this order, each part row-major:
+    squeezers from the N_xp diagonal; XP beam splitters, (a, b) with
+    a > b, from pairs N_xp[a, b] = -N_xp[b, a]; oscillators and XXPP beam
+    splitters where N_xx[a, b] = N_pp[a, b], a <= b; squeeze beam
+    splitters from the rest of N_xp; then, row by row, the N_pp and then
+    the N_xx pieces (b >= a) where the two differ.
+    """
     terms: list[HamiltonianTerm] = []
     zero_modes = 0
     for block, group in zip(blocks, layout):
         modes = group.modes
-        c, d = block.case, block.rank
-        lam = block.eigenvalue
-        nu = lam.imag
-        s = float(np.real(block.sigma)) if c in (3, 5) else None
-        if c == 1:
-            for k in range(d):
-                terms.append(HamiltonianTerm(TermKind.SINGLE_MODE_SQUEEZE, lam.real, (modes[k],)))
-            for k in range(d - 1):
-                terms.append(
-                    HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (modes[k], modes[k + 1]))
-                )
-        elif c == 2:
-            for k in range(2 * d):
-                terms.append(HamiltonianTerm(TermKind.SINGLE_MODE_SQUEEZE, lam.real, (modes[k],)))
-            for k in range(d):
-                terms.append(
-                    HamiltonianTerm(TermKind.BEAM_SPLITTER_XP, nu, (modes[2 * k + 1], modes[2 * k]))
-                )
-            for k in range(2 * d - 2):
-                terms.append(
-                    HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (modes[k], modes[k + 2]))
-                )
-        elif c == 3:
-            half = d // 2
-            for k in range(half - 1):
-                terms.append(
-                    HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, s, (modes[k], modes[k + 1]))
-                )
-            coeff = (-1.0) ** (d // 2 + 1) * s / 2.0
-            terms.append(HamiltonianTerm(TermKind.FREE_PARTICLE_X, coeff, (modes[half - 1],)))
-        elif c == 4:
-            if d == 1:
-                zero_modes += 1
-            for k in range(d - 1):
-                terms.append(
-                    HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (modes[k], modes[k + 1]))
-                )
-        elif c == 5:
-            # Antidiagonal couplings (k, D+1-k) carry matched XX and PP
-            # pieces and combine into beam splitters.
-            for a in range(1, d // 2 + 1):
-                b = d + 1 - a
-                terms.append(
-                    HamiltonianTerm(TermKind.BEAM_SPLITTER_XXPP, s * nu, (modes[a - 1], modes[b - 1]))
-                )
-            # The remaining pieces pair X_k with X_{D-k} and P_{k+1} with
-            # P_{D+1-k}; the mode pairs differ, so they stay separate.
-            for k in range(1, d):
-                sign = (-1.0) ** (k + 1)
-                a, b = k, d - k
+        n_xp, n_pp, i_l = block.i_i.T.tolist(), block.i_r.tolist(), block.i_l.tolist()
+        idx = range(len(modes))
+        squeezes, rotations, matched, couplings, leftovers = [], [], [], [], []
+        for a in idx:
+            for b in idx:
+                e = n_xp[a][b]
+                if not e:
+                    continue
                 if a == b:
-                    terms.append(HamiltonianTerm(TermKind.FREE_PARTICLE_X, sign * s / 2.0, (modes[a - 1],)))
-                elif a < b:
-                    terms.append(
-                        HamiltonianTerm(TermKind.POSITION_COUPLING, sign * s, (modes[a - 1], modes[b - 1]))
-                    )
-                a2, b2 = k + 1, d + 1 - k
-                if a2 == b2:
-                    terms.append(HamiltonianTerm(TermKind.FREE_PARTICLE_P, sign * s / 2.0, (modes[a2 - 1],)))
-                elif a2 < b2:
-                    terms.append(
-                        HamiltonianTerm(TermKind.MOMENTUM_COUPLING, sign * s, (modes[a2 - 1], modes[b2 - 1]))
-                    )
-        else:
-            coeff = float(np.real(1j * block.sigma)) * nu / 2.0
-            for k in range(1, d + 1):
-                sign = (-1.0) ** (k + 1)
-                a, b = modes[k - 1], modes[d - k]
-                if a == b:
-                    terms.append(HamiltonianTerm(TermKind.HARMONIC_OSCILLATOR, sign * coeff, (a,)))
-                elif a < b:
-                    terms.append(
-                        HamiltonianTerm(TermKind.BEAM_SPLITTER_XXPP, 2.0 * sign * coeff, (a, b))
-                    )
-            for k in range(d - 1):
-                terms.append(
-                    HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (modes[k], modes[k + 1]))
-                )
+                    squeezes.append(HamiltonianTerm(TermKind.SINGLE_MODE_SQUEEZE, e, (modes[a],)))
+                elif e != -n_xp[b][a]:
+                    couplings.append(HamiltonianTerm(TermKind.SQUEEZE_BEAM_SPLITTER, e,
+                                                     (modes[a], modes[b])))
+                elif a > b:
+                    rotations.append(HamiltonianTerm(TermKind.BEAM_SPLITTER_XP, e,
+                                                     (modes[a], modes[b])))
+            for b in idx[a:]:
+                p = n_pp[a][b]
+                if p and p == -i_l[a][b]:
+                    matched.append(_piece(p, modes, a, b, TermKind.HARMONIC_OSCILLATOR,
+                                          TermKind.BEAM_SPLITTER_XXPP))
+                elif p:
+                    leftovers.append(_piece(p, modes, a, b, TermKind.FREE_PARTICLE_P,
+                                            TermKind.MOMENTUM_COUPLING))
+            for b in idx[a:]:
+                x = -i_l[a][b]
+                if x and x != n_pp[a][b]:
+                    leftovers.append(_piece(x, modes, a, b, TermKind.FREE_PARTICLE_X,
+                                            TermKind.POSITION_COUPLING))
+        before = len(terms)
+        for part in (squeezes, rotations, matched, couplings, leftovers):
+            terms += part
+        if len(terms) == before:
+            zero_modes += len(modes)
     return tuple(terms), zero_modes
 
 
@@ -515,53 +486,10 @@ def terms_matrix(terms, n_modes: int) -> np.ndarray:
     contribute nothing); useful as a consistency check against -J K_N.
     """
     n = np.zeros((2 * n_modes, 2 * n_modes))
-
-    def x(k):
-        return k - 1
-
-    def p(k):
-        return n_modes + k - 1
-
     for t in terms:
-        c = t.coefficient
-        if t.kind is TermKind.HARMONIC_OSCILLATOR:
-            (k,) = t.modes
-            n[x(k), x(k)] += 2 * c
-            n[p(k), p(k)] += 2 * c
-        elif t.kind is TermKind.FREE_PARTICLE_X:
-            (k,) = t.modes
-            n[x(k), x(k)] += 2 * c
-        elif t.kind is TermKind.FREE_PARTICLE_P:
-            (k,) = t.modes
-            n[p(k), p(k)] += 2 * c
-        elif t.kind is TermKind.SINGLE_MODE_SQUEEZE:
-            (k,) = t.modes
-            n[x(k), p(k)] += c
-            n[p(k), x(k)] += c
-        elif t.kind is TermKind.SQUEEZE_BEAM_SPLITTER:
-            a, b = t.modes
-            n[x(a), p(b)] += c
-            n[p(b), x(a)] += c
-        elif t.kind is TermKind.BEAM_SPLITTER_XP:
-            a, b = t.modes
-            n[x(a), p(b)] += c
-            n[p(b), x(a)] += c
-            n[x(b), p(a)] -= c
-            n[p(a), x(b)] -= c
-        elif t.kind is TermKind.BEAM_SPLITTER_XXPP:
-            a, b = t.modes
-            n[x(a), x(b)] += c
-            n[x(b), x(a)] += c
-            n[p(a), p(b)] += c
-            n[p(b), p(a)] += c
-        elif t.kind is TermKind.POSITION_COUPLING:
-            a, b = t.modes
-            n[x(a), x(b)] += c
-            n[x(b), x(a)] += c
-        elif t.kind is TermKind.MOMENTUM_COUPLING:
-            a, b = t.modes
-            n[p(a), p(b)] += c
-            n[p(b), p(a)] += c
+        for (qr, sr), (qc, sc), weight in _TERM_TABLE[t.kind][1]:
+            row, col = qr * n_modes + t.modes[sr] - 1, qc * n_modes + t.modes[sc] - 1
+            n[row, col] += weight * t.coefficient
     return n
 
 
@@ -680,11 +608,11 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
         chains = assign_cases(extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative]))
         kind = cls.kind
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
-            case = 1 if kind is EigenvalueKind.REAL_PAIR else 2
             pairs = orthonormalize_real_complex(
                 k, cls.representative, chains.chains, chains.partners, cfg
             )
-            units.extend(build_case_columns(case, k, pair, cfg) for pair in pairs)
+            units.extend(build_case_columns(case_of(kind, e.rank), k, (e, et), cfg)
+                         for e, et in pairs)
         elif kind is EigenvalueKind.ZERO:
             case3, case4 = orthonormalize_zero(k, chains.chains, cfg)
             units.extend(build_case_columns(3, k, item, cfg) for item in case3)
@@ -693,11 +621,10 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
                 for pair in zero_odd_pairing(k, case4, cfg)
             )
         else:
-            for chain, sigma in orthonormalize_imaginary(
-                k, cls.representative, chains.chains, cfg
-            ):
-                case = 5 if chain.rank % 2 == 0 else 6
-                units.append(build_case_columns(case, k, (chain, sigma), cfg))
+            units.extend(
+                build_case_columns(case_of(kind, chain.rank), k, (chain, sigma), cfg)
+                for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains, cfg)
+            )
     return _finish_report(m, k, spectrum, units, cfg)
 
 
@@ -730,21 +657,24 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
         radii.append(radii[-1] * 10.0)
     clustered: dict = {}  # level -> clusters at radii[level], None if they do not pair up
     last: Exception | None = None
-    for i in range(5):
-        for level in range(i, i + 5):
-            if level not in clustered:
-                try:
-                    clustered[level] = cluster_eigenvalues(k, cfg, tol=radii[level],
-                                                           _eigenvalues=eigenvalues)
-                except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
-                    clustered[level], last = None, exc
-            if clustered[level] is not None:
-                break
-        else:
-            continue  # no radius pairs up; last is the error at radii[i + 4], new this attempt
-        try:
-            return _attempt_normal_form(m, k, clustered[level], eigenvalues, vectors,
-                                        replace(cfg, rank_tol=max(cfg.rank_tol, radii[i])))
-        except (PipelineError, VerificationError) as exc:
-            last = exc
-    raise last
+    try:
+        for i in range(5):
+            for level in range(i, i + 5):
+                if level not in clustered:
+                    try:
+                        clustered[level] = cluster_eigenvalues(k, cfg, tol=radii[level],
+                                                               _eigenvalues=eigenvalues)
+                    except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+                        clustered[level], last = None, exc
+                if clustered[level] is not None:
+                    break
+            else:
+                continue  # no radius pairs up; last is the error at radii[i + 4], new this attempt
+            try:
+                return _attempt_normal_form(m, k, clustered[level], eigenvalues, vectors,
+                                            replace(cfg, rank_tol=max(cfg.rank_tol, radii[i])))
+            except (PipelineError, VerificationError) as exc:
+                last = exc
+        raise last
+    finally:
+        last = None  # its traceback holds this frame: drop the cycle on every exit

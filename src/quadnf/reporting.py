@@ -184,38 +184,29 @@ def signature_string(report: NormalFormReport, with_eigenvalues: bool = True) ->
     (kind, a, m, D, sigma) that is constant across each region of a
     parameter scan.
     """
-    per_class: dict[tuple, list] = {}
-    for group in report.transform.layout:
-        lam = group.eigenvalue
-        if group.case in (3, 4):
-            key = (EigenvalueKind.ZERO, 0j)
-        elif group.case in (5, 6):
-            key = (EigenvalueKind.IMAGINARY_PAIR, lam)
-        elif group.case == 1:
-            key = (EigenvalueKind.REAL_PAIR, lam)
-        else:
-            key = (EigenvalueKind.COMPLEX_QUADRUPLET, lam)
-        per_class.setdefault(key, []).append(group)
-    by_class = {(c.kind, c.representative): c for c in report.spectrum.classes}
+    classes = {c.representative: c for c in report.spectrum.classes}
+    blocks_of: dict[complex, list] = {}
+    for b in report.blocks:
+        blocks_of.setdefault(b.eigenvalue, []).append(b)
     tokens = []
-    for key in sorted(per_class, key=lambda kv: (_KIND_LETTER[kv[0]], -abs(kv[1]), -kv[1].imag)):
-        kind, lam = key
-        cls = by_class.get(key)
-        groups = per_class[key]
+    for lam in sorted(blocks_of,
+                      key=lambda lam: (_KIND_LETTER[classes[lam].kind], -abs(lam), -lam.imag)):
+        cls = classes[lam]
         chains = []
-        for g in sorted(groups, key=lambda g: (-g.rank, _format_sigma(g.sigma) if g.sigma else "")):
-            token = f"D{g.rank}"
-            if g.sigma is not None:
-                token += f",s{_format_sigma(g.sigma)}"
+        for b in sorted(blocks_of[lam],
+                        key=lambda b: (-b.rank, _format_sigma(b.sigma) if b.sigma else "")):
+            token = f"D{b.rank}"
+            if b.sigma is not None:
+                token += f",s{_format_sigma(b.sigma)}"
             chains.append(token)
-            if g.case == 4:
+            if b.case == 4:
                 chains.append(token)  # an f/h pair stands for two chains
-        a = cls.algebraic if cls else 0
-        m = cls.geometric if cls else 0
         head = ""
-        if with_eigenvalues and kind is not EigenvalueKind.ZERO:
+        if with_eigenvalues and cls.kind is not EigenvalueKind.ZERO:
             head = f"{_format_eigenvalue(lam)},"
-        tokens.append(f"{_KIND_LETTER[kind]}({head}a{a},m{m},{';'.join(chains)})")
+        tokens.append(
+            f"{_KIND_LETTER[cls.kind]}({head}a{cls.algebraic},m{cls.geometric},{';'.join(chains)})"
+        )
     return "|".join(tokens)
 
 

@@ -90,9 +90,6 @@ class SpectrumReport:
     def sum_rule_residual(self) -> int:
         return 2 * self.n_modes - sum(c.weight for c in self.classes)
 
-    def by_kind(self, kind: EigenvalueKind) -> list[EigenvalueClass]:
-        return [c for c in self.classes if c.kind is kind]
-
 
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import sys
 from collections import Counter
 
@@ -28,11 +30,14 @@ from quadnf import (
     symplectic_residual,
     terms_matrix,
 )
+from quadnf.errors import ChainExtractionError
 from quadnf.normal_form import (
+    ColumnGroup,
     TermKind,
     _block_for_unit,
     _Unit,
     build_case_columns,
+    emit_terms,
     expected_kn,
 )
 from quadnf.spectrum import EigenvalueKind, make_chain
@@ -40,6 +45,30 @@ from quadnf.spectrum import EigenvalueKind, make_chain
 
 def unit_spec(case, lam, rank, sigma=None):
     return _Unit(case=case, eigenvalue=lam, rank=rank, sigma=sigma, t_cols=[], s_cols=[])
+
+
+def block_terms(specs):
+    """emit_terms on the blocks of ``specs``, laid out in order; also the
+    blocks and the mode count."""
+    blocks = [_block_for_unit(unit_spec(*spec)) for spec in specs]
+    layout, offset = [], 0
+    for b in blocks:
+        modes = tuple(range(offset + 1, offset + b.size + 1))
+        layout.append(ColumnGroup(b.case, b.eigenvalue, b.rank, b.sigma, modes))
+        offset += b.size
+    terms, zero_modes = emit_terms(blocks, layout)
+    return terms, zero_modes, blocks, offset
+
+
+# Every case at ranks 1-6 of its parity, with each sign.
+EVERY_BLOCK = (
+    [(1, 1.3 + 0j, d) for d in range(1, 7)]
+    + [(2, 0.7 + 1.9j, d) for d in range(1, 7)]
+    + [(3, 0j, d, s) for d in (2, 4, 6) for s in (1 + 0j, -1 + 0j)]
+    + [(4, 0j, d) for d in (1, 3, 5)]
+    + [(5, 2.1j, d, s) for d in (2, 4, 6) for s in (1 + 0j, -1 + 0j)]
+    + [(6, 1.7j, d, s) for d in (1, 3, 5) for s in (1j, -1j)]
+)
 
 
 class TestCaseColumns:
@@ -205,6 +234,45 @@ class TestEmitTerms:
         rep = normal_form(np.zeros((6, 6)))
         assert rep.terms == ()
         assert rep.zero_frequency_modes == 3
+
+    def test_terms_read_back_exactly(self):
+        # Terms rebuild -J K_N bit for bit on every one- and two-block list.
+        lists = [[b] for b in EVERY_BLOCK] + [list(p) for p in itertools.product(EVERY_BLOCK, repeat=2)]
+        for specs in lists:
+            terms, zero_modes, blocks, n_modes = block_terms(specs)
+            kn = expected_kn(blocks, n_modes)
+            assert np.array_equal(terms_matrix(terms, n_modes), -symplectic_form(n_modes) @ kn), specs
+            assert zero_modes == sum(b.case == 4 and b.rank == 1 for b in blocks)
+            assert all(type(t.coefficient) is float for t in terms)
+
+    def test_quadruplet_rank_two_order(self):
+        terms, _, _, _ = block_terms([(2, 0.5 + 1.5j, 2)])
+        assert [(t.kind, t.coefficient, t.modes) for t in terms] == [
+            (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (1,)),
+            (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (2,)),
+            (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (3,)),
+            (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (4,)),
+            (TermKind.BEAM_SPLITTER_XP, 1.5, (2, 1)),
+            (TermKind.BEAM_SPLITTER_XP, 1.5, (4, 3)),
+            (TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (1, 3)),
+            (TermKind.SQUEEZE_BEAM_SPLITTER, 1.0, (2, 4)),
+        ]
+        assert [t.symbol() for t in terms[3:6]] == [
+            "0.5*X4*P4", "1.5*(X2*P1 - X1*P2)", "1.5*(X4*P3 - X3*P4)"]
+
+    def test_imaginary_even_rank_four_order(self):
+        terms, _, _, _ = block_terms([(5, 2.5j, 4, 1 + 0j)])
+        assert [(t.kind, t.coefficient, t.modes) for t in terms] == [
+            (TermKind.BEAM_SPLITTER_XXPP, 2.5, (1, 4)),
+            (TermKind.BEAM_SPLITTER_XXPP, 2.5, (2, 3)),
+            (TermKind.POSITION_COUPLING, 1.0, (1, 3)),
+            (TermKind.MOMENTUM_COUPLING, 1.0, (2, 4)),
+            (TermKind.FREE_PARTICLE_X, -0.5, (2,)),
+            (TermKind.FREE_PARTICLE_P, -0.5, (3,)),
+        ]
+        assert [t.symbol() for t in terms] == [
+            "2.5*(X1*X4 + P1*P4)", "2.5*(X2*X3 + P2*P3)", "X1*X3", "P2*P4",
+            "-0.5*X2^2", "-0.5*P3^2"]
 
     def test_terms_reconstruct_n_matrix(self, rng):
         specs_list = [
@@ -373,6 +441,34 @@ class TestPipeline:
         assert widths == [b.size for b in rep.blocks]
         flat = [m for g in rep.transform.layout for m in g.modes]
         assert flat == list(range(1, rep.n_modes + 1))
+
+
+class TestEscalationGarbage:
+    """An escalating call leaves no reference cycle behind, whether a later
+    attempt succeeds or the last error is raised."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_success_after_failure(self, collector_off):
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 3, None)], np.random.default_rng(0))
+        normal_form(m)
+        assert gc.collect() == 0
+
+    def test_raised_error(self, collector_off, monkeypatch):
+        def failing(*args):
+            raise ChainExtractionError("forced")
+
+        monkeypatch.setattr(sys.modules["quadnf.normal_form"], "_attempt_normal_form", failing)
+        try:
+            normal_form(np.eye(4))
+        except ChainExtractionError:
+            pass
+        assert gc.collect() == 0
 
 
 class TestFactorizationCounts:

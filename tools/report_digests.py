@@ -6,7 +6,8 @@
 imports quadnf from SRC_DIR and prints one line per pool input of
 ``generic-n32``, ``pd-n32`` and ``planted-defective`` for SEED (the
 inputs ``bench/run.py --seed SEED`` checks): the workload, the input's
-index and the SHA-1 of ``json.dumps(report_to_dict(...))``, or of the
+index and the SHA-1 of ``json.dumps(report_to_dict(...))`` followed by
+``report_to_text(...)`` (the CLI's default rendering), or of the
 exception's class and message when the pipeline raises.  A last line
 gives the SHA-1 of the ``scan-2mode`` table, ``serialize_scan(...,
 boundary=True)`` of the default 41x41 grid.  Two source trees produce
@@ -49,7 +50,7 @@ def digests(seed: int):
     """Yield (workload, index, digest) for each pool input, then the scan's."""
     import quadnf
     from quadnf import normal_form
-    from quadnf.reporting import report_to_dict, scan_two_mode, serialize_scan
+    from quadnf.reporting import report_to_dict, report_to_text, scan_two_mode, serialize_scan
 
     print("# quadnf from", Path(quadnf.__file__).resolve().parent, file=sys.stderr)
 
@@ -59,7 +60,8 @@ def digests(seed: int):
         for index, inp in enumerate(pool):
             m = inp.m if isinstance(inp, PlantedInput) else inp
             try:
-                text = json.dumps(report_to_dict(normal_form(m)))
+                report = normal_form(m)
+                text = json.dumps(report_to_dict(report)) + report_to_text(report)
             except Exception as exc:  # a crash outside QuadnfError is an output too
                 text = f"{type(exc).__name__}: {exc}"
             yield name, index, _sha1(text)
