@@ -1,10 +1,15 @@
 """Assembly of the real canonical transformation and the normal form.
 
-Given the symplectically orthonormalized Jordan chains of K = J M, each
-of the six chain cases prescribes real column vectors for the
-transformation T = (T_+ T_-).  The same data determines the real Jordan
-normal form K_N = T^{-1} K T block by block.  Each block is written down
-once, in ``_block_for_unit``; the transformed Hamiltonian matrix
+This module alone knows the six chain cases of the construction: 1 real
+pair, 2 complex quadruplet, 3/4 zero eigenvalue at even/odd rank, 5/6
+imaginary pair at even/odd rank.  ``_attempt_normal_form`` names each
+chain's case where it picks the orthonormalization for the chain's
+eigenvalue class.  Given the symplectically orthonormalized chains of
+K = J M, each case prescribes real column vectors for the transformation
+T = (T_+ T_-), in ``build_case_columns``.  The same data determines the
+real Jordan normal form K_N = T^{-1} K T block by block.  Each block is
+written down once, in ``_block_for_unit``, and blocks take consecutive
+modes in report order; the transformed Hamiltonian matrix
 N = T^T M T = -J K_N is then read off those blocks as a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
 beam splitters), and one table gives each term kind's symbol and N
@@ -41,10 +46,7 @@ from .errors import (
 )
 from .spectrum import (
     EigenvalueKind,
-    JordanChain,
     SpectrumReport,
-    assign_cases,
-    case_of,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
@@ -54,13 +56,11 @@ __all__ = [
     "NormalFormBlock",
     "TermKind",
     "HamiltonianTerm",
-    "ColumnGroup",
     "CanonicalTransform",
     "Verdict",
     "NormalFormReport",
     "build_case_columns",
     "assemble_transform",
-    "expected_blocks",
     "expected_kn",
     "emit_terms",
     "bogoliubov_transform",
@@ -147,22 +147,11 @@ class HamiltonianTerm:
 
 
 @dataclass(frozen=True)
-class ColumnGroup:
-    """Layout metadata for one chain's worth of columns in T."""
-
-    case: int
-    eigenvalue: complex
-    rank: int
-    sigma: complex | None
-    modes: tuple[int, ...]  # 1-based normal-mode indices
-
-
-@dataclass(frozen=True)
 class CanonicalTransform:
-    """Real symplectic transformation with its column layout."""
+    """Real symplectic transformation T = (T_+ T_-); block i of the report
+    owns the next ``blocks[i].size`` modes, i.e. columns of T_+ and T_-."""
 
     matrix: np.ndarray
-    layout: tuple[ColumnGroup, ...]
 
 
 class Verdict(Enum):
@@ -215,72 +204,43 @@ def _real_columns(cols, k, cfg: Config):
     return out
 
 
-def _chain_powers(chain: JordanChain) -> list[np.ndarray]:
-    """[e, A e, ..., A^(D-1) e] for the chain's generator e."""
-    return list(reversed(chain.vectors))
-
-
 def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
     """Columns of T for one orthonormalized chain (or f/h pair).
 
-    ``data`` depends on the case: (e_chain, partner_chain) for cases 1
-    and 2, (chain, sigma) for cases 3, 5 and 6, and (f_chain, h_chain)
-    for case 4.  Output columns are validated to be real.
+    ``data`` is (chain, partner) for cases 1 and 2 (e and the chain e~ of
+    -lam) and for case 4 (f and h), and (chain, sigma) for cases 3, 5 and
+    6.  With z_k = A^(k-1) e for the chain's generator e, cases 1, 2 and
+    4 pair z_k with w_k = (-1)^(D-k) e~_k, where e~_k is the partner's
+    vector at chain position k; case 5 with w_k = sigma (-1)^k conj(z_(D+1-k)).
+    Two rules are shared: cases 1 and 4 take (z | w) as they are, and
+    cases 2 and 5 interleave sqrt2 (Re, Im) of z_k with sqrt2 (Re, -Im)
+    of w_k, by the parity of k; case 2 applies that to each z_k and w_k
+    twice, taking both parts of every vector.  Output columns are
+    validated to be real.
     """
     k = np.asarray(k, dtype=float)
-    if case == 1:
-        e_chain, et_chain = data
-        lam, d = e_chain.eigenvalue, e_chain.rank
-        z = _chain_powers(e_chain)
-        w = [(-1.0) ** (d - kk) * et_chain.vectors[kk - 1] for kk in range(1, d + 1)]
+    chain, other = data
+    lam, d = chain.eigenvalue, chain.rank
+    z = list(reversed(chain.vectors))
+    sigma = None if case in (1, 2, 4) else other
+    if case in (1, 2, 4):
+        w = [(-1.0) ** (d - kk) * other.vectors[kk - 1] for kk in range(1, d + 1)]
+    elif case == 5:
+        w = [sigma * (-1.0) ** kk * np.conj(z[d - kk]) for kk in range(1, d + 1)]
+    if case in (1, 4):
         t_cols, s_cols = z, w
-        sigma = None
-    elif case == 2:
-        e_chain, et_chain = data
-        lam, d = e_chain.eigenvalue, e_chain.rank
-        z = _chain_powers(e_chain)
-        w = [(-1.0) ** (d - kk) * et_chain.vectors[kk - 1] for kk in range(1, d + 1)]
-        t_cols, s_cols = [], []
-        for kk in range(1, 2 * d + 1):
-            if kk % 2 == 1:
-                t_cols.append(SQRT2 * np.real(z[(kk - 1) // 2]))
-                s_cols.append(SQRT2 * np.real(w[(kk - 1) // 2]))
-            else:
-                t_cols.append(SQRT2 * np.imag(z[kk // 2 - 1]))
-                s_cols.append(-SQRT2 * np.imag(w[kk // 2 - 1]))
-        sigma = None
+    elif case in (2, 5):
+        if case == 2:
+            z, w = [v for v in z for _ in range(2)], [v for v in w for _ in range(2)]
+        t_cols = [SQRT2 * (np.imag(v) if i % 2 else np.real(v)) for i, v in enumerate(z)]
+        s_cols = [-SQRT2 * np.imag(v) if i % 2 else SQRT2 * np.real(v) for i, v in enumerate(w)]
     elif case == 3:
-        chain, sigma = data
-        lam, d = chain.eigenvalue, chain.rank
-        z = _chain_powers(chain)
         s = float(np.real(sigma))
         t_cols = [s ** (kk - 1) * z[kk - 1] for kk in range(1, d // 2 + 1)]
         s_cols = [(-s) ** (d - kk) * chain.vectors[kk - 1] for kk in range(1, d // 2 + 1)]
-    elif case == 4:
-        f_chain, h_chain = data
-        lam, d = f_chain.eigenvalue, f_chain.rank
-        t_cols = _chain_powers(f_chain)
-        s_cols = [(-1.0) ** (d - kk) * h_chain.vectors[kk - 1] for kk in range(1, d + 1)]
-        sigma = None
-    elif case == 5:
-        chain, sigma = data
-        lam, d = chain.eigenvalue, chain.rank
-        z = _chain_powers(chain)
-        w = [sigma * (-1.0) ** kk * np.conj(z[d - kk]) for kk in range(1, d + 1)]
-        t_cols, s_cols = [], []
-        for kk in range(1, d + 1):
-            if kk % 2 == 1:
-                t_cols.append(SQRT2 * np.real(z[kk - 1]))
-                s_cols.append(SQRT2 * np.real(w[kk - 1]))
-            else:
-                t_cols.append(SQRT2 * np.imag(z[kk - 1]))
-                s_cols.append(-SQRT2 * np.imag(w[kk - 1]))
     elif case == 6:
-        chain, sigma = data
-        lam, d = chain.eigenvalue, chain.rank
-        z = _chain_powers(chain)
         eps = float(np.real(-1j * sigma))
-        t_cols = [SQRT2 * np.real(z[kk - 1]) for kk in range(1, d + 1)]
+        t_cols = [SQRT2 * np.real(v) for v in z]
         s_cols = [eps * (-1.0) ** kk * SQRT2 * np.imag(z[d - kk]) for kk in range(1, d + 1)]
     else:
         raise ValueError(f"unknown case {case}")
@@ -303,7 +263,7 @@ def _unit_sort_key(unit: _Unit):
 def _block_for_unit(unit: _Unit) -> NormalFormBlock:
     c, lam, d, sigma = unit.case, unit.eigenvalue, unit.rank, unit.sigma
     nu = lam.imag
-    if c == 1:
+    if c in (1, 4):  # lam = 0 in case 4, and 0.0 * I + E = E to the bit
         i_i = lam.real * np.eye(d) + np.eye(d, k=-1)
         i_r = np.zeros((d, d))
         i_l = np.zeros((d, d))
@@ -324,10 +284,6 @@ def _block_for_unit(unit: _Unit) -> NormalFormBlock:
         i_r = np.zeros((size, size))
         i_l = np.zeros((size, size))
         i_l[size - 1, size - 1] = s * (-1.0) ** (d // 2)
-    elif c == 4:
-        i_i = np.eye(d, k=-1)
-        i_r = np.zeros((d, d))
-        i_l = np.zeros((d, d))
     elif c == 5:
         s = float(np.real(sigma))
         i_i = np.zeros((d, d))
@@ -353,11 +309,6 @@ def _block_for_unit(unit: _Unit) -> NormalFormBlock:
     return NormalFormBlock(
         case=c, eigenvalue=lam, rank=d, sigma=sigma, i_i=i_i, i_r=i_r, i_l=i_l
     )
-
-
-def expected_blocks(units) -> tuple[NormalFormBlock, ...]:
-    """Real Jordan blocks implied by case labels, eigenvalues, ranks and signs."""
-    return tuple(_block_for_unit(u) for u in units)
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -386,24 +337,10 @@ def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT, *,
     ``AssemblyError`` carries the offending Gram residual matrix.  On
     success, ``_residuals["symplectic"]`` receives the residual checked.
     """
-    t_cols, s_cols, layout = [], [], []
-    offset = 0
-    for u in units:
-        width = len(u.t_cols)
-        layout.append(
-            ColumnGroup(
-                case=u.case,
-                eigenvalue=u.eigenvalue,
-                rank=u.rank,
-                sigma=u.sigma,
-                modes=tuple(range(offset + 1, offset + width + 1)),
-            )
-        )
-        t_cols.extend(u.t_cols)
-        s_cols.extend(u.s_cols)
-        offset += width
-    if offset != n_modes:
-        raise AssemblyError(f"column groups cover {offset} modes, expected {n_modes}")
+    t_cols = [c for u in units for c in u.t_cols]
+    s_cols = [c for u in units for c in u.s_cols]
+    if len(t_cols) != n_modes:
+        raise AssemblyError(f"column groups cover {len(t_cols)} modes, expected {n_modes}")
     t = np.column_stack(t_cols + s_cols)
     res = symplectic_residual(t)
     scale = 1.0 + maxnorm(t) ** 2
@@ -415,7 +352,7 @@ def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT, *,
         )
     if _residuals is not None:
         _residuals["symplectic"] = res
-    return CanonicalTransform(matrix=t, layout=tuple(layout))
+    return CanonicalTransform(matrix=t)
 
 
 def _piece(entry, modes, a, b, single, pair) -> HamiltonianTerm:
@@ -426,9 +363,10 @@ def _piece(entry, modes, a, b, single, pair) -> HamiltonianTerm:
     return HamiltonianTerm(pair, entry, (modes[a], modes[b]))
 
 
-def emit_terms(blocks, layout) -> tuple[tuple[HamiltonianTerm, ...], int]:
+def emit_terms(blocks) -> tuple[tuple[HamiltonianTerm, ...], int]:
     """Elementary Hamiltonian terms of N = -J K_N, plus the count of
     zero-frequency modes (those of blocks whose N is zero: case 4, rank 1).
+    The blocks take consecutive 1-based modes, as many as each one's size.
 
     Each block's terms are read off its own N sub-blocks N_xx = -I_L,
     N_xp = I_I^T and N_pp = I_R, in this order, each part row-major:
@@ -440,8 +378,10 @@ def emit_terms(blocks, layout) -> tuple[tuple[HamiltonianTerm, ...], int]:
     """
     terms: list[HamiltonianTerm] = []
     zero_modes = 0
-    for block, group in zip(blocks, layout):
-        modes = group.modes
+    offset = 0
+    for block in blocks:
+        modes = range(offset + 1, offset + block.size + 1)
+        offset += block.size
         n_xp, n_pp, i_l = block.i_i.T.tolist(), block.i_r.tolist(), block.i_l.tolist()
         idx = range(len(modes))
         squeezes, rotations, matched, couplings, leftovers = [], [], [], [], []
@@ -541,7 +481,7 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     units = sorted(units, key=_unit_sort_key)
     residuals: dict = {}
     transform = assemble_transform(units, n_modes, cfg, _residuals=residuals)
-    blocks = expected_blocks(units)
+    blocks = tuple(_block_for_unit(u) for u in units)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
     cond = float(np.linalg.cond(t))
@@ -556,7 +496,7 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
         )
     n_matrix = t.T @ m @ t
     n_matrix = (n_matrix + n_matrix.T) / 2.0
-    terms, zero_modes = emit_terms(blocks, transform.layout)
+    terms, zero_modes = emit_terms(blocks)
     verdict, reasons = _verdict(blocks)
     n_expected = np.vstack([-kn_expected[n_modes:], kn_expected[:n_modes]])  # -J K_N, exactly
     residuals.update(
@@ -605,15 +545,15 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
                                  _eigenvectors=vectors, _shifts=shifts)
     units: list[_Unit] = []
     for cls in spectrum.classes:
-        chains = assign_cases(extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative]))
+        chains = extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative])
         kind = cls.kind
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
+            case = 1 if kind is EigenvalueKind.REAL_PAIR else 2
             pairs = orthonormalize_real_complex(
                 k, cls.representative, chains.chains, chains.partners, cfg
             )
-            units.extend(build_case_columns(case_of(kind, e.rank), k, (e, et), cfg)
-                         for e, et in pairs)
-        elif kind is EigenvalueKind.ZERO:
+            units.extend(build_case_columns(case, k, pair, cfg) for pair in pairs)
+        elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
             case3, case4 = orthonormalize_zero(k, chains.chains, cfg)
             units.extend(build_case_columns(3, k, item, cfg) for item in case3)
             units.extend(
@@ -622,7 +562,7 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
             )
         else:
             units.extend(
-                build_case_columns(case_of(kind, chain.rank), k, (chain, sigma), cfg)
+                build_case_columns(5 + chain.rank % 2, k, (chain, sigma), cfg)
                 for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains, cfg)
             )
     return _finish_report(m, k, spectrum, units, cfg)

@@ -43,7 +43,6 @@ class MatrixDocument:
 
     n_modes: int
     matrix: np.ndarray
-    labels: tuple[str, ...] | None = None
     tolerance: float | None = None
 
     def config(self, base: Config = DEFAULT) -> Config:
@@ -68,11 +67,8 @@ def _parse_json_document(text: str) -> MatrixDocument:
         raise ParseError(
             f"matrix shape {matrix.shape} does not match modes {n} (need {2*n}x{2*n})"
         )
-    labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ParseError(f"'labels' must be a list, got {labels!r}")
     tol = obj.get("tolerances", {}).get("structure") if isinstance(obj.get("tolerances"), dict) else obj.get("tolerances")
-    return MatrixDocument(n, matrix, None if labels is None else tuple(labels), tol)
+    return MatrixDocument(n, matrix, tol)
 
 
 def _validated(doc: MatrixDocument) -> MatrixDocument:
@@ -105,7 +101,7 @@ def parse_matrix(text: str, tolerance: float | None = None) -> MatrixDocument:
     if stripped.startswith("{"):
         doc = _parse_json_document(text)
         if doc.tolerance is None and tolerance is not None:
-            doc = MatrixDocument(doc.n_modes, doc.matrix, doc.labels, tolerance)
+            doc = MatrixDocument(doc.n_modes, doc.matrix, tolerance)
         return _validated(doc)
     lines = [ln for ln in text.splitlines()]
     content = [(i + 1, ln.strip()) for i, ln in enumerate(lines)

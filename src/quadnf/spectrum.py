@@ -6,7 +6,10 @@ families: real pairs {l, -l}, complex quadruplets {l, -l, conj(l),
 {l, conj(l)}.  This module clusters the numerically computed spectrum,
 snaps it onto the axes, symmetrizes it so the pairing rules hold
 exactly, classifies the result, and extracts Jordan chains (generalized
-eigenvectors with their ranks) for every eigenvalue.
+eigenvectors with their ranks) for every eigenvalue.  A class's chain
+ranks always add up to its algebraic multiplicity, so the zero class has
+an even number of odd-rank chains.  Which of the normal form's six chain
+cases a chain falls in is decided in ``normal_form``, not here.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "geometric_multiplicity",
     "jordan_chains",
     "extract_class_chains",
-    "assign_cases",
 ]
 
 
@@ -437,32 +439,18 @@ def jordan_chains(
     return chains
 
 
-# The six gGEV cases: 1 real pair, 2 complex quadruplet, 3 zero/even rank,
-# 4 zero/odd rank, 5 imaginary/even rank, 6 imaginary/odd rank.
-def case_of(kind: EigenvalueKind, rank: int) -> int:
-    if kind is EigenvalueKind.REAL_PAIR:
-        return 1
-    if kind is EigenvalueKind.COMPLEX_QUADRUPLET:
-        return 2
-    if kind is EigenvalueKind.ZERO:
-        return 3 if rank % 2 == 0 else 4
-    return 5 if rank % 2 == 0 else 6
-
-
 @dataclass
 class ClassChains:
-    """Jordan chains of one eigenvalue class, with partners and case labels.
+    """Jordan chains of one eigenvalue class, with partners.
 
     For real pairs and quadruplets, ``partners`` holds the chains of the
     mirror eigenvalue -lam.  For imaginary pairs the partner chains are
-    the exact complex conjugates and are not stored.  ``cases[i]`` is
-    the case label of ``chains[i]``.
+    the exact complex conjugates and are not stored.
     """
 
     eigen_class: EigenvalueClass
     chains: list[JordanChain]
     partners: list[JordanChain] = field(default_factory=list)
-    cases: list[int] = field(default_factory=list)
 
 
 def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
@@ -502,19 +490,3 @@ def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
         )
     return ClassChains(eigen_class=cls, chains=chains, partners=partners)
 
-
-def assign_cases(class_chains: ClassChains) -> ClassChains:
-    """Label every chain with its case 1..6 and sanity-check the counts.
-
-    Odd-rank zero chains must come in pairs (their self-pairing under
-    the symplectic form vanishes identically), so an odd count of case-4
-    chains is a structure error.
-    """
-    kind = class_chains.eigen_class.kind
-    cases = [case_of(kind, c.rank) for c in class_chains.chains]
-    if kind is EigenvalueKind.ZERO and cases.count(4) % 2 != 0:
-        raise SpectrumStructureError(
-            f"odd number ({cases.count(4)}) of odd-rank zero chains"
-        )
-    class_chains.cases = cases
-    return class_chains

@@ -426,10 +426,14 @@ class TestZeroOddPairing:
             assert abs(alpha(k, 0.0, h1.generator, x, 1)) < 1e-9
 
     def test_odd_count_rejected(self):
+        # The only guard on the odd-rank zero count: the spectrum never hands
+        # over an odd one, as the chain ranks sum to an even multiplicity.
         k = build_eom(GOLDEN_M)
-        chains = [make_chain(k, 0.0, GOLDEN_G01, 1)]
-        with pytest.raises(NondegeneracyError):
-            zero_odd_pairing(k, chains)
+        for gens in ([GOLDEN_G01], [GOLDEN_G01, GOLDEN_G02, GOLDEN_G01]):
+            chains = [make_chain(k, 0.0, g, 1) for g in gens]
+            with pytest.raises(NondegeneracyError,
+                               match=f"odd-rank zero chains must come in pairs, got {len(gens)}"):
+                zero_odd_pairing(k, chains)
 
     def test_vanishing_pairing_rejected(self):
         k = build_eom(np.zeros((2, 2)))

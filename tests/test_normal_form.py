@@ -32,7 +32,6 @@ from quadnf import (
 )
 from quadnf.errors import ChainExtractionError
 from quadnf.normal_form import (
-    ColumnGroup,
     TermKind,
     _block_for_unit,
     _Unit,
@@ -40,7 +39,7 @@ from quadnf.normal_form import (
     emit_terms,
     expected_kn,
 )
-from quadnf.spectrum import EigenvalueKind, make_chain
+from quadnf.spectrum import EigenvalueKind, JordanChain, make_chain
 
 
 def unit_spec(case, lam, rank, sigma=None):
@@ -48,16 +47,10 @@ def unit_spec(case, lam, rank, sigma=None):
 
 
 def block_terms(specs):
-    """emit_terms on the blocks of ``specs``, laid out in order; also the
-    blocks and the mode count."""
+    """emit_terms on the blocks of ``specs``; also the blocks and the mode count."""
     blocks = [_block_for_unit(unit_spec(*spec)) for spec in specs]
-    layout, offset = [], 0
-    for b in blocks:
-        modes = tuple(range(offset + 1, offset + b.size + 1))
-        layout.append(ColumnGroup(b.case, b.eigenvalue, b.rank, b.sigma, modes))
-        offset += b.size
-    terms, zero_modes = emit_terms(blocks, layout)
-    return terms, zero_modes, blocks, offset
+    terms, zero_modes = emit_terms(blocks)
+    return terms, zero_modes, blocks, sum(b.size for b in blocks)
 
 
 # Every case at ranks 1-6 of its parity, with each sign.
@@ -101,6 +94,53 @@ class TestCaseColumns:
         assert np.allclose(s, np.sqrt(2) * np.imag(GOLDEN_E21))
         j = symplectic_form(4)
         assert abs(t @ j @ s - 1) < 1e-12
+
+    def test_columns_match_the_paper_bit_for_bit(self, rng):
+        # With z_k = A^(k-1) e and w_k = (-1)^(D-k) e~_k (cases 1, 2, 4) or
+        # sigma (-1)^k conj(z_(D+1-k)) (case 5), the columns are
+        #   cases 1, 4: T_+ = (z_1 .. z_D), T_- = (w_1 .. w_D);
+        #   case 2: T_+ = sqrt2 (Re z_1, Im z_1, .., Re z_D, Im z_D),
+        #           T_- = sqrt2 (Re w_1, -Im w_1, .., Re w_D, -Im w_D);
+        #   case 5: T_+ = sqrt2 (Re z_1, Im z_2, Re z_3, ..),
+        #           T_- = sqrt2 (Re w_1, -Im w_2, Re w_3, ..).
+        r2 = np.sqrt(2.0)
+        k = np.zeros((8, 8))  # only scales the realness check
+
+        def chain(lam, d, real=False):
+            vecs = [rng.normal(size=8) + (0 if real else 1j * rng.normal(size=8))
+                    for _ in range(d)]
+            return JordanChain(lam, d, tuple(vecs))
+
+        def powers(c):
+            return [c.vectors[c.rank - kk] for kk in range(1, c.rank + 1)]
+
+        def partner_w(c, p):
+            return [(-1.0) ** (c.rank - kk) * p.vectors[kk - 1] for kk in range(1, c.rank + 1)]
+
+        for case, lam in ((1, 1.3 + 0j), (4, 0j)):
+            e, et = chain(lam, 3, real=True), chain(-lam, 3, real=True)
+            unit = build_case_columns(case, k, (e, et))
+            assert all(map(np.array_equal, unit.t_cols, powers(e))), case
+            assert all(map(np.array_equal, unit.s_cols, partner_w(e, et))), case
+
+        e, et = chain(0.6 + 1.2j, 3), chain(-0.6 - 1.2j, 3)
+        z, w = powers(e), partner_w(e, et)
+        unit = build_case_columns(2, k, (e, et))
+        t = [r2 * part(v) for v in z for part in (np.real, np.imag)]
+        s = [x for v in w for x in (r2 * np.real(v), -r2 * np.imag(v))]
+        assert len(unit.t_cols) == len(unit.s_cols) == 6
+        assert all(map(np.array_equal, unit.t_cols, t))
+        assert all(map(np.array_equal, unit.s_cols, s))
+
+        for sigma in (1 + 0j, -1 + 0j):
+            c = chain(2.1j, 4)
+            z = powers(c)
+            w = [sigma * (-1.0) ** kk * np.conj(z[4 - kk]) for kk in range(1, 5)]
+            unit = build_case_columns(5, k, (c, sigma))
+            t = [r2 * np.real(z[0]), r2 * np.imag(z[1]), r2 * np.real(z[2]), r2 * np.imag(z[3])]
+            s = [r2 * np.real(w[0]), -r2 * np.imag(w[1]), r2 * np.real(w[2]), -r2 * np.imag(w[3])]
+            assert all(map(np.array_equal, unit.t_cols, t)), sigma
+            assert all(map(np.array_equal, unit.s_cols, s)), sigma
 
     def test_columns_pair_symplectically(self, rng):
         specs_list = [
@@ -433,14 +473,6 @@ class TestPipeline:
                 continue
             assert all(b.case in (1, 2, 4, 6) for b in rep.blocks)
             assert {t.kind for t in rep.terms} <= allowed
-
-    def test_transform_layout_matches_blocks(self):
-        rep = normal_form(GOLDEN_M)
-        assert [g.case for g in rep.transform.layout] == [b.case for b in rep.blocks]
-        widths = [len(g.modes) for g in rep.transform.layout]
-        assert widths == [b.size for b in rep.blocks]
-        flat = [m for g in rep.transform.layout for m in g.modes]
-        assert flat == list(range(1, rep.n_modes + 1))
 
 
 class TestEscalationGarbage:

@@ -115,13 +115,6 @@ class TestDocumentFormat:
         with pytest.raises(ParseError):
             parse_matrix(json.dumps(obj))
 
-    def test_json_labels_must_be_a_list(self):
-        obj = {"modes": 1, "matrix": [[1, 0], [0, 1]], "labels": 5}
-        with pytest.raises(ParseError, match="labels"):
-            parse_matrix(json.dumps(obj))
-        obj["labels"] = ["a", "b"]
-        assert parse_matrix(json.dumps(obj)).labels == ("a", "b")
-
     def test_json_non_numeric_matrix(self):
         obj = {"modes": 1, "matrix": [[1, "a"], [0, 1]]}
         with pytest.raises(ParseError):

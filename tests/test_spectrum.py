@@ -9,13 +9,10 @@ from conftest import (
     seeded_matrix,
     two_mode_m,
 )
-from quadnf import build_eom, symplectic_form
-from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
+from quadnf import build_eom, normal_form, symplectic_form
+from quadnf.errors import AmbiguousSpectrumError
 from quadnf.spectrum import (
-    ClassChains,
     EigenvalueKind,
-    assign_cases,
-    case_of,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
@@ -263,48 +260,19 @@ class TestJordanChains:
 
 
 class TestCases:
-    def test_case_table(self):
-        assert case_of(EigenvalueKind.REAL_PAIR, 1) == 1
-        assert case_of(EigenvalueKind.COMPLEX_QUADRUPLET, 3) == 2
-        assert case_of(EigenvalueKind.ZERO, 2) == 3
-        assert case_of(EigenvalueKind.ZERO, 1) == 4
-        assert case_of(EigenvalueKind.IMAGINARY_PAIR, 2) == 5
-        assert case_of(EigenvalueKind.IMAGINARY_PAIR, 1) == 6
+    """The normal form's blocks carry each chain's case; spectrum labels none."""
 
     def test_golden_assignment(self):
-        k = build_eom(GOLDEN_M)
-        report = classify_spectrum(k)
-        cases = {}
-        for cls in report.classes:
-            cc = assign_cases(extract_class_chains(k, cls))
-            cases[cls.kind] = cc.cases
-        assert cases[EigenvalueKind.REAL_PAIR] == [1]
-        assert cases[EigenvalueKind.ZERO] == [4, 4]
-        assert cases[EigenvalueKind.IMAGINARY_PAIR] == [6]
+        blocks = normal_form(GOLDEN_M).blocks
+        assert [(b.case, b.rank) for b in blocks] == [(1, 2), (4, 1), (6, 1)]
 
     def test_zero_boundary_is_case3(self):
-        k = build_eom(two_mode_m(1.0, 1.0))
-        report = classify_spectrum(k)
-        zero = next(c for c in report.classes if c.kind is EigenvalueKind.ZERO)
-        cc = assign_cases(extract_class_chains(k, zero))
-        assert cc.cases == [3]
-        assert cc.chains[0].rank == 2
+        blocks = normal_form(two_mode_m(1.0, 1.0)).blocks
+        assert [(b.case, b.rank) for b in blocks if b.eigenvalue == 0] == [(3, 2)]
 
     def test_degenerate_imaginary_is_case5(self):
         # boundary of oscillation collapse: lambda^2 degenerate and negative
         eta = -0.5
         lam = np.sqrt((2 * eta**2 - eta**4 - 1) / (4 * eta))
-        k = build_eom(two_mode_m(eta, lam))
-        report = classify_spectrum(k)
-        (cls,) = report.classes
-        cc = assign_cases(extract_class_chains(k, cls))
-        assert cc.cases == [5]
-
-    def test_odd_case4_count_rejected(self):
-        k = build_eom(GOLDEN_M)
-        report = classify_spectrum(k)
-        zero = next(c for c in report.classes if c.kind is EigenvalueKind.ZERO)
-        cc = extract_class_chains(k, zero)
-        broken = ClassChains(eigen_class=zero, chains=cc.chains[:1])
-        with pytest.raises(SpectrumStructureError):
-            assign_cases(broken)
+        blocks = normal_form(two_mode_m(eta, lam)).blocks
+        assert [(b.case, b.rank) for b in blocks] == [(5, 2)]
