@@ -24,7 +24,6 @@ from .errors import (
     AmbiguousSpectrumError,
     AssemblyError,
     ChainExtractionError,
-    ConstructionError,
     ContractViolationError,
     IllConditionedError,
     InvalidDimensionError,

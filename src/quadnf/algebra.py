@@ -10,17 +10,18 @@ generalizes the symplectic inner product ``alpha`` (its leading
 coefficient).
 
 Orthonormalizing the Jordan chains against this form is what makes the
-normal-form columns symplectic.  Each eigenvalue family gets its own
-routine below, and all of them run one recipe on shared helpers:
-``_pivot`` picks the pivot by a single rule (descending rank; at the
-first rank with a pairing above its threshold, the largest such
-pairing, the first on ties), the pivot is normalized through a square
-root in the algebra (``_dual_normalize`` for a pivot pair), and
-``_deflate`` removes it from the remaining chains.  When every
-self-pairing vanishes, ``_recombine`` replaces an equal-rank pair g, g'
-(picked by the same rule) by g +- g'.  The odd-rank zero chains add the
-f/h pairing.  A Bogoliubov diagonalization is the imaginary routine on
-rank-1 chains, where the square root reduces to a real scaling.
+normal-form columns symplectic.  Every routine below runs one recipe on
+shared helpers: ``_pivot`` picks the pivot by a single rule (descending
+rank; at the first rank with a pairing above its threshold, the largest
+such pairing, the first on ties), the pivot is normalized through a
+square root in the algebra (``_dual_normalize`` for a pivot pair), and
+``_deflate`` removes it from the remaining chains.  Real pairs and
+quadruplets pair chains at lam with partners at -lam.  Imaginary and
+zero chains are their own partners up to conjugation, which does
+nothing at lam = 0, so cases 3, 5 and 6 share one self-dual routine;
+the odd-rank zero chains (case 4) add the f/h pairing.  A Bogoliubov
+diagonalization is the imaginary routine on rank-1 chains, where the
+square root reduces to a real scaling.
 """
 
 from __future__ import annotations
@@ -229,21 +230,6 @@ def _pair_candidates(work, pairing, cfg: Config):
     return candidates
 
 
-def _recombine(work, pick, message: str):
-    """Superposition fix: replace the picked stuck pair g, g' by g +- g'.
-
-    When every self-pairing at a rank vanishes, nondegeneracy leaves a
-    nonvanishing cross pairing, so one of g +- g' pairs with itself.
-    """
-    if pick is None:
-        raise NondegeneracyError(message)
-    _, (i, j), _ = pick
-    gi, r = work[i]
-    gj, _ = work[j]
-    work[i] = (_unit(gi + gj), r)
-    work[j] = (_unit(gi - gj), r)
-
-
 def _dual_normalize(k, w: NilpotentPoly, x: np.ndarray, y: np.ndarray, lam_y: complex):
     """``(x Phi^-1, y Phi*^-1)`` for ``Phi = sqrt(W)``: turns a Gram pairing
     ``Omega(x, y) = W`` into the identity, y taken at eigenvalue lam_y."""
@@ -311,52 +297,76 @@ def orthonormalize_real_complex(
     return done
 
 
-def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
-    """Symplectic orthonormalization of the zero-eigenvalue chains.
+def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: Config):
+    """Orthonormalization of chains that are their own symplectic partners.
 
-    Even-rank chains (case 3) are normalized to Omega(e_j, e_j) =
-    sigma_j * identity with sigma_j = +-1 and mutually orthogonal Gram
-    pairings, including against the odd-rank chains.  When every
-    remaining even-rank chain has a vanishing self-pairing, equal-rank
-    pairs are recombined as g +- g' (which cannot all vanish, by
-    nondegeneracy) and the loop continues.  Odd-rank chains (case 4,
-    self-pairing identically zero) are deflated against the case-3
-    pivots and returned untouched for ``zero_odd_pairing``.
+    Each e_j gets Omega(e_j, conj(e_j')) = delta_jj' sigma_j, sigma_j = +-1
+    at even rank and +-i at odd rank, the part of a pairing that can be
+    nonzero.  At lam = 0 the arithmetic stays real, and odd ranks, whose
+    self-pairing vanishes identically, never pivot: they are deflated
+    against every pivot and left over.  When every self-pairing vanishes,
+    nondegeneracy leaves a cross pairing, so one of g +- g' pairs with
+    itself: the pair the pivot rule picks on it is replaced by those two
+    (``NondegeneracyError`` if there is none).
 
-    Returns ``(case3, case4)`` where case3 is a list of (chain, sigma)
-    in descending rank order and case4 the list of remaining chains.
+    Returns ``(done, rest)``: the (chain, sigma) pivots and the leftover
+    chains, both in descending rank order.
     """
     k = np.asarray(k, dtype=float)
-    work = [(c.generator.astype(float), c.rank) for c in chains]
-    case3: list[tuple[JordanChain, int]] = []
+    real = lam == 0
+    work = [(c.generator.astype(float if real else complex), c.rank) for c in chains]
+    done: list[tuple[JordanChain, complex]] = []
+
+    def part(a: complex, r: int) -> float:
+        return a.real if r % 2 == 0 else a.imag
 
     def candidates(r):
         for i, (g, rg) in enumerate(work):
             if rg == r:
-                w = omega(k, 0.0, g, g, r)
-                yield w.leading.real, _alpha_threshold(cfg, g), (w, i)
+                w = omega(k, lam, g, g.conj(), r)
+                yield part(w.leading, r), _alpha_threshold(cfg, g), (w, i)
 
-    cross_pairs = _pair_candidates(work, lambda gi, gj, r: alpha(k, 0.0, gi, gj, r).real, cfg)
-    while any(r % 2 == 0 for _, r in work):
-        ranks = sorted({r for _, r in work if r % 2 == 0}, reverse=True)
+    cross_pairs = _pair_candidates(
+        work, lambda gi, gj, r: part(alpha(k, lam, gi, gj.conj(), r), r), cfg
+    )
+    while ranks := sorted({r for _, r in work if not real or r % 2 == 0}, reverse=True):
         pick = _pivot(ranks, candidates)
         if pick is None:
-            _recombine(work, _pivot(ranks, cross_pairs),
-                       "even-rank zero chains have a fully degenerate Gram pairing")
+            stuck = _pivot(ranks, cross_pairs)
+            if stuck is None:
+                what = "even-rank zero chains" if real else f"imaginary chains at {lam:.6g}"
+                raise NondegeneracyError(f"{what} have a fully degenerate Gram pairing")
+            _, (i, j), r = stuck
+            gi, gj = work[i][0], work[j][0]
+            work[i], work[j] = (_unit(gi + gj), r), (_unit(gi - gj), r)
             continue
-        a, (w, i), r = pick
+        key, (w, i), r = pick
         g, _ = work.pop(i)
-        sigma = 1 if a > 0 else -1
-        phi = poly_sqrt(NilpotentPoly(0.0, sigma * w.array()))
-        e_vec = apply_poly(poly_inverse(phi), k, g).real
-        case3.append((make_chain(k, 0.0, e_vec, r), sigma))
+        sigma = np.sign(key) if r % 2 == 0 else 1j * np.sign(key)
+        # (-1)^r sigma W leads with |key| > 0 up to round-off, so phi leads with
+        # a positive real: a rank-1 e is g times a positive real, with no phase.
+        phi = poly_sqrt(NilpotentPoly(lam, (-1) ** r * sigma * w.array()))
+        e_vec = apply_poly(poly_inverse(phi), k, g)
+        done.append((make_chain(k, lam, e_vec, r), sigma))
         _deflate(work, lambda g_o: g_o - sigma * apply_poly(
-            poly_star(omega(k, 0.0, e_vec, g_o, r)), k, e_vec).real)
+            poly_star(omega(k, lam, e_vec, g_o.conj(), r)), k, e_vec))
 
-    case3.sort(key=lambda pair: -pair[0].rank)
-    case4 = [make_chain(k, 0.0, g, r) for g, r in work]
-    case4.sort(key=lambda c: -c.rank)
-    return case3, case4
+    done.sort(key=lambda pair: -pair[0].rank)
+    return done, sorted((make_chain(k, lam, g, r) for g, r in work), key=lambda c: -c.rank)
+
+
+def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
+    """Symplectic orthonormalization of the zero-eigenvalue chains.
+
+    The imaginary routine at lam = 0.  Even-rank chains (case 3) come out
+    with Omega(e_j, e_j') = delta_jj' sigma_j, sigma_j = +-1, and
+    Omega-orthogonal to the odd-rank chains (case 4, self-pairing
+    identically zero), which are returned for ``zero_odd_pairing``.
+
+    Returns ``(case3, case4)`` where case3 is a list of (chain, sigma)
+    in descending rank order and case4 the list of remaining chains.
+    """
+    return _orthonormalize_self_dual(k, 0.0, chains, cfg)
 
 
 def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
@@ -430,12 +440,6 @@ def _solve_quadratic_correction(a11: NilpotentPoly, a22: NilpotentPoly) -> Nilpo
     return NilpotentPoly(0.0, psi)
 
 
-def _parity_part(a: complex, r: int) -> float:
-    """The part of an imaginary-family pairing that can be nonzero at rank r:
-    real for even ranks, imaginary for odd ones."""
-    return a.real if r % 2 == 0 else a.imag
-
-
 def orthonormalize_imaginary(
     k,
     lam: complex,
@@ -447,43 +451,8 @@ def orthonormalize_imaginary(
     Conjugate partners are implicit (the chains at conj(lam) are the
     exact conjugates).  Produces e_j with Omega(e_j, conj(e_j')) =
     delta_jj' sigma_j where sigma_j = +-1 for even rank (case 5) and
-    +-i for odd rank (case 6).  Stuck chains (vanishing self-pairing)
-    are recombined pairwise like in the zero case, using the real part
-    of the cross pairing for even ranks and the imaginary part for odd
-    ranks.
+    +-i for odd rank (case 6).
 
     Returns a list of (chain, sigma) in descending rank order.
     """
-    k = np.asarray(k, dtype=float)
-    work = [(c.generator.astype(complex), c.rank) for c in chains]
-    done: list[tuple[JordanChain, complex]] = []
-
-    def candidates(r):
-        for i, (g, rg) in enumerate(work):
-            if rg == r:
-                w = omega(k, lam, g, g.conj(), r)
-                yield _parity_part(w.leading, r), _alpha_threshold(cfg, g), (w, i)
-
-    cross_pairs = _pair_candidates(
-        work, lambda gi, gj, r: _parity_part(alpha(k, lam, gi, gj.conj(), r), r), cfg
-    )
-    while work:
-        ranks = sorted({r for _, r in work}, reverse=True)
-        pick = _pivot(ranks, candidates)
-        if pick is None:
-            _recombine(work, _pivot(ranks, cross_pairs),
-                       f"imaginary chains at {lam:.6g} have a fully degenerate Gram pairing")
-            continue
-        key, (w, i), r = pick
-        g, _ = work.pop(i)
-        sigma = complex(np.sign(key)) if r % 2 == 0 else 1j * np.sign(key)
-        # (-1)^r sigma W leads with |key| > 0 up to round-off, so phi leads with
-        # a positive real: a rank-1 e is g times a positive real, with no phase.
-        phi = poly_sqrt(NilpotentPoly(lam, (-1) ** r * sigma * w.array()))
-        e_vec = apply_poly(poly_inverse(phi), k, g)
-        done.append((make_chain(k, lam, e_vec, r), sigma))
-        _deflate(work, lambda g_o: g_o - sigma * apply_poly(
-            poly_star(omega(k, lam, e_vec, g_o.conj(), r)), k, e_vec))
-
-    done.sort(key=lambda pair: -pair[0].rank)
-    return done
+    return _orthonormalize_self_dual(k, lam, chains, cfg)[0]

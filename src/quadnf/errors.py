@@ -73,10 +73,6 @@ class WrongPathError(PipelineError):
     """``bogoliubov_transform`` was called outside its precondition."""
 
 
-class ConstructionError(PipelineError):
-    """A transformation column came out non-real or otherwise malformed."""
-
-
 class AssemblyError(PipelineError):
     """The assembled transformation failed the symplectic condition."""
 

@@ -38,7 +38,6 @@ from .core import build_eom, similarity, symplectic_form, symplectic_residual
 from .errors import (
     AmbiguousSpectrumError,
     AssemblyError,
-    ConstructionError,
     PipelineError,
     SpectrumStructureError,
     VerificationError,
@@ -189,22 +188,7 @@ class _Unit:
     s_cols: list
 
 
-def _real_columns(cols, k, cfg: Config):
-    out = []
-    for c in cols:
-        c = np.asarray(c)
-        if np.iscomplexobj(c):
-            imag = maxnorm(c.imag)
-            if imag > cfg.tol(1.0 + maxnorm(k)) * (1.0 + maxnorm(c)):
-                raise ConstructionError(
-                    f"transformation column has imaginary residual {imag:.3e}"
-                )
-            c = c.real
-        out.append(np.asarray(c, dtype=float))
-    return out
-
-
-def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
+def build_case_columns(case: int, data) -> _Unit:
     """Columns of T for one orthonormalized chain (or f/h pair).
 
     ``data`` is (chain, partner) for cases 1 and 2 (e and the chain e~ of
@@ -215,10 +199,13 @@ def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
     Two rules are shared: cases 1 and 4 take (z | w) as they are, and
     cases 2 and 5 interleave sqrt2 (Re, Im) of z_k with sqrt2 (Re, -Im)
     of w_k, by the parity of k; case 2 applies that to each z_k and w_k
-    twice, taking both parts of every vector.  Output columns are
-    validated to be real.
+    twice, taking both parts of every vector.
+
+    Every column is real.  The one complex input is case 1's partner:
+    ``orthonormalize_real_complex`` divides it by alpha, a complex with a
+    zero imaginary part, and every later step multiplies and adds exact
+    zeros there, so its real part is taken.
     """
-    k = np.asarray(k, dtype=float)
     chain, other = data
     lam, d = chain.eigenvalue, chain.rank
     z = list(reversed(chain.vectors))
@@ -249,8 +236,8 @@ def build_case_columns(case: int, k, data, cfg: Config = DEFAULT) -> _Unit:
         eigenvalue=complex(lam),
         rank=d,
         sigma=None if sigma is None else complex(sigma),
-        t_cols=_real_columns(t_cols, k, cfg),
-        s_cols=_real_columns(s_cols, k, cfg),
+        t_cols=[np.asarray(np.real(c), dtype=float) for c in t_cols],
+        s_cols=[np.asarray(np.real(c), dtype=float) for c in s_cols],
     )
 
 
@@ -552,17 +539,14 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
             pairs = orthonormalize_real_complex(
                 k, cls.representative, chains.chains, chains.partners, cfg
             )
-            units.extend(build_case_columns(case, k, pair, cfg) for pair in pairs)
+            units.extend(build_case_columns(case, pair) for pair in pairs)
         elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
             case3, case4 = orthonormalize_zero(k, chains.chains, cfg)
-            units.extend(build_case_columns(3, k, item, cfg) for item in case3)
-            units.extend(
-                build_case_columns(4, k, pair, cfg)
-                for pair in zero_odd_pairing(k, case4, cfg)
-            )
+            units.extend(build_case_columns(3, item) for item in case3)
+            units.extend(build_case_columns(4, pair) for pair in zero_odd_pairing(k, case4, cfg))
         else:
             units.extend(
-                build_case_columns(5 + chain.rank % 2, k, (chain, sigma), cfg)
+                build_case_columns(5 + chain.rank % 2, (chain, sigma))
                 for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains, cfg)
             )
     return _finish_report(m, k, spectrum, units, cfg)

@@ -394,8 +394,6 @@ def jordan_chains(
             )
         bases.append(basis)
         dims.append(basis.shape[1])
-        if len(dims) > algebraic + 1:
-            raise ChainExtractionError("filtration exceeded the algebraic multiplicity")
     if dims[-1] != algebraic:
         raise ChainExtractionError(
             f"filtration saturated at {dims[-1]} instead of {algebraic}"

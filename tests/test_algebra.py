@@ -369,6 +369,22 @@ class TestZeroOrthonormalization:
         cross = omega(k, 0.0, case3[0][0].generator, case3[1][0].generator, 2)
         assert np.max(np.abs(cross.array())) < 1e-9
 
+    def test_odd_chains_deflated_against_the_even_pivot(self, rng):
+        # Planted columns: t0[:, 0] = g2 (rank 2, sigma = 1), t0[:, 1] = g1 and
+        # t0[:, 3] = g1' (the case-4 pair).  g1 + K g2 is still a zero
+        # eigenvector, but pairs with g2 until the pivot is deflated from it.
+        m, t0 = seeded_matrix([(3, 0j, 2, 1 + 0j), (4, 0j, 1, None)], rng)
+        k = build_eom(m)
+        g2, g1, g1p = t0[:, 0], t0[:, 1], t0[:, 3]
+        odd = g1 + k @ g2
+        assert abs(np.max(np.abs(omega(k, 0.0, g2, odd, 2).array())) - 1) < 1e-9
+        chains = [make_chain(k, 0.0, g2, 2), make_chain(k, 0.0, odd, 1),
+                  make_chain(k, 0.0, g1p, 1)]
+        ((e, sigma),), case4 = orthonormalize_zero(k, chains)
+        assert sigma == 1 and [c.rank for c in case4] == [1, 1]
+        for c in case4:
+            assert np.max(np.abs(omega(k, 0.0, e.generator, c.generator, 2).array())) < 1e-9
+
     def test_fully_degenerate_rejected(self):
         k = build_eom(np.diag([1.0, 0.0]))
         chains = [make_chain(k, 0.0, np.eye(2)[1], 2)]

@@ -69,7 +69,7 @@ class TestCaseColumns:
         k = build_eom(GOLDEN_M)
         e = make_chain(k, 2.0, GOLDEN_E11, 2)
         et = make_chain(k, -2.0, GOLDEN_E11T, 2)
-        unit = build_case_columns(1, k, (e, et))
+        unit = build_case_columns(1, (e, et))
         assert np.allclose(unit.t_cols[0], GOLDEN_E11, atol=1e-12)
         assert np.allclose(unit.t_cols[1], GOLDEN_T2, atol=1e-12)
         assert np.allclose(unit.s_cols[0], GOLDEN_S1, atol=1e-12)
@@ -79,7 +79,7 @@ class TestCaseColumns:
         k = build_eom(GOLDEN_M)
         f = make_chain(k, 0.0, GOLDEN_F01, 1)
         h = make_chain(k, 0.0, GOLDEN_H01, 1)
-        unit = build_case_columns(4, k, (f, h))
+        unit = build_case_columns(4, (f, h))
         assert np.allclose(unit.t_cols[0], GOLDEN_F01)
         assert np.allclose(unit.s_cols[0], GOLDEN_H01)
 
@@ -88,7 +88,7 @@ class TestCaseColumns:
         # makes t^T J s = +1 (and matches the assembled transformation).
         k = build_eom(GOLDEN_M)
         chain = make_chain(k, 3j, GOLDEN_E21, 1)
-        unit = build_case_columns(6, k, (chain, -1j))
+        unit = build_case_columns(6, (chain, -1j))
         t, s = unit.t_cols[0], unit.s_cols[0]
         assert np.allclose(t, np.sqrt(2) * np.real(GOLDEN_E21))
         assert np.allclose(s, np.sqrt(2) * np.imag(GOLDEN_E21))
@@ -104,7 +104,6 @@ class TestCaseColumns:
         #   case 5: T_+ = sqrt2 (Re z_1, Im z_2, Re z_3, ..),
         #           T_- = sqrt2 (Re w_1, -Im w_2, Re w_3, ..).
         r2 = np.sqrt(2.0)
-        k = np.zeros((8, 8))  # only scales the realness check
 
         def chain(lam, d, real=False):
             vecs = [rng.normal(size=8) + (0 if real else 1j * rng.normal(size=8))
@@ -119,13 +118,25 @@ class TestCaseColumns:
 
         for case, lam in ((1, 1.3 + 0j), (4, 0j)):
             e, et = chain(lam, 3, real=True), chain(-lam, 3, real=True)
-            unit = build_case_columns(case, k, (e, et))
+            unit = build_case_columns(case, (e, et))
             assert all(map(np.array_equal, unit.t_cols, powers(e))), case
             assert all(map(np.array_equal, unit.s_cols, partner_w(e, et))), case
 
+        # Case 1 as orthonormalize_real_complex hands it over: a real partner
+        # divided by alpha, a complex with a zero imaginary part.
+        e, et = chain(1.3 + 0j, 3, real=True), chain(-1.3 + 0j, 3, real=True)
+        a = complex(rng.normal(), 0.0)
+        et_c = JordanChain(et.eigenvalue, 3, tuple(v / a for v in et.vectors))
+        assert all(v.dtype == complex and not v.imag.any() for v in et_c.vectors)
+        et_r = JordanChain(et.eigenvalue, 3, tuple(v.real for v in et_c.vectors))
+        unit = build_case_columns(1, (e, et_c))
+        assert all(c.dtype == np.float64 for c in unit.t_cols + unit.s_cols)
+        assert all(map(np.array_equal, unit.t_cols, powers(e)))
+        assert all(map(np.array_equal, unit.s_cols, partner_w(e, et_r)))
+
         e, et = chain(0.6 + 1.2j, 3), chain(-0.6 - 1.2j, 3)
         z, w = powers(e), partner_w(e, et)
-        unit = build_case_columns(2, k, (e, et))
+        unit = build_case_columns(2, (e, et))
         t = [r2 * part(v) for v in z for part in (np.real, np.imag)]
         s = [x for v in w for x in (r2 * np.real(v), -r2 * np.imag(v))]
         assert len(unit.t_cols) == len(unit.s_cols) == 6
@@ -136,7 +147,7 @@ class TestCaseColumns:
             c = chain(2.1j, 4)
             z = powers(c)
             w = [sigma * (-1.0) ** kk * np.conj(z[4 - kk]) for kk in range(1, 5)]
-            unit = build_case_columns(5, k, (c, sigma))
+            unit = build_case_columns(5, (c, sigma))
             t = [r2 * np.real(z[0]), r2 * np.imag(z[1]), r2 * np.real(z[2]), r2 * np.imag(z[3])]
             s = [r2 * np.real(w[0]), -r2 * np.imag(w[1]), r2 * np.real(w[2]), -r2 * np.imag(w[3])]
             assert all(map(np.array_equal, unit.t_cols, t)), sigma
