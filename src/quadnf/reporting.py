@@ -12,6 +12,7 @@ point.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,13 +198,24 @@ def signature_string(report: NormalFormReport, with_eigenvalues: bool = True) ->
             chains.append(token)
             if b.case == 4:
                 chains.append(token)  # an f/h pair stands for two chains
-        head = ""
-        if with_eigenvalues and cls.kind is not EigenvalueKind.ZERO:
-            head = f"{_format_eigenvalue(lam)},"
+        head = "" if cls.kind is EigenvalueKind.ZERO else f"{_format_eigenvalue(lam)},"
         tokens.append(
             f"{_KIND_LETTER[cls.kind]}({head}a{cls.algebraic},m{cls.geometric},{';'.join(chains)})"
         )
-    return "|".join(tokens)
+    signature = "|".join(tokens)
+    return signature if with_eigenvalues else _drop_eigenvalues(signature)
+
+
+def _drop_eigenvalues(signature: str) -> str:
+    """The structure-only form of a full signature.
+
+    Every token but a ``Z`` one opens with its eigenvalue and a comma,
+    and a formatted eigenvalue holds no ``,`` or ``|``, so dropping
+    that first field gives what ``with_eigenvalues=False`` asks for
+    without grouping and sorting the blocks again.
+    """
+    return "|".join(token if token[0] == "Z" else token[:2] + token.split(",", 1)[1]
+                    for token in signature.split("|"))
 
 
 def report_to_dict(report: NormalFormReport) -> dict:
@@ -337,6 +349,48 @@ def _boundary_flags(signatures) -> np.ndarray:
     return flags
 
 
+def _scan_row(i: int, eta: float, lambdas: np.ndarray, cfg: Config):
+    """Verdicts, signatures, structure tokens and errors of grid row ``i``.
+
+    The errors map ``(i, j)`` to the message of the ``QuadnfError``
+    that cell ``j`` raised.
+    """
+    verdicts, signatures, structure, errors = [], [], [], {}
+    for j, lam in enumerate(lambdas):
+        try:
+            rep = normal_form(two_mode_matrix(eta, lam), cfg)
+            verdict, signature = rep.verdict.value, signature_string(rep)
+            token = _drop_eigenvalues(signature)
+        except QuadnfError as exc:
+            verdict, signature = "error", f"error:{type(exc).__name__}"
+            token = signature
+            errors[(i, j)] = str(exc)
+        verdicts.append(verdict)
+        signatures.append(signature)
+        structure.append(token)
+    return verdicts, signatures, structure, errors
+
+
+def _scan_rows(rows: list) -> list:
+    """``_scan_row(*row)`` of every row, in row order, on the usable CPUs."""
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+                  len(rows))
+    if workers > 1:
+        # imported here, as multiprocessing.pool would add about 25 ms
+        # to every CLI call that does not scan
+        import multiprocessing
+        # fork, not spawn: a spawned worker imports numpy and quadnf
+        # afresh, which costs more than its share of a 41x41 scan
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
+                pooled = pool.starmap_async(_scan_row, [r for r in rows if r[0] % workers],
+                                            chunksize=1)
+                mine = iter([_scan_row(*r) for r in rows if r[0] % workers == 0])
+                theirs = iter(pooled.get())
+                return [next(theirs if i % workers else mine) for i in range(len(rows))]
+    return [_scan_row(*r) for r in rows]
+
+
 def scan_two_mode(
     eta_range=(-2.0, 2.0),
     lambda_range=(-2.0, 2.0),
@@ -350,6 +404,16 @@ def scan_two_mode(
     aborting the scan.  Boundary cells are those whose signature
     differs from at least one 4-neighbor, so the flagged set straddles
     every classification boundary to within one cell.
+
+    The rows are split across the usable CPUs (the process's affinity
+    mask): where the platform can fork, a pool of one fewer processes
+    takes every row whose index is not a multiple of the CPU count,
+    while the caller runs the rest.  Every row runs the same code on the
+    same inputs, so the grid, its errors and their order do not depend
+    on the CPU count.  The children run untraced: a tracer in the
+    calling process sees only the caller's rows.  An exception other
+    than ``QuadnfError`` in any row propagates, and the pool is
+    terminated first.
     """
     if isinstance(steps, int):
         steps = (steps, steps)
@@ -358,22 +422,12 @@ def scan_two_mode(
     etas = np.linspace(eta_range[0], eta_range[1], steps[0])
     lambdas = np.linspace(lambda_range[0], lambda_range[1], steps[1])
     verdicts, signatures, structure, errors = [], [], [], {}
-    for i, eta in enumerate(etas):
-        vrow, srow, trow = [], [], []
-        for j, lam in enumerate(lambdas):
-            try:
-                rep = normal_form(two_mode_matrix(eta, lam), cfg)
-                vrow.append(rep.verdict.value)
-                srow.append(signature_string(rep))
-                trow.append(signature_string(rep, with_eigenvalues=False))
-            except QuadnfError as exc:
-                vrow.append("error")
-                srow.append(f"error:{type(exc).__name__}")
-                trow.append(f"error:{type(exc).__name__}")
-                errors[(i, j)] = str(exc)
+    for vrow, srow, trow, row_errors in _scan_rows(
+            [(i, eta, lambdas, cfg) for i, eta in enumerate(etas)]):
         verdicts.append(vrow)
         signatures.append(srow)
         structure.append(trow)
+        errors.update(row_errors)
     return ScanGrid(etas=etas, lambdas=lambdas, verdicts=verdicts, signatures=signatures,
                     structure=structure, boundary=_boundary_flags(structure), errors=errors)
 

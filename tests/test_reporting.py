@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -6,9 +8,14 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import GOLDEN_M, two_mode_m
-from quadnf import normal_form
+from quadnf import normal_form, reporting
 from quadnf.cli import main
-from quadnf.errors import BorderlineRankWarning, ParseError, StructureError
+from quadnf.errors import (
+    BorderlineRankWarning,
+    ParseError,
+    SpectrumStructureError,
+    StructureError,
+)
 from quadnf.reporting import (
     MatrixDocument,
     parse_matrix,
@@ -135,9 +142,16 @@ class TestSignatures:
         assert "Z(a2,m2,D1;D1)" in sig
 
     def test_structure_only_signature(self):
-        rep = normal_form(two_mode_matrix(1.0, 0.5))
-        sig = signature_string(rep, with_eigenvalues=False)
-        assert sig == "I(a1,m1,D1,s-i)|I(a1,m1,D1,s-i)"
+        for eta, lam, structure in [
+            (1.0, 0.5, "I(a1,m1,D1,s-i)|I(a1,m1,D1,s-i)"),
+            (1.0, 1.0, "I(a1,m1,D1,s-i)|Z(a2,m1,D2,s+1)"),
+            (-1.0, 0.4, "C(a1,m1,D1)"),
+            (1.0, 1.5, "I(a1,m1,D1,s-i)|R(a1,m1,D1)"),
+            (0.0, 0.0, "I(a1,m1,D1,s-i)|Z(a2,m2,D1;D1)"),
+            (-1.0, 0.0, "I(a2,m2,D1,s+i;D1,s-i)"),
+        ]:
+            rep = normal_form(two_mode_matrix(eta, lam))
+            assert signature_string(rep, with_eigenvalues=False) == structure, (eta, lam)
 
 
 class TestReportSerialization:
@@ -222,6 +236,53 @@ class TestScan:
         # deep inside the stable region nothing changes between neighbors
         _, _, flagged = grid.at(1.6, 0.2)
         assert not flagged
+
+
+def _fail_at(monkeypatch, cells, error):
+    """Make ``normal_form`` raise ``error(i, j)`` at cells (i, j) of the default 21x21 grid."""
+    axis = np.linspace(-2.0, 2.0, 21)
+    planted = {(axis[i], axis[j]): (i, j) for i, j in cells}
+    analyze = reporting.normal_form
+
+    def flaky(m, cfg):
+        cell = planted.get((m[1, 1], m[0, 1]))
+        if cell is not None:
+            raise error(*cell)
+        return analyze(m, cfg)
+
+    monkeypatch.setattr(reporting, "normal_form", flaky)
+
+
+class TestScanSplit:
+    """Rows split between the caller and a fork pool give the serial grid, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_pool_matches_serial(self, monkeypatch, cpus):
+        # at 2 CPUs rows 1 and 3 go to the pool and row 2 stays with the
+        # caller; at 3 CPUs rows 1 and 2 go to the pool and row 3 stays
+        cells = [(1, 4), (2, 5), (3, 7)]
+        _fail_at(monkeypatch, cells, lambda i, j: SpectrumStructureError(f"planted at {i},{j}"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = scan_two_mode(steps=21)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        split = scan_two_mode(steps=21)
+
+        assert list(serial.errors.items()) == [(c, f"planted at {c[0]},{c[1]}") for c in cells]
+        assert list(split.errors.items()) == list(serial.errors.items())
+        assert serialize_scan(split, boundary=True) == serialize_scan(serial, boundary=True)
+        assert split.verdicts == serial.verdicts
+        assert split.signatures == serial.signatures
+        assert split.structure == serial.structure
+        assert np.array_equal(split.boundary, serial.boundary)
+        assert split.signatures[3][7] == "error:SpectrumStructureError"
+
+    def test_unexpected_error_in_a_pool_row_propagates(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _fail_at(monkeypatch, [(3, 7)], lambda i, j: RuntimeError(f"pid {os.getpid()}"))
+        with pytest.raises(RuntimeError, match=r"^pid \d+$") as info:
+            scan_two_mode(steps=21)
+        assert str(info.value) != f"pid {os.getpid()}"  # raised in a pool worker
+        assert multiprocessing.active_children() == []
 
 
 class TestCli:
