@@ -19,9 +19,11 @@ square root in the algebra (``_dual_normalize`` for a pivot pair), and
 quadruplets pair chains at lam with partners at -lam.  Imaginary and
 zero chains are their own partners up to conjugation, which does
 nothing at lam = 0, so cases 3, 5 and 6 share one self-dual routine;
-the odd-rank zero chains (case 4) add the f/h pairing.  A Bogoliubov
-diagonalization is the imaginary routine on rank-1 chains, where the
-square root reduces to a real scaling.
+the odd-rank zero chains (case 4) add the f/h pairing.  A simple class
+away from zero (one rank-1 chain, plus its partner for a real pair or
+quadruplet) has one-coefficient polynomials only, so its routine runs the
+same recipe in scalars.  A Bogoliubov diagonalization is the imaginary
+routine on rank-1 chains, where the square root reduces to a real scaling.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def poly_product(a: NilpotentPoly, b: NilpotentPoly) -> NilpotentPoly:
     return NilpotentPoly(a.eigenvalue, out)
 
 
+def _root(lead: complex):
+    """The principal square root of a leading coefficient, as ``poly_sqrt`` takes it."""
+    if lead == 0:
+        raise NondegeneracyError("cannot take the square root of a nilpotent element")
+    return np.sqrt(lead)
+
+
 def poly_sqrt(w: NilpotentPoly) -> NilpotentPoly:
     """Square root in the algebra, solved coefficient by coefficient.
 
@@ -108,12 +117,10 @@ def poly_sqrt(w: NilpotentPoly) -> NilpotentPoly:
     the rest follow from the convolution recursion.  Requires an
     invertible leading coefficient.
     """
-    if w.leading == 0:
-        raise NondegeneracyError("cannot take the square root of a nilpotent element")
     d = w.rank_bound
     cw = w.array()
     phi = np.zeros(d, dtype=complex)
-    phi[0] = np.sqrt(complex(cw[0]))
+    phi[0] = _root(w.leading)
     for k in range(1, d):
         conv = np.dot(phi[1:k], phi[k - 1:0:-1]) if k >= 2 else 0.0
         phi[k] = (cw[k] - conv) / (2.0 * phi[0])
@@ -261,11 +268,25 @@ def orthonormalize_real_complex(
     eigenspaces of lam and -lam is nondegenerate, so a usable pivot
     always exists in exact arithmetic).
 
+    A simple class, one rank-1 chain and partner, takes the same steps
+    in scalars: alpha, then phi = sqrt(W) and 1 / phi.  The partner's
+    1 / phi* is 1 / phi to the bit: with one coefficient, phi* is phi
+    up to the sign of a zero imaginary part, which 1 / phi ignores.
+
     Returns a list of (chain, partner_chain) in descending rank order.
     """
     k = np.asarray(k, dtype=float)
     work = [(c.generator.copy(), c.rank) for c in chains]
     work_p = [(c.generator.copy(), c.rank) for c in partners]
+    if len(chains) == len(partners) == 1 and chains[0].rank == partners[0].rank == 1:
+        (g, _), (gt, _) = work[0], work_p[0]
+        a = form_product(g, gt)
+        if abs(a) > _alpha_threshold(cfg, g, gt):  # else the loop raises on it
+            gt = gt / a
+            inv = 1.0 / _root(form_product(g, gt))
+            real = complex(lam).imag == 0 and not np.iscomplexobj(g) and inv.imag == 0
+            e_vec = (inv.real if real else inv) * g  # apply_poly's real and complex branches
+            return [(make_chain(k, lam, e_vec, 1), make_chain(k, -lam, inv * gt, 1))]
     done: list[tuple[JordanChain, JordanChain]] = []
 
     def candidates(r):
@@ -309,12 +330,22 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: C
     itself: the pair the pivot rule picks on it is replaced by those two
     (``NondegeneracyError`` if there is none).
 
+    A simple class at lam != 0, one rank-1 chain, takes the same steps
+    in scalars: the pairing, sigma, then sqrt(-sigma W) and its inverse.
+
     Returns ``(done, rest)``: the (chain, sigma) pivots and the leftover
     chains, both in descending rank order.
     """
     k = np.asarray(k, dtype=float)
     real = lam == 0
     work = [(c.generator.astype(float if real else complex), c.rank) for c in chains]
+    if not real and len(chains) == 1 and chains[0].rank == 1:
+        g = work[0][0]
+        w = form_product(g, g.conj())
+        if abs(w.imag) > _alpha_threshold(cfg, g):  # else the loop raises on it
+            sigma = 1j * np.sign(w.imag)
+            e_vec = 1.0 / _root(-1 * sigma * w) * g  # (-1)^r sigma W at r = 1, as below
+            return [(make_chain(k, lam, e_vec, 1), sigma)], []
     done: list[tuple[JordanChain, complex]] = []
 
     def part(a: complex, r: int) -> float:

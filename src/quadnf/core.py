@@ -110,7 +110,7 @@ def build_eom(m, cfg: Config = DEFAULT) -> np.ndarray:
     m = require_hamiltonian_matrix(m, cfg)
     n = m.shape[0] // 2
     # J M without forming J: top rows take the p-block, bottom rows negate the x-block.
-    return np.vstack([m[n:, :], -m[:n, :]])
+    return np.concatenate([m[n:, :], -m[:n, :]])
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,12 @@ def symplectic_residual(t: np.ndarray) -> float:
     """Max-norm of T J T^T - J, the symplectic defect; T J is formed exactly, as a column swap."""
     t = np.asarray(t)
     n = _even_dim(t)
-    return maxnorm(np.hstack([-t[:, n:], t[:, :n]]) @ t.T - symplectic_form(n))
+    defect = np.concatenate([-t[:, n:], t[:, :n]], axis=1) @ t.T
+    # Minus J in place: its entries +1 at (i, n + i) and -1 at (n + i, i), i < n,
+    # lie every 2N + 1 places along the flattened product.
+    defect.flat[n:2 * n * n:2 * n + 1] -= 1.0
+    defect.flat[2 * n * n::2 * n + 1] += 1.0
+    return maxnorm(defect)
 
 
 def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:

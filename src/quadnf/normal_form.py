@@ -485,7 +485,7 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     n_matrix = (n_matrix + n_matrix.T) / 2.0
     terms, zero_modes = emit_terms(blocks)
     verdict, reasons = _verdict(blocks)
-    n_expected = np.vstack([-kn_expected[n_modes:], kn_expected[:n_modes]])  # -J K_N, exactly
+    n_expected = np.concatenate([-kn_expected[n_modes:], kn_expected[:n_modes]])  # -J K_N, exactly
     residuals.update(
         block_match=block_residual,
         n_reconstruction=maxnorm(n_matrix - n_expected),
@@ -594,9 +594,11 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
                     break
             else:
                 continue  # no radius pairs up; last is the error at radii[i + 4], new this attempt
+            rank_tol = max(cfg.rank_tol, radii[i])
             try:
-                return _attempt_normal_form(m, k, clustered[level], eigenvalues, vectors,
-                                            replace(cfg, rank_tol=max(cfg.rank_tol, radii[i])))
+                return _attempt_normal_form(
+                    m, k, clustered[level], eigenvalues, vectors,
+                    cfg if rank_tol == cfg.rank_tol else replace(cfg, rank_tol=rank_tol))
             except (PipelineError, VerificationError) as exc:
                 last = exc
         raise last

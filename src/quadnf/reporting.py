@@ -371,11 +371,21 @@ def _scan_row(i: int, eta: float, lambdas: np.ndarray, cfg: Config):
     return verdicts, signatures, structure, errors
 
 
+# Smallest grid, in cells, whose rows are split between the caller and a pool.
+# Measured with 2 usable CPUs (2 vCPUs of an Intel Xeon, 1 BLAS thread, medians of
+# 41): a split scan takes about 20 ms more than half the serial time (12 ms on a
+# 2-cell grid, 19-20 ms on 40 and 82 cells), and a cell takes about 0.57 ms, so
+# the split gains from about 20 / (0.57 / 2) = 70 cells.
+_POOL_MIN_CELLS = 70
+
+
 def _scan_rows(rows: list) -> list:
-    """``_scan_row(*row)`` of every row, in row order, on the usable CPUs."""
+    """``_scan_row(*row)`` of every row, in row order, on the usable CPUs; serially
+    in the caller for a grid of fewer than ``_POOL_MIN_CELLS`` cells."""
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
                   len(rows))
-    if workers > 1:
+    cells = len(rows) * len(rows[0][2])  # rows are (i, eta, lambdas, cfg)
+    if workers > 1 and cells >= _POOL_MIN_CELLS:
         # imported here, as multiprocessing.pool would add about 25 ms
         # to every CLI call that does not scan
         import multiprocessing
@@ -406,11 +416,12 @@ def scan_two_mode(
     every classification boundary to within one cell.
 
     The rows are split across the usable CPUs (the process's affinity
-    mask): where the platform can fork, a pool of one fewer processes
-    takes every row whose index is not a multiple of the CPU count,
-    while the caller runs the rest.  Every row runs the same code on the
-    same inputs, so the grid, its errors and their order do not depend
-    on the CPU count.  The children run untraced: a tracer in the
+    mask) once the grid has ``_POOL_MIN_CELLS`` cells; a smaller grid
+    runs serially.  Where the platform can fork, a pool of one fewer
+    processes takes every row whose index is not a multiple of the CPU
+    count, while the caller runs the rest.  Every row runs the same code
+    on the same inputs, so the grid, its errors and their order do not
+    depend on the CPU count.  The children run untraced: a tracer in the
     calling process sees only the caller's rows.  An exception other
     than ``QuadnfError`` in any row propagates, and the pool is
     terminated first.

@@ -95,22 +95,24 @@ class SpectrumReport:
 
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
-    merges the first close pair i < j, in row-major order, into its weighted mean at i."""
+    merges the first close pair i < j, in row-major order, into its weighted mean at i.
+    The values come back as Python complex, whatever type they merged in."""
     values = list(values)
     mults = list(mults)
-    while len(values) > 1:
-        v = np.array(values)
-        close = np.abs(v[:, None] - v) <= eps
-        np.fill_diagonal(close, False)  # symmetric, so the first hit has i < j
-        hit = int(np.argmax(close))
-        if not close.flat[hit]:
+    while True:
+        v = np.array(values, dtype=complex)
+        if len(values) < 2:
             break
-        i, j = divmod(hit, len(values))
+        close = np.abs(v[:, None] - v) <= eps
+        close.flat[::len(values) + 1] = False  # symmetric, so the first hit has i < j
+        i, j = divmod(int(close.argmax()), len(values))
+        if not close[i, j]:
+            break
         total = mults[i] + mults[j]
         values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
         mults[i] = total
         del values[j], mults[j]
-    return values, mults
+    return v.tolist(), mults
 
 
 def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _eigenvalues=None):
@@ -136,56 +138,75 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
 
     values, mults = _union_clusters(list(raw), [1] * len(raw), eps)
     # Snap onto the real/imaginary axes, then re-merge anything that collided.
-    snapped = []
-    for v in values:
-        re = 0.0 if abs(v.real) <= eps else v.real
-        im = 0.0 if abs(v.imag) <= eps else v.imag
-        snapped.append(complex(re, im))
-    values, mults = _union_clusters(snapped, mults, eps)
+    snapped = [complex(0.0 if abs(v.real) <= eps else v.real, 0.0 if abs(v.imag) <= eps else v.imag)
+               for v in values]
+    values, mults = _union_clusters(snapped, mults, eps) if snapped != values else (snapped, mults)
 
-    # Group into mirror orbits and enforce the pairing rules exactly.
+    # Group into mirror orbits and enforce the pairing rules exactly.  Each orbit takes,
+    # for each mirror image of its first value v, the first unused value within 10 eps.
+    # Such a value's key max(|Re|, |Im|) is within 10 eps of v's, so only the values
+    # whose keys lie within 20 eps of v's in one sorted order are tried (twice the
+    # distance, so that no rounding of the keys' differences can leave a value out).
+    near = 10 * eps
+    keys = [max(abs(v.real), abs(v.imag)) for v in values]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    place = [0] * len(values)
+    for p, j in enumerate(order):
+        place[j] = p
     used = [False] * len(values)
     out: list[tuple[complex, int]] = []
     for i, v in enumerate(values):
         if used[i]:
             continue
-        mirrors = {v, -v, v.conjugate(), -v.conjugate()}
+        lo = hi = place[i]
+        while lo > 0 and keys[i] - keys[order[lo - 1]] <= 2 * near:
+            lo -= 1
+        while hi + 1 < len(order) and keys[order[hi + 1]] - keys[i] <= 2 * near:
+            hi += 1
+        window = sorted([j for j in order[lo:hi + 1] if not used[j]])
         orbit = []
-        for target in mirrors:
-            found = None
-            for j, w in enumerate(values):
-                if not used[j] and abs(w - target) <= 10 * eps and j not in orbit:
-                    found = j
+        for target in {v, -v, v.conjugate(), -v.conjugate()}:
+            for j in window:
+                if abs(values[j] - target) <= near and j not in orbit:
+                    orbit.append(j)
                     break
-            if found is None:
+            else:
                 raise SpectrumStructureError(
                     f"eigenvalue {v:.6g} has no mirror partner near {target:.6g}"
                 )
-            orbit.append(found)
-        orbit = sorted(set(orbit))
-        if len({mults[j] for j in orbit}) != 1:
-            raise SpectrumStructureError(
-                f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
-            )
+        orbit.sort()
+        mult = mults[orbit[0]]
         # Average the orbit onto exact mirror symmetry (left to right, as np.mean sums 1-4 values).
-        re = sum([abs(values[j].real) for j in orbit]) / len(orbit)
-        im = sum([abs(values[j].imag) for j in orbit]) / len(orbit)
-        spread = max(
-            min(abs(values[j] - s) for s in {complex(re, im), complex(re, -im),
-                                             complex(-re, im), complex(-re, -im)})
-            for j in orbit
-        )
-        if spread > 10 * eps:
-            raise AmbiguousSpectrumError(
-                f"cluster around {v:.6g} has diameter {spread:.3e} after snapping"
-            )
+        re = im = 0
+        for j in orbit:
+            if mults[j] != mult:
+                raise SpectrumStructureError(
+                    f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
+                )
+            re += abs(values[j].real)
+            im += abs(values[j].imag)
+        re /= len(orbit)
+        im /= len(orbit)
+        # A value's distance to the corner (+-re, +-im) in its own quadrant is one of the
+        # four distances the spread takes the least of: within 10 eps, it passes.
+        if any(abs(complex(abs(values[j].real) - re, abs(values[j].imag) - im)) > near
+               for j in orbit):
+            corners = {complex(re, im), complex(re, -im), complex(-re, im), complex(-re, -im)}
+            spread = max(min(abs(values[j] - s) for s in corners) for j in orbit)
+            if spread > near:
+                raise AmbiguousSpectrumError(
+                    f"cluster around {v:.6g} has diameter {spread:.3e} after snapping"
+                )
+        # The set {rep, -rep, conj(rep), -conj(rep)}, the first of equal values kept
+        # (zero signs included), in (-Re, -Im) order.
         rep = complex(re, im)
-        members = sorted({rep, -rep, rep.conjugate(), -rep.conjugate()},
-                         key=lambda z: (-z.real, -z.imag))
+        if re and im:
+            members = (rep, rep.conjugate(), -rep.conjugate(), -rep)
+        else:
+            members = (rep, -rep) if re or im else (rep,)
+        out.extend((member, mult) for member in members)
         for j in orbit:
             used[j] = True
-        for member in members:
-            out.append((member, mults[orbit[0]]))
 
     total = sum(m for _, m in out)
     if total != dim:

@@ -32,7 +32,7 @@ from quadnf.algebra import (
     zero_odd_pairing,
 )
 from quadnf.errors import ContractViolationError, NondegeneracyError
-from quadnf.spectrum import classify_spectrum, extract_class_chains, make_chain
+from quadnf.spectrum import EigenvalueKind, classify_spectrum, extract_class_chains, make_chain
 
 
 def coef(p):
@@ -310,7 +310,8 @@ class TestRealComplexOrthonormalization:
         e1 = np.eye(2)[0]
         chains = [make_chain(k, 1.0, e1, 1)]
         partners = [make_chain(k, -1.0, e1, 1)]
-        with pytest.raises(NondegeneracyError, match="no nonvanishing chain pairing left"):
+        with pytest.raises(NondegeneracyError,
+                           match=r"^no nonvanishing chain pairing left for eigenvalue 1$"):
             orthonormalize_real_complex(k, 1.0, chains, partners)
 
 
@@ -517,7 +518,7 @@ class TestImaginaryOrthonormalization:
         chains = [make_chain(k, 1j, np.eye(2)[0], 1)]
         with pytest.raises(
             NondegeneracyError,
-            match=r"imaginary chains at 0\+1j have a fully degenerate Gram pairing",
+            match=r"^imaginary chains at 0\+1j have a fully degenerate Gram pairing$",
         ):
             orthonormalize_imaginary(k, 1j, chains)
 
@@ -568,3 +569,75 @@ class TestBogoliubovOrthonormalization:
             c = np.vdot(g, e.generator) / np.vdot(g, g)
             assert abs(c.imag) <= 1e-12 * abs(c) and c.real > 0
             assert np.linalg.norm(e.generator - c * g) <= 1e-12 * np.linalg.norm(e.generator)
+
+
+def _general_pair(k, lam, g, gt):
+    """The polynomial recipe of orthonormalize_real_complex for one rank-1 pair."""
+    g, gt = g.copy(), gt.copy()
+    gt = gt / alpha(k, lam, g, gt, 1)
+    phi = poly_sqrt(omega(k, lam, g, gt, 1))
+    e = apply_poly(poly_inverse(phi), k, g)
+    et = apply_poly(NilpotentPoly(-lam, poly_inverse(poly_star(phi)).coef), k, gt)
+    return e, et
+
+
+def _general_imaginary(k, lam, g):
+    """The polynomial recipe of orthonormalize_imaginary for one rank-1 chain."""
+    g = g.astype(complex)
+    w = omega(k, lam, g, g.conj(), 1)
+    sigma = 1j * np.sign(w.leading.imag)
+    phi = poly_sqrt(NilpotentPoly(lam, (-1) ** 1 * sigma * w.array()))
+    return apply_poly(poly_inverse(phi), k, g), sigma
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _simple_classes(m):
+    """(K, class, chains) of every class of M, the chains as the pipeline makes them:
+    for a simple class, strided columns of eig(K)."""
+    k = build_eom(m)
+    eigenvalues, vectors = np.linalg.eig(k)
+    shifts = {}
+    spectrum = classify_spectrum(k, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                                 _shifts=shifts)
+    return [(k, cls, extract_class_chains(k, cls, _level1=shifts[cls.representative]))
+            for cls in spectrum.classes]
+
+
+class TestSimpleClassScalars:
+    """A simple class is normalized by scalars, bit for bit as the polynomial recipe."""
+
+    SPECS = [(1, 1.7 + 0j, 1, None), (2, 0.6 + 1.2j, 1, None), (6, 1.3j, 1, -1j),
+             (6, 2.1j, 1, 1j), (1, 0.4 + 0j, 1, None)]
+
+    def test_matches_polynomial_recipe(self, rng):
+        def strided(chain):
+            g = chain.generator
+            return make_chain(k, chain.eigenvalue, np.stack([g, g], axis=1)[:, 0], 1)
+
+        seen = set()
+        for _ in range(6):
+            m, _ = seeded_matrix(self.SPECS, rng)
+            for k, cls, cc in _simple_classes(m):
+                lam = cls.representative
+                if cls.kind is EigenvalueKind.REAL_PAIR:  # the real part of a complex column
+                    assert not cc.chains[0].generator.flags.c_contiguous
+                for chains, partners in ((cc.chains, cc.partners),
+                                         ([strided(c) for c in cc.chains],
+                                          [strided(c) for c in cc.partners])):
+                    g = chains[0].generator
+                    if cls.kind is EigenvalueKind.IMAGINARY_PAIR:
+                        ((e, sigma),) = orthonormalize_imaginary(k, lam, chains)
+                        want, want_sigma = _general_imaginary(k, lam, g)
+                        assert sigma == want_sigma and type(sigma) is type(want_sigma)
+                        assert _same_bits(e.generator, want)
+                    else:
+                        ((e, et),) = orthonormalize_real_complex(k, lam, chains, partners)
+                        want, want_t = _general_pair(k, lam, g, partners[0].generator)
+                        assert _same_bits(e.generator, want)
+                        assert _same_bits(et.generator, want_t)
+                        assert (e.eigenvalue, et.eigenvalue) == (lam, -lam)
+                seen.add(cls.kind)
+        assert len(seen) == 3

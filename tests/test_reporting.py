@@ -276,6 +276,16 @@ class TestScanSplit:
         assert np.array_equal(split.boundary, serial.boundary)
         assert split.signatures[3][7] == "error:SpectrumStructureError"
 
+    def test_small_grid_stays_serial(self, monkeypatch):
+        # opening and closing a pool costs more than a few cells take
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a small scan opened a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        grid = scan_two_mode(steps=(2, 1))
+        assert grid.errors == {} and len(grid.verdicts) == 2
+
     def test_unexpected_error_in_a_pool_row_propagates(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         _fail_at(monkeypatch, [(3, 7)], lambda i, j: RuntimeError(f"pid {os.getpid()}"))

@@ -10,7 +10,8 @@ from conftest import (
     two_mode_m,
 )
 from quadnf import build_eom, normal_form, symplectic_form
-from quadnf.errors import AmbiguousSpectrumError
+from quadnf.config import DEFAULT, maxnorm
+from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
 from quadnf.spectrum import (
     EigenvalueKind,
     classify_spectrum,
@@ -72,6 +73,126 @@ class TestClustering:
         for v in values:
             assert -v in values
             assert v.conjugate() in values
+
+
+def _reference_union(values, mults, eps):
+    values = list(values)
+    mults = list(mults)
+    while len(values) > 1:
+        v = np.array(values)
+        close = np.abs(v[:, None] - v) <= eps
+        np.fill_diagonal(close, False)
+        hit = int(np.argmax(close))
+        if not close.flat[hit]:
+            break
+        i, j = divmod(hit, len(values))
+        total = mults[i] + mults[j]
+        values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
+        mults[i] = total
+        del values[j], mults[j]
+    return values, mults
+
+
+def _reference_clusters(k, tol, raw):
+    """cluster_eigenvalues as a plain scan: every orbit tries every value for each
+    mirror image, and every snapped spectrum is merged again."""
+    eps = tol * (1.0 + maxnorm(k))
+    values, mults = _reference_union(list(raw), [1] * len(raw), eps)
+    snapped = []
+    for v in values:
+        re = 0.0 if abs(v.real) <= eps else v.real
+        im = 0.0 if abs(v.imag) <= eps else v.imag
+        snapped.append(complex(re, im))
+    values, mults = _reference_union(snapped, mults, eps)
+    used = [False] * len(values)
+    out = []
+    for i, v in enumerate(values):
+        if used[i]:
+            continue
+        orbit = []
+        for target in {v, -v, v.conjugate(), -v.conjugate()}:
+            found = None
+            for j, w in enumerate(values):
+                if not used[j] and abs(w - target) <= 10 * eps and j not in orbit:
+                    found = j
+                    break
+            if found is None:
+                raise SpectrumStructureError(
+                    f"eigenvalue {v:.6g} has no mirror partner near {target:.6g}")
+            orbit.append(found)
+        orbit = sorted(set(orbit))
+        if len({mults[j] for j in orbit}) != 1:
+            raise SpectrumStructureError(f"mirror eigenvalues of {v:.6g} have unequal multiplicities")
+        re = sum([abs(values[j].real) for j in orbit]) / len(orbit)
+        im = sum([abs(values[j].imag) for j in orbit]) / len(orbit)
+        spread = max(min(abs(values[j] - s) for s in {complex(re, im), complex(re, -im),
+                                                         complex(-re, im), complex(-re, -im)})
+                     for j in orbit)
+        if spread > 10 * eps:
+            raise AmbiguousSpectrumError(
+                f"cluster around {v:.6g} has diameter {spread:.3e} after snapping")
+        rep = complex(re, im)
+        members = sorted({rep, -rep, rep.conjugate(), -rep.conjugate()},
+                         key=lambda z: (-z.real, -z.imag))
+        for j in orbit:
+            used[j] = True
+        out.extend((member, mults[orbit[0]]) for member in members)
+    total = sum(m for _, m in out)
+    if total != k.shape[0]:
+        raise AmbiguousSpectrumError(f"clustered multiplicities sum to {total}, expected {k.shape[0]}")
+    out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
+    return out
+
+
+def _clustering_corpus(rng):
+    """(K, eig(K) values) pairs whose spectra exercise every branch of the clustering."""
+    def spectra():
+        for n in (1, 2, 3, 6, 16):  # generic and positive-definite
+            a = rng.normal(size=(2 * n, 2 * n))
+            yield build_eom((a + a.T) / 2)
+            yield build_eom(a @ a.T + 0.5 * np.eye(2 * n))
+        for d in range(2, 7):  # rings of eig(K) values around a defective eigenvalue
+            for case, lam in ((1, 0.9 + 0j), (2, 0.7 + 1.1j), (3 + d % 2, 0j), (5 + d % 2, 1.3j)):
+                sigma = {3: 1 + 0j, 5: 1 + 0j, 6: -1j}.get(case)
+                m, _ = seeded_matrix([(case, lam, d, sigma), (6, 2.2j, 1, -1j)], rng)
+                yield build_eom(m)
+        for t in (1e-13, 1e-9, 1e-7, 1e-5, 1e-3):  # values near the axes
+            for lam in (1.0 + t * 1j, t + 1.0j, t + 0j, complex(t, t)):
+                m, _ = seeded_matrix([(2, lam, 1, None)], rng)
+                yield build_eom(m)
+        yield build_eom(two_mode_m(1.0, 1.0))
+
+    for k in spectra():
+        yield k, np.linalg.eigvals(k)
+    # A quadruplet whose members each sit 9.9 eps (at t_0) from a mirror image of
+    # 1 + i, one outward and two inward: one lies 12.4 eps from the orbit mean.
+    k = build_eom(np.eye(4))
+    e = 9.9 * DEFAULT.clustering_tol * (1.0 + maxnorm(k))
+    yield k, np.array([1 + 1j, -(1 + e) - 1j, (1 - e) - 1j, -(1 - e) + 1j])
+
+
+class TestClusteringReference:
+    def test_same_as_plain_scan(self, rng):
+        radii = [DEFAULT.clustering_tol]
+        for _ in range(8):
+            radii.append(radii[-1] * 10.0)
+        outcomes = set()
+        for k, raw in _clustering_corpus(rng):
+            for tol in radii:
+                try:
+                    want = _reference_clusters(k, tol, raw)
+                except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+                    with pytest.raises(type(exc)) as info:
+                        cluster_eigenvalues(k, tol=tol, _eigenvalues=raw)
+                    assert str(info.value) == str(exc)
+                    outcomes.add(str(exc).split()[0])  # which check raised
+                    continue
+                got = cluster_eigenvalues(k, tol=tol, _eigenvalues=raw)
+                assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+                assert [type(v) for v, _ in got] == [complex] * len(got)
+                outcomes.add("ok")
+        # no mirror partner, unequal multiplicities, diameter, multiplicity sum
+        assert outcomes == {"ok", "eigenvalue", "mirror", "cluster", "clustered"}
 
 
 class TestClassification:
