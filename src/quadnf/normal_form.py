@@ -22,7 +22,7 @@ an all-case-6, rank-1 spectrum and takes the same construction;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -527,7 +527,7 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
 
 
 def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
-    shifts: dict = {}  # representative -> eig(K) columns or the one SVD of K - lam I
+    shifts: dict = {}  # representative -> eig(K) columns or restriction; Schur forms of K
     spectrum = classify_spectrum(k, clusters, cfg, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
     units: list[_Unit] = []
@@ -561,17 +561,13 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
 
     A defective eigenvalue of rank D splits under round-off like
     eps^(1/D), which no fixed clustering radius can absorb for every D,
-    so this function escalates, and nothing below it retries.  With
-    t_0 = ``clustering_tol`` and t_(j+1) = 10 t_j, attempt i (i = 0..4)
-    takes the clusters of the first radius among t_i .. t_(i+4) at which
-    ``cluster_eigenvalues`` pairs the spectrum up, and runs the rest of
-    the pipeline with ``rank_tol`` raised to t_i; the first attempt that
-    succeeds wins.  An attempt with no such radius is skipped.  Each
-    radius is clustered at most once, so a call makes at most 9
-    clustering passes, the widest at t_8 = 10^8 ``clustering_tol`` (1 +
-    max|K|), i.e. 10 (1 + max|K|) at the default tolerance.  Clean
-    spectra cluster once, at t_0.  After the fifth attempt the last
-    error is raised.
+    so this function escalates, and nothing below it retries.  It
+    clusters at t_0 = ``clustering_tol`` and t_(j+1) = 10 t_j, up to t_8
+    = 10^8 ``clustering_tol`` (1 + max|K|), i.e. 10 (1 + max|K|) at the
+    default tolerance, and runs the rest of the pipeline, with ``cfg``
+    as given, on each clustering that pairs the spectrum up and differs
+    from every one tried before; the first that succeeds wins, and after
+    t_8 the last error is raised.  Clean spectra cluster once, at t_0.
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
@@ -579,26 +575,21 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     radii = [cfg.clustering_tol]
     for _ in range(8):
         radii.append(radii[-1] * 10.0)
-    clustered: dict = {}  # level -> clusters at radii[level], None if they do not pair up
+    tried: list = []
     last: Exception | None = None
     try:
-        for i in range(5):
-            for level in range(i, i + 5):
-                if level not in clustered:
-                    try:
-                        clustered[level] = cluster_eigenvalues(k, cfg, tol=radii[level],
-                                                               _eigenvalues=eigenvalues)
-                    except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
-                        clustered[level], last = None, exc
-                if clustered[level] is not None:
-                    break
-            else:
-                continue  # no radius pairs up; last is the error at radii[i + 4], new this attempt
-            rank_tol = max(cfg.rank_tol, radii[i])
+        for tol in radii:
             try:
-                return _attempt_normal_form(
-                    m, k, clustered[level], eigenvalues, vectors,
-                    cfg if rank_tol == cfg.rank_tol else replace(cfg, rank_tol=rank_tol))
+                clusters = cluster_eigenvalues(k, cfg, tol=tol, _eigenvalues=eigenvalues)
+            except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+                last = exc
+                continue
+            shape = [mult for _, mult in clusters]
+            if shape in tried:  # a wider radius only merges, so this is a clustering tried before
+                continue
+            tried.append(shape)
+            try:
+                return _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg)
             except (PipelineError, VerificationError) as exc:
                 last = exc
         raise last

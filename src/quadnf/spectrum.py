@@ -6,7 +6,8 @@ families: real pairs {l, -l}, complex quadruplets {l, -l, conj(l),
 {l, conj(l)}.  This module clusters the numerically computed spectrum,
 snaps it onto the axes, symmetrizes it so the pairing rules hold
 exactly, classifies the result, and extracts Jordan chains (generalized
-eigenvectors with their ranks) for every eigenvalue.  A class's chain
+eigenvectors with their ranks) for every eigenvalue, a repeated one from
+K's restriction to its invariant subspace in a Schur form.  A class's chain
 ranks always add up to its algebraic multiplicity, so the zero class has
 an even number of odd-rank chains.  Which of the normal form's six chain
 cases a chain falls in is decided in ``normal_form``, not here.
@@ -217,65 +218,86 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
     return out
 
 
-def _factor(a: np.ndarray, widest_cut):
-    """One SVD of ``a`` as (s, null): all singular values, largest first, and as
-    columns the right singular vectors of those <= ``widest_cut(sigma_max)``; all
-    of them for a zero matrix, such as a nilpotent power whose true value is zero."""
+def _kernel(a: np.ndarray, cut):
+    """One SVD of ``a`` as (s, basis): all singular values, largest first, and as
+    columns the right singular vectors of those <= ``cut(sigma_max)``; all of them
+    for a zero matrix, such as a nilpotent power whose true value is zero."""
     if maxnorm(a) == 0.0:
         return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype)
     _, s, vh = np.linalg.svd(a)
-    return s, np.conjugate(vh[len(s) - int(np.sum(s <= widest_cut(s[0]))):]).T
+    return s, np.conjugate(vh[len(s) - int(np.sum(s <= cut(s[0]))):]).T
 
 
-def _nullspace(factor, thresh: float) -> np.ndarray:
-    """Orthonormal basis of the factored matrix's directions with singular value <= thresh."""
-    s, null = factor
-    return null[:, null.shape[1] - int(np.sum(s <= thresh)):]
+def _restrict(k: np.ndarray, lam: complex, algebraic: int, cfg: Config, schur: dict):
+    """K on the invariant subspace of its ``algebraic`` eigenvalues nearest lam.
 
-
-def _filtration_cut(top: float, norm_a: float, prev_top: float, dim: int, cfg: Config) -> float:
-    # Threshold singular values of A^k against sigma_max(A^k) itself (for
-    # non-normal A, norm(A)^k overshoots it by orders of magnitude and
-    # would swallow structural singular values), plus a round-off floor
-    # for the case A^k = 0 where sigma_max is pure multiplication noise.
-    return cfg.rank_tol * top + 1e3 * dim * np.finfo(float).eps * norm_a * prev_top
-
-
-def _factor_shift(k: np.ndarray, lam: complex, cfg: Config):
-    """The one SVD of K - lam I (real for real lam), for its rank cut and filtration level 1."""
-    a = k - lam * np.eye(k.shape[0])
-    return _factor(a.real if lam.imag == 0 else a, lambda top: max(
-        cfg.rank_tol * (1.0 + top), _filtration_cut(top, top, 1.0, k.shape[0], cfg)))
+    Returns (q, a, level1, schur): q an orthonormal basis, so K q = q (a +
+    lam I) for a = q^H K q - lam I (real for real lam), and level1 the SVD
+    of a cut at rank_tol (1 + sigma_max).  ``schur`` keeps K's real or
+    complex Schur form (gees) for the next lam; trsen reorders a copy.  A
+    LAPACK failure, or a reordering that takes one more eigenvalue to keep
+    a real 2 x 2 block whole, raises ``AmbiguousSpectrumError``.
+    """
+    from scipy.linalg import lapack  # SciPy costs ~0.2 s to import; simple classes skip it
+    form = "complex Schur" if lam.imag else "real Schur"
+    if form not in schur:
+        if lam.imag:
+            t, _, w, z, _, info = lapack.zgees(lambda _: 0, k.astype(complex))
+        else:
+            t, _, wr, wi, z, _, info = lapack.dgees(lambda *_: 0, k)
+            w = wr + 1j * wi
+        if info:
+            raise AmbiguousSpectrumError(f"Schur form of K failed (LAPACK info {info})")
+        schur[form] = t, z, w
+    t, z, w = schur[form]
+    select = np.zeros(len(w), dtype=np.int32)
+    select[np.argsort(np.abs(w - lam), kind="stable")[:algebraic]] = 1
+    if lam.imag:
+        t, z, _, dim, _, _, info = lapack.ztrsen(select, t, z, job="N")
+    else:
+        t, z, _, _, dim, _, _, info = lapack.dtrsen(select, t, z, job="N")
+    if info or dim != algebraic:
+        raise AmbiguousSpectrumError(
+            f"invariant subspace of the {algebraic} eigenvalues nearest {lam:.6g} not "
+            f"separated (dimension {dim}, LAPACK info {info})"
+        )
+    a = t[:algebraic, :algebraic] - lam * np.eye(algebraic)
+    a = a if lam.imag else a.real
+    return z[:, :algebraic], a, _kernel(a, lambda top: cfg.rank_tol * (1.0 + top)), schur
 
 
 def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=None,
-                           _eigenvectors=None) -> int:
-    """Dimension of null(K - lam I) via a singular-value threshold.
+                           _level1=None) -> int:
+    """Dimension of null(K - lam I): the singular values at or below rank_tol
+    (1 + sigma_max) of K - lam I restricted to the invariant subspace of the
+    eig(K) values within ``clustering_tol * (1 + max|K|)`` of lam.
 
-    A singular value within a factor 10 of the threshold makes the rank
-    decision fragile; a ``BorderlineRankWarning`` is emitted in that
-    case (the returned value still reflects the configured threshold).
-    The SVD of K - lam I it reads is left in ``_shifts[lam]`` if given.
-    Given ``_eigenvectors`` (lam simple), it leaves them there instead and
-    returns 1 without factoring, as 1 <= geometric <= algebraic = 1.
+    A singular value within a factor 10 of the cut makes the rank
+    decision fragile; a ``BorderlineRankWarning`` is emitted in that case
+    (the returned value still reflects the configured cut).  Given
+    ``_level1`` (that restriction, or the eig(K) columns of a simple lam)
+    it reads that instead, and leaves it in ``_shifts[lam]`` if given.
     """
-    if _eigenvectors is not None:
-        _shifts[lam] = _eigenvectors
-        return 1
-    factor = _factor_shift(np.asarray(k, dtype=float), lam, cfg)
+    if _level1 is None:
+        k = np.asarray(k, dtype=float)
+        eps = cfg.clustering_tol * (1.0 + maxnorm(k))
+        algebraic = int(np.sum(np.abs(np.linalg.eigvals(k) - lam) <= eps))
+        _level1 = _restrict(k, lam, algebraic, cfg, {})
     if _shifts is not None:
-        _shifts[lam] = factor
-    s = factor[0]
-    thresh = cfg.rank_tol * (1.0 + s[0])
+        _shifts[lam] = _level1
+    if isinstance(_level1, np.ndarray):
+        return 1
+    s, basis = _level1[2]
+    thresh = cfg.rank_tol * (1.0 + s[0]) if len(s) else 0.0
     borderline = [float(v) for v in s if thresh / 10 < v <= 10 * thresh]
     if borderline:
         warnings.warn(
-            f"singular values {borderline} of K - ({lam:.6g}) I lie within a "
+            f"singular values {borderline} of K - ({lam:.6g}) I, restricted, lie within a "
             f"factor 10 of the rank threshold {thresh:.3e}",
             BorderlineRankWarning,
             stacklevel=2,
         )
-    return int(np.sum(s <= thresh))
+    return basis.shape[1]
 
 
 def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=None,
@@ -287,12 +309,13 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
     Without ``clusters`` it clusters once, at ``clustering_tol``, on
     ``_eigenvalues`` if given; a failure to pair up there is raised, not
     retried (``normal_form`` widens the radius).  ``_shifts`` collects
-    each class's SVD of K - lam I (see geometric_multiplicity).
+    each class's restriction of K (see geometric_multiplicity) and, under
+    "Schur forms", the Schur forms of K those are read from.
 
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
-    nonzero class takes no SVD: ``_shifts`` gets the columns of lam and,
-    if paired, -lam, each owned by exactly one raw eigenvalue nearest to
-    it among the cluster members, else ``AmbiguousSpectrumError``.
+    nonzero class takes no Schur form: ``_shifts`` gets the columns of
+    lam and, if paired, -lam, each owned by exactly one raw eigenvalue
+    nearest to it among the cluster members, else ``AmbiguousSpectrumError``.
     """
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
@@ -305,6 +328,7 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
         raw_of = np.empty(len(centers), dtype=int)
         raw_of[owner] = np.arange(len(owner))
         index = {lam: i for i, (lam, _) in enumerate(clusters)}
+    schur: dict = {} if _shifts is None else _shifts.setdefault("Schur forms", {})
     seen: set[complex] = set()
     classes = []
     for lam, mult in clusters:
@@ -326,14 +350,15 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
         if not seen.isdisjoint(members):
             continue
         seen.update(members)
-        columns = None
         if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
             own = [index[mu] for mu in members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]]
             if any(owned[i] != 1 for i in own):
                 raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
-            columns = _eigenvectors[:, raw_of[own]]
-            columns = columns.real if rep.imag == 0 else columns
-        geometric = geometric_multiplicity(k, rep, cfg, _shifts=_shifts, _eigenvectors=columns)
+            level1 = _eigenvectors[:, raw_of[own]]
+            level1 = level1.real if rep.imag == 0 else level1
+        else:
+            level1 = _restrict(k, rep, mult, cfg, schur)
+        geometric = geometric_multiplicity(k, rep, cfg, _shifts=_shifts, _level1=level1)
         classes.append(EigenvalueClass(kind, rep, mult, geometric))
     report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
     if report.sum_rule_residual != 0:
@@ -381,33 +406,37 @@ def jordan_chains(
 ) -> list[JordanChain]:
     """Jordan chains for one eigenvalue via the nullspace filtration.
 
-    Computes V_k = null((K - lam I)^k) for increasing k until its
-    dimension saturates at the algebraic multiplicity, then picks chain
-    generators top-down: rank-D generators are chosen (by largest
-    residual, ties by lowest index) in V_D, orthogonally to V_{D-1} and
-    to the rank-D members of chains already chosen.  Real eigenvalues
-    (including zero) are processed in real arithmetic so their chains
-    are exactly real.  ``_level1`` is the SVD of K - lam I if known.
+    Works on the restriction A = Q^H K Q - lam I of K to the invariant
+    subspace of its ``algebraic`` eigenvalues nearest lam (Q orthonormal,
+    from K's Schur form): computes V_k = null(A^k) for increasing k
+    until its dimension saturates at the algebraic multiplicity, then
+    picks chain generators top-down: rank-D generators are chosen (by
+    largest residual, ties by lowest index) in V_D, orthogonally to
+    V_{D-1} and to the rank-D members of chains already chosen.  Each
+    generator w is lifted to Q w, whose chain is built on K.  Real
+    eigenvalues (including zero) use the real Schur form, so their
+    chains are exactly real.  ``_level1`` is the restriction if known.
 
-    Raises ``ChainExtractionError`` when the filtration dimensions are
-    inconsistent with the algebraic multiplicity.
+    Raises ``ChainExtractionError`` when the filtration stalls below the
+    algebraic multiplicity.
     """
     k = np.asarray(k, dtype=float)
-    dim = k.shape[0]
-    real_case = lam.imag == 0
-    a = (k - lam * np.eye(dim)).real if real_case else k - lam * np.eye(dim)
-    level = _factor_shift(k, lam, cfg) if _level1 is None else _level1
+    q, a, level, _ = _restrict(k, lam, algebraic, cfg, {}) if _level1 is None else _level1
 
-    bases = [np.zeros((dim, 0), dtype=a.dtype)]
+    bases = [np.zeros((algebraic, 0), dtype=a.dtype)]
     dims = [0]
-    power, norm_a, prev_top = a, level[0][0], 1.0
+    power, scale, prev_top = a, np.linalg.norm(k), 1.0
     while dims[-1] < algebraic:
         if len(dims) > 1:
             power = a @ power
-            level = _factor(power, lambda top: _filtration_cut(top, norm_a, prev_top, dim, cfg))
-        top = level[0][0]
-        basis = _nullspace(level, _filtration_cut(top, norm_a, prev_top, dim, cfg))
-        prev_top = top
+            # Cut A^k against sigma_max(A^k) itself (for non-normal A,
+            # norm(A)^k overshoots it by orders of magnitude and would
+            # swallow structural singular values), plus a round-off floor
+            # for A^k = 0, where sigma_max is pure multiplication noise:
+            # A carries the round-off of K's Schur form, eps |K|_F.
+            level = _kernel(power, lambda top: cfg.rank_tol * top + 1e3 * algebraic
+                            * np.finfo(float).eps * scale * prev_top)
+        prev_top, basis = level[0][0], level[1]
         if basis.shape[1] <= dims[-1]:
             raise ChainExtractionError(
                 f"nullspace filtration stalled at dimension {dims[-1]} "
@@ -415,31 +444,21 @@ def jordan_chains(
             )
         bases.append(basis)
         dims.append(basis.shape[1])
-    if dims[-1] != algebraic:
-        raise ChainExtractionError(
-            f"filtration saturated at {dims[-1]} instead of {algebraic}"
-        )
 
     depth = len(dims) - 1
     risen = [dims[kk] - dims[kk - 1] for kk in range(1, depth + 1)]  # chains of rank >= k
     exact = [risen[kk] - (risen[kk + 1] if kk + 1 < depth else 0) for kk in range(depth)]
 
-    chains: list[JordanChain] = []
+    chains: list[JordanChain] = []  # chains of A, in the coordinates of q
     for rank in range(depth, 0, -1):
         count = exact[rank - 1]
         if count == 0:
             continue
         # Subspace the new generators must be independent of: the lower
         # filtration level plus the rank-`rank` members of taller chains.
-        blockers = [bases[rank - 1]]
-        for chain in chains:
-            blockers.append(chain.vectors[rank - 1][:, None])
-        blocked = np.hstack([b.astype(complex if not real_case else float) for b in blockers])
-        q, _ = np.linalg.qr(blocked) if blocked.shape[1] else (blocked, None)
-        candidates = bases[rank].copy()
-        if blocked.shape[1]:
-            candidates = candidates - q @ (q.conj().T @ candidates)
-        picked = []
+        blocked, _ = np.linalg.qr(np.hstack([bases[rank - 1]] + [
+            chain.vectors[rank - 1][:, None] for chain in chains]))
+        candidates = bases[rank] - blocked @ (blocked.conj().T @ bases[rank])
         for _ in range(count):
             norms = np.linalg.norm(candidates, axis=0)
             idx = int(np.argmax(norms))
@@ -449,13 +468,9 @@ def jordan_chains(
                     f"for eigenvalue {lam:.6g}"
                 )
             g = candidates[:, idx] / norms[idx]
-            picked.append(g)
             candidates = candidates - np.outer(g, g.conj() @ candidates)
-        for g in picked:
-            if real_case:
-                g = g.real / np.linalg.norm(g.real)
-            chains.append(make_chain(k, lam, g, rank))
-    return chains
+            chains.append(make_chain(a, 0.0, g, rank))
+    return [make_chain(k, lam, q @ c.generator, c.rank) for c in chains]
 
 
 @dataclass
@@ -479,9 +494,10 @@ def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
     ``_level1`` is what ``classify_spectrum`` left in ``_shifts`` for the
     class.  For a simple lam these are eigenvector columns of eig(K):
     the one rank-1 chain of lam and, for real pairs and quadruplets, the
-    partner of -lam.  Otherwise it is the SVD of K - lam I (computed if
-    not given), and the chains come from the nullspace filtration of
-    K - lam I, the partner chains from that of K + lam I.
+    partner of -lam.  Otherwise it is the restriction of K to lam's
+    invariant subspace (computed if not given), and the chains come from
+    its nullspace filtration, the partner chains from that of -lam's
+    restriction, read from the same Schur form.
     """
     k = np.asarray(k, dtype=float)
     lam = cls.representative
@@ -490,22 +506,11 @@ def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
         chains = [make_chain(k, lam, _level1[:, 0], 1)]
         partners = [make_chain(k, -lam, _level1[:, 1], 1)] if paired else []
     else:
+        schur = {} if _level1 is None else _level1[3]
         chains = sorted(jordan_chains(k, lam, cls.algebraic, cfg, _level1=_level1),
                         key=lambda c: -c.rank)
-        partners = sorted(jordan_chains(k, -lam, cls.algebraic, cfg),
-                          key=lambda c: -c.rank) if paired else []
+        partners = sorted(jordan_chains(k, -lam, cls.algebraic, cfg, _level1=_restrict(
+            k, -lam, cls.algebraic, cfg, schur)), key=lambda c: -c.rank) if paired else []
     if paired and [c.rank for c in chains] != [c.rank for c in partners]:
         raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
-    got_m = len(chains)
-    if cls.geometric is not None and got_m != cls.geometric:
-        raise ChainExtractionError(
-            f"found {got_m} chains for {lam:.6g}, expected geometric multiplicity "
-            f"{cls.geometric}"
-        )
-    if sum(c.rank for c in chains) != cls.algebraic:
-        raise ChainExtractionError(
-            f"chain ranks for {lam:.6g} sum to {sum(c.rank for c in chains)}, "
-            f"expected {cls.algebraic}"
-        )
     return ClassChains(eigen_class=cls, chains=chains, partners=partners)
-

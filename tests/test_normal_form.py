@@ -525,9 +525,10 @@ class TestFactorizationCounts:
         counts = Counter()
         svd, norm, eig, eigvals = np.linalg.svd, np.linalg.norm, np.linalg.eig, np.linalg.eigvals
 
-        def counted_svd(*args, **kwargs):
+        def counted_svd(a, *args, **kwargs):
             counts["svd"] += 1
-            return svd(*args, **kwargs)
+            counts["svd", np.shape(a)] += 1
+            return svd(a, *args, **kwargs)
 
         def counted_norm(x, ord=None, *args, **kwargs):
             counts["norm2"] += ord == 2 and np.ndim(x) == 2
@@ -564,6 +565,19 @@ class TestFactorizationCounts:
         rep = normal_form(m)
         assert [(b.case, b.rank) for b in rep.blocks] == [(1, 2)]
         assert (calls["svd"], calls["eig"]) == (4, 1)
+
+    def test_svds_no_larger_than_the_class(self, calls, rng):
+        # A repeated eigenvalue is ranked on K restricted to its invariant
+        # subspace: every SVD is a x a for algebraic multiplicity a, never
+        # 2N x 2N, and K still takes one eig.
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j), (6, 1.9j, 1, 1j),
+                              (2, 0.6 + 1.1j, 1, None)], rng)
+        rep = normal_form(m)
+        assert rep.n_modes == 6
+        assert sorted((b.case, b.rank) for b in rep.blocks) == [(1, 2), (2, 1), (6, 1), (6, 1)]
+        shapes = [key[1] for key in calls if isinstance(key, tuple)]
+        assert shapes and max(max(shape) for shape in shapes) <= 2
+        assert (calls["eig"], calls["eigvals"]) == (1, 0)
 
     def test_escalation_reuses_eigvals(self, calls, rng, monkeypatch):
         # A rank-3 real pair splits beyond the first clustering radius.

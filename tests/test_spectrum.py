@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -378,6 +382,37 @@ class TestJordanChains:
         with pytest.raises(AmbiguousSpectrumError, match="no single eigenvector"):
             classify_spectrum(k, clusters, _eigenvalues=eigenvalues, _eigenvectors=vectors,
                               _shifts={})
+
+
+class TestSchurFailures:
+    """A failed LAPACK reordering is an ambiguous spectrum, which escalation
+    answers with the next radius, not a crash outside QuadnfError."""
+
+    @pytest.mark.parametrize("name,lam", [("dtrsen", 2.0), ("ztrsen", 3j)])
+    def test_reordering_failure_is_ambiguous(self, name, lam, monkeypatch):
+        from scipy.linalg import lapack
+
+        trsen = getattr(lapack, name)
+
+        def failing(*args, **kwargs):
+            *out, _ = trsen(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(lapack, name, failing)
+        with pytest.raises(AmbiguousSpectrumError, match="LAPACK info 1"):
+            jordan_chains(build_eom(GOLDEN_M), lam, algebraic=2 if lam == 2.0 else 1)
+
+    def test_stable_two_mode_leaves_scipy_linalg_unloaded(self):
+        # Only a repeated eigenvalue needs a Schur form, so SciPy's import
+        # (~0.2 s) stays off the path of a stable two-mode analysis.
+        code = ("import sys, quadnf\n"
+                "quadnf.normal_form([[1.0, 0.5, 0, 0], [0.5, 1.0, 0, 0], [0, 0, 1.0, 0], "
+                "[0, 0, 0, 1.0]])\n"
+                "print('scipy.linalg' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCases:

@@ -14,8 +14,10 @@ identical, e.g.
     diff <(python3 tools/planted_outcomes.py old/src 1) \\
          <(python3 tools/planted_outcomes.py src 1)
 
-BLAS is pinned to one thread, as in the benchmark.  The last line
-counts the outcomes.
+BLAS is pinned to one thread, as in the benchmark.  Six lines then
+count the outcomes by the largest planted rank (1-6), one more the
+inputs not ``ok`` whose largest rank is at most 4 at a scale of at
+most 0.6, and the last line counts all outcomes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from workloads import make_workload  # noqa: E402
 
 
 def outcomes(seed: int):
-    """Yield (index, outcome) for each planted pool input of ``seed``."""
+    """Yield (index, input, outcome) for each planted pool input of ``seed``."""
     import quadnf
     from quadnf import normal_form
     from quadnf.reporting import report_to_dict
@@ -52,9 +54,9 @@ def outcomes(seed: int):
             report = normal_form(inp.m)
             report_to_dict(report)
         except Exception as exc:  # a crash outside QuadnfError is an outcome too
-            yield index, type(exc).__name__
+            yield index, inp, type(exc).__name__
             continue
-        yield index, "wrong" if workload.check(inp, report) else "ok"
+        yield index, inp, "wrong" if workload.check(inp, report) else "ok"
 
 
 def main(argv=None) -> int:
@@ -66,9 +68,17 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     warnings.simplefilter("ignore")
     counts = Counter()
-    for index, outcome in outcomes(seed):
+    by_rank = {rank: Counter() for rank in range(1, 7)}
+    easy_misses = 0
+    for index, inp, outcome in outcomes(seed):
         counts[outcome] += 1
+        rank = max(spec[2] for spec in inp.specs)
+        by_rank[rank][outcome] += 1
+        easy_misses += outcome != "ok" and rank <= 4 and inp.scale <= 0.6
         print(index, outcome)
+    for rank, tally in by_rank.items():
+        print(f"rank {rank}", " ".join(f"{k}={v}" for k, v in sorted(tally.items())))
+    print("not ok at rank <= 4 and scale <= 0.6:", easy_misses)
     print("total", " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 
