@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Config, maxnorm
+from .config import maxnorm
 from .core import form_product
 from .errors import ContractViolationError, NondegeneracyError
 from .spectrum import JordanChain, make_chain
@@ -52,6 +52,10 @@ __all__ = [
     "zero_odd_pairing",
     "orthonormalize_imaginary",
 ]
+
+# Relative threshold below which a symplectic Gram pairing counts as zero
+# (triggers the superposition fixes).
+ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,10 +200,10 @@ def alpha(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> complex:
     return form_product(make_chain(k, lam, x, rank).vectors[0], y)
 
 
-def _alpha_threshold(cfg: Config, x: np.ndarray, y: np.ndarray | None = None) -> float:
+def _alpha_threshold(x: np.ndarray, y: np.ndarray | None = None) -> float:
     """Threshold for a vanishing pairing of x with y (with itself if y is None)."""
     sx = 1.0 + maxnorm(x)
-    return cfg.alpha_tol * sx * (sx if y is None else 1.0 + maxnorm(y))
+    return ALPHA_TOL * sx * (sx if y is None else 1.0 + maxnorm(y))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -225,7 +229,7 @@ def _pivot(ranks, candidates):
     return None
 
 
-def _pair_candidates(work, pairing, cfg: Config):
+def _pair_candidates(work, pairing):
     """``_pivot`` candidates: equal-rank pairs i < j of work, row-major,
     scored by ``pairing(g_i, g_j, r)``, with payload ``(i, j)``."""
     def candidates(r):
@@ -233,7 +237,7 @@ def _pair_candidates(work, pairing, cfg: Config):
         for ii, i in enumerate(idxs):
             for j in idxs[ii + 1:]:
                 gi, gj = work[i][0], work[j][0]
-                yield pairing(gi, gj, r), _alpha_threshold(cfg, gi, gj), (i, j)
+                yield pairing(gi, gj, r), _alpha_threshold(gi, gj), (i, j)
     return candidates
 
 
@@ -252,13 +256,8 @@ def _deflate(work, update):
         work[idx] = (_unit(update(g)), r)
 
 
-def orthonormalize_real_complex(
-    k,
-    lam: complex,
-    chains: list[JordanChain],
-    partners: list[JordanChain],
-    cfg: Config = DEFAULT,
-):
+def orthonormalize_real_complex(k, lam: complex, chains: list[JordanChain],
+                                partners: list[JordanChain]):
     """Symplectic orthonormalization for a real pair or complex quadruplet.
 
     Transforms generators g (at lam) and partner generators (at -lam)
@@ -281,7 +280,7 @@ def orthonormalize_real_complex(
     if len(chains) == len(partners) == 1 and chains[0].rank == partners[0].rank == 1:
         (g, _), (gt, _) = work[0], work_p[0]
         a = form_product(g, gt)
-        if abs(a) > _alpha_threshold(cfg, g, gt):  # else the loop raises on it
+        if abs(a) > _alpha_threshold(g, gt):  # else the loop raises on it
             gt = gt / a
             inv = 1.0 / _root(form_product(g, gt))
             real = complex(lam).imag == 0 and not np.iscomplexobj(g) and inv.imag == 0
@@ -295,7 +294,7 @@ def orthonormalize_real_complex(
                 continue
             for j, (gt, rt) in enumerate(work_p):
                 if rt == r:
-                    yield alpha(k, lam, g, gt, r), _alpha_threshold(cfg, g, gt), (i, j)
+                    yield alpha(k, lam, g, gt, r), _alpha_threshold(g, gt), (i, j)
 
     while work:
         pick = _pivot(sorted({r for _, r in work}, reverse=True), candidates)
@@ -318,7 +317,7 @@ def orthonormalize_real_complex(
     return done
 
 
-def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: Config):
+def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain]):
     """Orthonormalization of chains that are their own symplectic partners.
 
     Each e_j gets Omega(e_j, conj(e_j')) = delta_jj' sigma_j, sigma_j = +-1
@@ -342,7 +341,7 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: C
     if not real and len(chains) == 1 and chains[0].rank == 1:
         g = work[0][0]
         w = form_product(g, g.conj())
-        if abs(w.imag) > _alpha_threshold(cfg, g):  # else the loop raises on it
+        if abs(w.imag) > _alpha_threshold(g):  # else the loop raises on it
             sigma = 1j * np.sign(w.imag)
             e_vec = 1.0 / _root(-1 * sigma * w) * g  # (-1)^r sigma W at r = 1, as below
             return [(make_chain(k, lam, e_vec, 1), sigma)], []
@@ -355,11 +354,9 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: C
         for i, (g, rg) in enumerate(work):
             if rg == r:
                 w = omega(k, lam, g, g.conj(), r)
-                yield part(w.leading, r), _alpha_threshold(cfg, g), (w, i)
+                yield part(w.leading, r), _alpha_threshold(g), (w, i)
 
-    cross_pairs = _pair_candidates(
-        work, lambda gi, gj, r: part(alpha(k, lam, gi, gj.conj(), r), r), cfg
-    )
+    cross_pairs = _pair_candidates(work, lambda gi, gj, r: part(alpha(k, lam, gi, gj.conj(), r), r))
     while ranks := sorted({r for _, r in work if not real or r % 2 == 0}, reverse=True):
         pick = _pivot(ranks, candidates)
         if pick is None:
@@ -386,7 +383,7 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain], cfg: C
     return done, sorted((make_chain(k, lam, g, r) for g, r in work), key=lambda c: -c.rank)
 
 
-def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
+def orthonormalize_zero(k, chains: list[JordanChain]):
     """Symplectic orthonormalization of the zero-eigenvalue chains.
 
     The imaginary routine at lam = 0.  Even-rank chains (case 3) come out
@@ -397,10 +394,10 @@ def orthonormalize_zero(k, chains: list[JordanChain], cfg: Config = DEFAULT):
     Returns ``(case3, case4)`` where case3 is a list of (chain, sigma)
     in descending rank order and case4 the list of remaining chains.
     """
-    return _orthonormalize_self_dual(k, 0.0, chains, cfg)
+    return _orthonormalize_self_dual(k, 0.0, chains)
 
 
-def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
+def zero_odd_pairing(k, chains: list[JordanChain]):
     """Pair odd-rank zero chains into (f, h) with Omega(f, h) = identity.
 
     The 2n chains of case 4 are combined pairwise (equal ranks, largest
@@ -419,7 +416,7 @@ def zero_odd_pairing(k, chains: list[JordanChain], cfg: Config = DEFAULT):
         )
     work = [(c.generator.astype(float), c.rank) for c in chains]
     pairs: list[tuple[JordanChain, JordanChain]] = []
-    candidates = _pair_candidates(work, lambda gi, gj, r: alpha(k, 0.0, gi, gj, r).real, cfg)
+    candidates = _pair_candidates(work, lambda gi, gj, r: alpha(k, 0.0, gi, gj, r).real)
 
     while work:
         pick = _pivot(sorted({r for _, r in work}, reverse=True), candidates)
@@ -471,12 +468,7 @@ def _solve_quadratic_correction(a11: NilpotentPoly, a22: NilpotentPoly) -> Nilpo
     return NilpotentPoly(0.0, psi)
 
 
-def orthonormalize_imaginary(
-    k,
-    lam: complex,
-    chains: list[JordanChain],
-    cfg: Config = DEFAULT,
-):
+def orthonormalize_imaginary(k, lam: complex, chains: list[JordanChain]):
     """Symplectic orthonormalization for an imaginary pair.
 
     Conjugate partners are implicit (the chains at conj(lam) are the
@@ -486,4 +478,4 @@ def orthonormalize_imaginary(
 
     Returns a list of (chain, sigma) in descending rank order.
     """
-    return _orthonormalize_self_dual(k, lam, chains, cfg)[0]
+    return _orthonormalize_self_dual(k, lam, chains)[0]

@@ -10,7 +10,6 @@ import sys
 
 import click
 
-from .config import DEFAULT
 from .core import build_eom, validate_eom_structure
 from .errors import QuadnfError, ValidationError, VerificationError
 from .normal_form import normal_form
@@ -59,7 +58,7 @@ def analyze(input, tolerance, fmt, output):
     """Analyze a matrix document (file path or '-' for stdin)."""
     try:
         doc = _read_document(input, tolerance=tolerance)
-        report = normal_form(doc.matrix, doc.config(DEFAULT))
+        report = normal_form(doc.matrix, doc.config())
     except QuadnfError as exc:
         click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
         sys.exit(_exit_code(exc))
@@ -103,7 +102,7 @@ def check(input):
     """Validate a matrix document and report structural diagnostics."""
     try:
         doc = _read_document(input)
-        cfg = doc.config(DEFAULT)
+        cfg = doc.config()
         k = build_eom(doc.matrix, cfg)
     except QuadnfError as exc:
         click.echo(f"error ({type(exc).__name__}): {exc}", err=True)

@@ -1,69 +1,41 @@
-"""Numerical configuration shared across the pipeline.
+"""The structural tolerance shared across the pipeline.
 
-All structural checks use a combined absolute/relative tolerance
-``atol + rtol * scale`` where the scale is a max-norm of the matrix at
-hand.  The remaining knobs control the genuinely ill-posed decisions:
-eigenvalue clustering, numerical rank, and vanishing Gram pairings.
+Every structural check (symmetry, J K + K^T J = 0, the symplectic
+condition) uses the combined absolute/relative tolerance
+``tolerance + tolerance * scale``, where the scale is a max-norm of the
+matrix at hand; a document or ``--tolerance`` sets it.  The thresholds
+of the genuinely ill-posed decisions are constants of the module that
+decides with them: eigenvalue clustering and numerical rank in
+``spectrum``, vanishing Gram pairings in ``algebra``, the condition
+limit of a similarity in ``core`` and the verification budget in
+``normal_form``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Config:
-    """Tolerances and limits for the normal-form pipeline.
+    """The structural tolerance of the normal-form pipeline.
 
     Attributes
     ----------
-    atol, rtol : float
-        Absolute/relative tolerance for structural residual checks
-        (symmetry, JK + K^T J = 0, symplectic condition).
-    clustering_tol : float
-        Relative eigenvalue clustering radius; two eigenvalues within
-        ``clustering_tol * (1 + max|K|)`` belong to one cluster, and a
-        cluster within that distance of an axis is snapped onto it.
-    rank_tol : float
-        Relative singular-value threshold for nullspace/rank decisions.
-    alpha_tol : float
-        Relative threshold below which a symplectic Gram pairing counts
-        as zero (triggers the superposition fixes).
-    cond_limit : float
-        Condition-number estimate above which similarity transformations
-        are refused.
-    verify_tol : float
-        Relative tolerance for the final block-structure verification.
-    oracle_samples : int
-        Number of time samples used by the matrix-exponential
-        boundedness oracle.
+    tolerance : float
+        Absolute and relative tolerance for structural residual checks
+        (symmetry, JK + K^T J = 0, symplectic condition).  It also
+        widens ``normal_form``'s verification budget once it exceeds
+        ``normal_form.VERIFY_TOL``.
     """
 
-    atol: float = 1e-10
-    rtol: float = 1e-10
-    clustering_tol: float = 1e-7
-    rank_tol: float = 1e-7
-    alpha_tol: float = 1e-9
-    cond_limit: float = 1e12
-    verify_tol: float = 1e-7
-    oracle_samples: int = 40
+    tolerance: float = 1e-10
 
     def tol(self, scale: float = 1.0) -> float:
         """Combined tolerance for a structural check at the given scale."""
-        return self.atol + self.rtol * scale
-
-    def with_tolerance(self, tol: float) -> "Config":
-        """Copy of this config with the structural tolerances overridden.
-
-        The verification budget is widened along with the structural
-        tolerance: a matrix that is only symmetric to ``tol`` cannot
-        match its ideal block structure any better than that.
-        """
-        return replace(
-            self, atol=tol, rtol=tol, verify_tol=max(self.verify_tol, tol)
-        )
+        return self.tolerance + self.tolerance * scale
 
 
 DEFAULT = Config()

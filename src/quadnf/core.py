@@ -42,6 +42,13 @@ __all__ = [
     "stability_oracle",
 ]
 
+# Condition-number estimate above which similarity transformations are
+# refused.
+COND_LIMIT = 1e12
+
+# Number of time samples used by the matrix-exponential boundedness oracle.
+ORACLE_SAMPLES = 40
+
 
 def _even_dim(a: np.ndarray) -> int:
     """Return N for a square 2N x 2N array, raising on bad shapes."""
@@ -131,7 +138,7 @@ class EomDiagnostics:
         )
 
 
-def validate_eom_structure(k, tol: float | None = None, cfg: Config = DEFAULT) -> EomDiagnostics:
+def validate_eom_structure(k, cfg: Config = DEFAULT) -> EomDiagnostics:
     """Check J K + K^T J = 0 and the symmetry of the off-diagonal N x N blocks.
 
     Returns diagnostics rather than raising; ``passed`` is True when all
@@ -143,13 +150,11 @@ def validate_eom_structure(k, tol: float | None = None, cfg: Config = DEFAULT) -
     residual = maxnorm(j @ k + k.T @ j)
     a_r = k[:n, n:]
     a_l = k[n:, :n]
-    if tol is None:
-        tol = cfg.tol(maxnorm(k))
     return EomDiagnostics(
         hamiltonian_residual=residual,
         upper_block_asymmetry=maxnorm(a_r - a_r.T),
         lower_block_asymmetry=maxnorm(a_l - a_l.T),
-        tolerance=float(tol),
+        tolerance=float(cfg.tol(maxnorm(k))),
     )
 
 
@@ -190,10 +195,10 @@ def transform_hamiltonian(m, t, cfg: Config = DEFAULT) -> np.ndarray:
     return (n + n.T) / 2.0
 
 
-def similarity(k, t, cfg: Config = DEFAULT, *, _cond: float | None = None) -> np.ndarray:
+def similarity(k, t, *, _cond: float | None = None) -> np.ndarray:
     """Similarity transformation T^{-1} K T (spectrum preserving).
 
-    Refuses matrices whose condition estimate exceeds ``cfg.cond_limit``,
+    Refuses matrices whose condition estimate exceeds ``COND_LIMIT``,
     beyond which the result would be numerical noise.  ``_cond`` is that
     estimate, cond(T), when the caller has computed it already.
     """
@@ -201,8 +206,8 @@ def similarity(k, t, cfg: Config = DEFAULT, *, _cond: float | None = None) -> np
     t = np.asarray(t, dtype=float)
     _even_dim(k)
     cond = np.linalg.cond(t) if _cond is None else _cond
-    if not np.isfinite(cond) or cond > cfg.cond_limit:
-        raise IllConditionedError(f"condition estimate {cond:.3e} exceeds {cfg.cond_limit:.1e}")
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedError(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
     return np.linalg.solve(t, k @ t)
 
 
@@ -228,7 +233,7 @@ def to_bosonic(t) -> np.ndarray:
     return g.conj().T @ t @ g
 
 
-def propagate(k, t: float, cfg: Config = DEFAULT) -> np.ndarray:
+def propagate(k, t: float) -> np.ndarray:
     """Matrix exponential exp(K t), the linear Heisenberg propagator.
 
     Raises ``SaturationError`` when the exponential overflows (strongly
@@ -250,32 +255,27 @@ def propagate(k, t: float, cfg: Config = DEFAULT) -> np.ndarray:
     return result
 
 
-def stability_oracle(
-    k,
-    t_max: float,
-    growth_threshold: float,
-    cfg: Config = DEFAULT,
-) -> bool:
+def stability_oracle(k, t_max: float, growth_threshold: float) -> bool:
     """Empirical boundedness check of the propagator, independent of spectra.
 
-    Samples ||exp(K t)||_2 on a uniform grid over [0, t_max] and reports
-    True iff the supremum stays within ``growth_threshold``.  Overflow
-    counts as unbounded.  This is a cross-check for the spectral
-    stability verdict, not a replacement for it.
+    Samples ||exp(K t)||_2 on a uniform grid of ``ORACLE_SAMPLES`` steps
+    over [0, t_max] and reports True iff the supremum stays within
+    ``growth_threshold``.  Overflow counts as unbounded.  This is a
+    cross-check for the spectral stability verdict, not a replacement
+    for it.
     """
     from scipy.linalg import expm
     k = np.asarray(k, dtype=float)
     _even_dim(k)
     if t_max <= 0:
         raise ContractViolationError("t_max must be positive")
-    steps = max(int(cfg.oracle_samples), 1)
-    dt = t_max / steps
+    dt = t_max / ORACLE_SAMPLES
     with np.errstate(over="ignore", invalid="ignore"):
         step = expm(k * dt)
     if not np.all(np.isfinite(step)):
         return False
     prop = np.eye(k.shape[0])
-    for _ in range(steps):
+    for _ in range(ORACLE_SAMPLES):
         with np.errstate(over="ignore", invalid="ignore"):
             prop = step @ prop
         if not np.all(np.isfinite(prop)):

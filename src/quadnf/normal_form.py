@@ -44,6 +44,7 @@ from .errors import (
     WrongPathError,
 )
 from .spectrum import (
+    CLUSTERING_TOL,
     EigenvalueKind,
     SpectrumReport,
     classify_spectrum,
@@ -67,6 +68,12 @@ __all__ = [
 ]
 
 SQRT2 = np.sqrt(2.0)
+
+# Relative tolerance for the final block-structure verification; a
+# structural tolerance above it widens the budget, as a matrix that is only
+# symmetric to that tolerance cannot match its ideal block structure any
+# better.
+VERIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -472,9 +479,9 @@ def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
     cond = float(np.linalg.cond(t))
-    kn_actual = similarity(k, t, cfg, _cond=cond)
+    kn_actual = similarity(k, t, _cond=cond)
     block_residual = maxnorm(kn_actual - kn_expected)
-    budget = cfg.verify_tol * (1.0 + maxnorm(k)) * max(1.0, cond)
+    budget = max(VERIFY_TOL, cfg.tolerance) * (1.0 + maxnorm(k)) * max(1.0, cond)
     if block_residual > budget:
         raise VerificationError(
             f"normal form mismatch: |T^-1 K T - expected| = {block_residual:.3e} "
@@ -528,26 +535,25 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
 
 def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
     shifts: dict = {}  # representative -> eig(K) columns or restriction; Schur forms of K
-    spectrum = classify_spectrum(k, clusters, cfg, _eigenvalues=eigenvalues,
+    spectrum = classify_spectrum(k, clusters, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
     units: list[_Unit] = []
     for cls in spectrum.classes:
-        chains = extract_class_chains(k, cls, cfg, _level1=shifts[cls.representative])
+        chains = extract_class_chains(k, cls, _level1=shifts[cls.representative])
         kind = cls.kind
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             case = 1 if kind is EigenvalueKind.REAL_PAIR else 2
-            pairs = orthonormalize_real_complex(
-                k, cls.representative, chains.chains, chains.partners, cfg
-            )
+            pairs = orthonormalize_real_complex(k, cls.representative, chains.chains,
+                                                chains.partners)
             units.extend(build_case_columns(case, pair) for pair in pairs)
         elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
-            case3, case4 = orthonormalize_zero(k, chains.chains, cfg)
+            case3, case4 = orthonormalize_zero(k, chains.chains)
             units.extend(build_case_columns(3, item) for item in case3)
-            units.extend(build_case_columns(4, pair) for pair in zero_odd_pairing(k, case4, cfg))
+            units.extend(build_case_columns(4, pair) for pair in zero_odd_pairing(k, case4))
         else:
             units.extend(
                 build_case_columns(5 + chain.rank % 2, (chain, sigma))
-                for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains, cfg)
+                for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains)
             )
     return _finish_report(m, k, spectrum, units, cfg)
 
@@ -562,17 +568,22 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     A defective eigenvalue of rank D splits under round-off like
     eps^(1/D), which no fixed clustering radius can absorb for every D,
     so this function escalates, and nothing below it retries.  It
-    clusters at t_0 = ``clustering_tol`` and t_(j+1) = 10 t_j, up to t_8
-    = 10^8 ``clustering_tol`` (1 + max|K|), i.e. 10 (1 + max|K|) at the
-    default tolerance, and runs the rest of the pipeline, with ``cfg``
-    as given, on each clustering that pairs the spectrum up and differs
-    from every one tried before; the first that succeeds wins, and after
-    t_8 the last error is raised.  Clean spectra cluster once, at t_0.
+    clusters at t_0 = ``spectrum.CLUSTERING_TOL`` and t_(j+1) = 10 t_j,
+    up to t_8 = 10^8 t_0, a radius of 10 (1 + max|K|), and runs the rest
+    of the pipeline on each clustering that pairs the spectrum up and
+    differs from every one tried before; the first that succeeds wins,
+    and after t_8 the last error is raised.  Clean spectra cluster once,
+    at t_0.
+
+    ``cfg`` carries only the structural tolerance: it checks M's symmetry
+    and T's symplectic condition, and it widens the verification budget
+    max(``VERIFY_TOL``, tolerance) (1 + max|K|) max(1, cond T), which
+    |T^-1 K T - K_N| must not exceed.
     """
     m = np.asarray(m, dtype=float)
     k = build_eom(m, cfg)
     eigenvalues, vectors = np.linalg.eig(k)
-    radii = [cfg.clustering_tol]
+    radii = [CLUSTERING_TOL]
     for _ in range(8):
         radii.append(radii[-1] * 10.0)
     tried: list = []
@@ -580,7 +591,7 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     try:
         for tol in radii:
             try:
-                clusters = cluster_eigenvalues(k, cfg, tol=tol, _eigenvalues=eigenvalues)
+                clusters = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
             except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
                 last = exc
                 continue

@@ -46,8 +46,8 @@ class MatrixDocument:
     matrix: np.ndarray
     tolerance: float | None = None
 
-    def config(self, base: Config = DEFAULT) -> Config:
-        return base.with_tolerance(self.tolerance) if self.tolerance else base
+    def config(self) -> Config:
+        return Config(self.tolerance) if self.tolerance else DEFAULT
 
 
 def _parse_json_document(text: str) -> MatrixDocument:
@@ -349,7 +349,7 @@ def _boundary_flags(signatures) -> np.ndarray:
     return flags
 
 
-def _scan_row(i: int, eta: float, lambdas: np.ndarray, cfg: Config):
+def _scan_row(i: int, eta: float, lambdas: np.ndarray):
     """Verdicts, signatures, structure tokens and errors of grid row ``i``.
 
     The errors map ``(i, j)`` to the message of the ``QuadnfError``
@@ -358,7 +358,7 @@ def _scan_row(i: int, eta: float, lambdas: np.ndarray, cfg: Config):
     verdicts, signatures, structure, errors = [], [], [], {}
     for j, lam in enumerate(lambdas):
         try:
-            rep = normal_form(two_mode_matrix(eta, lam), cfg)
+            rep = normal_form(two_mode_matrix(eta, lam))
             verdict, signature = rep.verdict.value, signature_string(rep)
             token = _drop_eigenvalues(signature)
         except QuadnfError as exc:
@@ -384,7 +384,7 @@ def _scan_rows(rows: list) -> list:
     in the caller for a grid of fewer than ``_POOL_MIN_CELLS`` cells."""
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
                   len(rows))
-    cells = len(rows) * len(rows[0][2])  # rows are (i, eta, lambdas, cfg)
+    cells = len(rows) * len(rows[0][2])  # rows are (i, eta, lambdas)
     if workers > 1 and cells >= _POOL_MIN_CELLS:
         # imported here, as multiprocessing.pool would add about 25 ms
         # to every CLI call that does not scan
@@ -405,7 +405,6 @@ def scan_two_mode(
     eta_range=(-2.0, 2.0),
     lambda_range=(-2.0, 2.0),
     steps=41,
-    cfg: Config = DEFAULT,
 ) -> ScanGrid:
     """Classify the two-mode model over a grid of (eta, lambda) values.
 
@@ -434,7 +433,7 @@ def scan_two_mode(
     lambdas = np.linspace(lambda_range[0], lambda_range[1], steps[1])
     verdicts, signatures, structure, errors = [], [], [], {}
     for vrow, srow, trow, row_errors in _scan_rows(
-            [(i, eta, lambdas, cfg) for i, eta in enumerate(etas)]):
+            [(i, eta, lambdas) for i, eta in enumerate(etas)]):
         verdicts.append(vrow)
         signatures.append(srow)
         structure.append(trow)

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT, Config, maxnorm
+from .config import maxnorm
 from .errors import (
     AmbiguousSpectrumError,
     BorderlineRankWarning,
@@ -41,6 +41,14 @@ __all__ = [
     "jordan_chains",
     "extract_class_chains",
 ]
+
+# Relative eigenvalue clustering radius: two eigenvalues within
+# CLUSTERING_TOL * (1 + max|K|) belong to one cluster, and a cluster within
+# that distance of an axis is snapped onto it.  ``normal_form`` widens it.
+CLUSTERING_TOL = 1e-7
+
+# Relative singular-value threshold for nullspace/rank decisions.
+RANK_TOL = 1e-7
 
 
 class EigenvalueKind(Enum):
@@ -116,7 +124,7 @@ def _union_clusters(values, mults, eps):
     return v.tolist(), mults
 
 
-def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _eigenvalues=None):
+def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     """Clustered, axis-snapped, symmetrized eigenvalues of K.
 
     Returns a list of (eigenvalue, algebraic multiplicity) covering the
@@ -125,15 +133,14 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
 
     Jordan structure is discontinuous under perturbation, so eigenvalues
     within ``tol * (1 + max|K|)`` of each other merge into one cluster
-    and clusters that close to an axis are snapped onto it.  A cluster
+    and clusters that close to an axis are snapped onto it; ``tol`` is
+    ``CLUSTERING_TOL`` unless given (``normal_form`` widens it).  A cluster
     whose mirror partner is missing or has a different multiplicity
     raises ``SpectrumStructureError``; a merge inconsistency raises
     ``AmbiguousSpectrumError``.
     """
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
-    if tol is None:
-        tol = cfg.clustering_tol
     eps = tol * (1.0 + maxnorm(k))
     raw = np.linalg.eigvals(k) if _eigenvalues is None else _eigenvalues
 
@@ -219,22 +226,25 @@ def cluster_eigenvalues(k, cfg: Config = DEFAULT, tol: float | None = None, *, _
 
 
 def _kernel(a: np.ndarray, cut):
-    """One SVD of ``a`` as (s, basis): all singular values, largest first, and as
-    columns the right singular vectors of those <= ``cut(sigma_max)``; all of them
-    for a zero matrix, such as a nilpotent power whose true value is zero."""
+    """One SVD of ``a`` as (s, basis, thresh): all singular values, largest first,
+    the cut thresh = ``cut(sigma_max)``, and as columns the right singular vectors
+    of the values <= thresh; all of them for a zero matrix, such as a nilpotent
+    power whose true value is zero."""
     if maxnorm(a) == 0.0:
-        return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype)
+        return np.zeros(a.shape[1]), np.eye(a.shape[1], dtype=a.dtype), cut(0.0)
     _, s, vh = np.linalg.svd(a)
-    return s, np.conjugate(vh[len(s) - int(np.sum(s <= cut(s[0]))):]).T
+    thresh = cut(s[0])
+    return s, np.conjugate(vh[len(s) - int(np.sum(s <= thresh)):]).T, thresh
 
 
-def _restrict(k: np.ndarray, lam: complex, algebraic: int, cfg: Config, schur: dict):
+def _restrict(k: np.ndarray, lam: complex, algebraic: int, schur: dict):
     """K on the invariant subspace of its ``algebraic`` eigenvalues nearest lam.
 
     Returns (q, a, level1, schur): q an orthonormal basis, so K q = q (a +
-    lam I) for a = q^H K q - lam I (real for real lam), and level1 the SVD
-    of a cut at rank_tol (1 + sigma_max).  ``schur`` keeps K's real or
-    complex Schur form (gees) for the next lam; trsen reorders a copy.  A
+    lam I) for a = q^H K q - lam I (real for real lam), and level1 the
+    ``_kernel`` of a cut at RANK_TOL (1 + sigma_max), the one cut
+    ``geometric_multiplicity`` reads.  ``schur`` keeps K's real or complex
+    Schur form (gees) for the next lam; trsen reorders a copy.  A
     LAPACK failure, or a reordering that takes one more eigenvalue to keep
     a real 2 x 2 block whole, raises ``AmbiguousSpectrumError``.
     """
@@ -263,32 +273,30 @@ def _restrict(k: np.ndarray, lam: complex, algebraic: int, cfg: Config, schur: d
         )
     a = t[:algebraic, :algebraic] - lam * np.eye(algebraic)
     a = a if lam.imag else a.real
-    return z[:, :algebraic], a, _kernel(a, lambda top: cfg.rank_tol * (1.0 + top)), schur
+    return z[:, :algebraic], a, _kernel(a, lambda top: RANK_TOL * (1.0 + top)), schur
 
 
-def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=None,
-                           _level1=None) -> int:
-    """Dimension of null(K - lam I): the singular values at or below rank_tol
+def geometric_multiplicity(k, lam: complex, *, _shifts=None, _level1=None) -> int:
+    """Dimension of null(K - lam I): the singular values at or below RANK_TOL
     (1 + sigma_max) of K - lam I restricted to the invariant subspace of the
-    eig(K) values within ``clustering_tol * (1 + max|K|)`` of lam.
+    eig(K) values within ``CLUSTERING_TOL * (1 + max|K|)`` of lam.
 
     A singular value within a factor 10 of the cut makes the rank
     decision fragile; a ``BorderlineRankWarning`` is emitted in that case
-    (the returned value still reflects the configured cut).  Given
+    (the returned value still reflects that cut).  Given
     ``_level1`` (that restriction, or the eig(K) columns of a simple lam)
     it reads that instead, and leaves it in ``_shifts[lam]`` if given.
     """
     if _level1 is None:
         k = np.asarray(k, dtype=float)
-        eps = cfg.clustering_tol * (1.0 + maxnorm(k))
+        eps = CLUSTERING_TOL * (1.0 + maxnorm(k))
         algebraic = int(np.sum(np.abs(np.linalg.eigvals(k) - lam) <= eps))
-        _level1 = _restrict(k, lam, algebraic, cfg, {})
+        _level1 = _restrict(k, lam, algebraic, {})
     if _shifts is not None:
         _shifts[lam] = _level1
     if isinstance(_level1, np.ndarray):
         return 1
-    s, basis = _level1[2]
-    thresh = cfg.rank_tol * (1.0 + s[0]) if len(s) else 0.0
+    s, basis, thresh = _level1[2]
     borderline = [float(v) for v in s if thresh / 10 < v <= 10 * thresh]
     if borderline:
         warnings.warn(
@@ -300,13 +308,13 @@ def geometric_multiplicity(k, lam: complex, cfg: Config = DEFAULT, *, _shifts=No
     return basis.shape[1]
 
 
-def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=None,
-                      _eigenvectors=None, _shifts=None) -> SpectrumReport:
+def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None,
+                      _shifts=None) -> SpectrumReport:
     """Group the clustered spectrum into the four eigenvalue families.
 
     Each family is represented once; the exact sum rule
     2N = a_0 + 2*sum_R a + 4*sum_C a + 2*sum_I a holds by construction.
-    Without ``clusters`` it clusters once, at ``clustering_tol``, on
+    Without ``clusters`` it clusters once, at ``CLUSTERING_TOL``, on
     ``_eigenvalues`` if given; a failure to pair up there is raised, not
     retried (``normal_form`` widens the radius).  ``_shifts`` collects
     each class's restriction of K (see geometric_multiplicity) and, under
@@ -320,7 +328,7 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
     if clusters is None:
-        clusters = cluster_eigenvalues(k, cfg, _eigenvalues=_eigenvalues)
+        clusters = cluster_eigenvalues(k, _eigenvalues=_eigenvalues)
     if _eigenvectors is not None:
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
@@ -357,8 +365,8 @@ def classify_spectrum(k, clusters=None, cfg: Config = DEFAULT, *, _eigenvalues=N
             level1 = _eigenvectors[:, raw_of[own]]
             level1 = level1.real if rep.imag == 0 else level1
         else:
-            level1 = _restrict(k, rep, mult, cfg, schur)
-        geometric = geometric_multiplicity(k, rep, cfg, _shifts=_shifts, _level1=level1)
+            level1 = _restrict(k, rep, mult, schur)
+        geometric = geometric_multiplicity(k, rep, _shifts=_shifts, _level1=level1)
         classes.append(EigenvalueClass(kind, rep, mult, geometric))
     report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
     if report.sum_rule_residual != 0:
@@ -396,14 +404,7 @@ def make_chain(k, lam: complex, generator: np.ndarray, rank: int) -> JordanChain
     return JordanChain(eigenvalue=lam, rank=rank, vectors=tuple(vecs))
 
 
-def jordan_chains(
-    k,
-    lam: complex,
-    algebraic: int,
-    cfg: Config = DEFAULT,
-    *,
-    _level1=None,
-) -> list[JordanChain]:
+def jordan_chains(k, lam: complex, algebraic: int, *, _level1=None) -> list[JordanChain]:
     """Jordan chains for one eigenvalue via the nullspace filtration.
 
     Works on the restriction A = Q^H K Q - lam I of K to the invariant
@@ -421,7 +422,7 @@ def jordan_chains(
     algebraic multiplicity.
     """
     k = np.asarray(k, dtype=float)
-    q, a, level, _ = _restrict(k, lam, algebraic, cfg, {}) if _level1 is None else _level1
+    q, a, level, _ = _restrict(k, lam, algebraic, {}) if _level1 is None else _level1
 
     bases = [np.zeros((algebraic, 0), dtype=a.dtype)]
     dims = [0]
@@ -434,7 +435,7 @@ def jordan_chains(
             # swallow structural singular values), plus a round-off floor
             # for A^k = 0, where sigma_max is pure multiplication noise:
             # A carries the round-off of K's Schur form, eps |K|_F.
-            level = _kernel(power, lambda top: cfg.rank_tol * top + 1e3 * algebraic
+            level = _kernel(power, lambda top: RANK_TOL * top + 1e3 * algebraic
                             * np.finfo(float).eps * scale * prev_top)
         prev_top, basis = level[0][0], level[1]
         if basis.shape[1] <= dims[-1]:
@@ -462,7 +463,7 @@ def jordan_chains(
         for _ in range(count):
             norms = np.linalg.norm(candidates, axis=0)
             idx = int(np.argmax(norms))
-            if norms[idx] <= cfg.rank_tol:
+            if norms[idx] <= RANK_TOL:
                 raise ChainExtractionError(
                     f"could not find {count} independent rank-{rank} generators "
                     f"for eigenvalue {lam:.6g}"
@@ -487,8 +488,7 @@ class ClassChains:
     partners: list[JordanChain] = field(default_factory=list)
 
 
-def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
-                         _level1=None) -> ClassChains:
+def extract_class_chains(k, cls: EigenvalueClass, *, _level1=None) -> ClassChains:
     """Chains (and partner chains where applicable) for one eigenvalue class.
 
     ``_level1`` is what ``classify_spectrum`` left in ``_shifts`` for the
@@ -507,10 +507,10 @@ def extract_class_chains(k, cls: EigenvalueClass, cfg: Config = DEFAULT, *,
         partners = [make_chain(k, -lam, _level1[:, 1], 1)] if paired else []
     else:
         schur = {} if _level1 is None else _level1[3]
-        chains = sorted(jordan_chains(k, lam, cls.algebraic, cfg, _level1=_level1),
+        chains = sorted(jordan_chains(k, lam, cls.algebraic, _level1=_level1),
                         key=lambda c: -c.rank)
-        partners = sorted(jordan_chains(k, -lam, cls.algebraic, cfg, _level1=_restrict(
-            k, -lam, cls.algebraic, cfg, schur)), key=lambda c: -c.rank) if paired else []
+        partners = sorted(jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
+            k, -lam, cls.algebraic, schur)), key=lambda c: -c.rank) if paired else []
     if paired and [c.rank for c in chains] != [c.rank for c in partners]:
         raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
     return ClassChains(eigen_class=cls, chains=chains, partners=partners)

@@ -316,14 +316,11 @@ class TestCriterion6AlgebraProperties:
             ([(6, 1.5j, 3, -1j)], 1.5j),
             ([(5, 1.1j, 2, 1 + 0j)], 1.1j),
         ]:
-            from quadnf import Config
-
-            cfg = Config(clustering_tol=1e-5, rank_tol=1e-5)
             m, _ = seeded_matrix(specs, rng)
             k = build_eom(m)
-            report = classify_spectrum(k, cfg=cfg)
+            report = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5))
             cls = max(report.classes, key=lambda c: abs(c.representative - lam) < 1e-4)
-            cc = extract_class_chains(k, cls, cfg)
+            cc = extract_class_chains(k, cls)
             fixtures.append((k, cls.representative, cc))
 
         worst_exchange = 0.0

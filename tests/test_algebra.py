@@ -32,7 +32,13 @@ from quadnf.algebra import (
     zero_odd_pairing,
 )
 from quadnf.errors import ContractViolationError, NondegeneracyError
-from quadnf.spectrum import EigenvalueKind, classify_spectrum, extract_class_chains, make_chain
+from quadnf.spectrum import (
+    EigenvalueKind,
+    classify_spectrum,
+    cluster_eigenvalues,
+    extract_class_chains,
+    make_chain,
+)
 
 
 def coef(p):
@@ -180,10 +186,8 @@ def random_gev_pair(k, lam, chains, partners, rng, conjugate=False):
 
 
 class TestOmegaIdentities:
-    # deep chains split eigenvalues like eps^(1/D); widen the spectral
-    # tolerances accordingly when driving the extraction directly
-    CFG = __import__("quadnf").Config(clustering_tol=1e-5, rank_tol=1e-5)
-
+    # deep chains split eigenvalues like eps^(1/D); widen the clustering
+    # radius accordingly when driving the extraction directly
     def fixtures(self, rng):
         out = []
         for specs, lam in [
@@ -194,9 +198,9 @@ class TestOmegaIdentities:
         ]:
             m, _ = seeded_matrix(specs, rng)
             k = build_eom(m)
-            report = classify_spectrum(k, cfg=self.CFG)
+            report = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5))
             cls = max(report.classes, key=lambda c: abs(c.representative - lam) < 1e-6)
-            cc = extract_class_chains(k, cls, self.CFG)
+            cc = extract_class_chains(k, cls)
             out.append((k, cls.representative, cc))
         return out
 
@@ -416,13 +420,10 @@ class TestZeroOddPairing:
         assert abs(alpha(k, 0.0, f.generator, h.generator, 1) - 1) < 1e-10
 
     def test_rank_three_pair(self, rng):
-        from quadnf import Config
-
-        cfg = Config(clustering_tol=1e-5, rank_tol=1e-5)
         m, _ = seeded_matrix([(4, 0j, 3, None)], rng)
         k = build_eom(m)
-        cls = classify_spectrum(k, cfg=cfg).classes[0]
-        cc = extract_class_chains(k, cls, cfg)
+        cls = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5)).classes[0]
+        cc = extract_class_chains(k, cls)
         assert [c.rank for c in cc.chains] == [3, 3]
         ((f, h),) = zero_odd_pairing(k, cc.chains)
         wfh = omega(k, 0.0, f.generator, h.generator, 3)

@@ -20,7 +20,6 @@ from conftest import (
     two_mode_m,
 )
 from quadnf import (
-    DEFAULT,
     Verdict,
     WrongPathError,
     bogoliubov_transform,
@@ -30,7 +29,7 @@ from quadnf import (
     symplectic_residual,
     terms_matrix,
 )
-from quadnf.errors import ChainExtractionError
+from quadnf.errors import ChainExtractionError, QuadnfError, VerificationError
 from quadnf.normal_form import (
     TermKind,
     _block_for_unit,
@@ -39,7 +38,8 @@ from quadnf.normal_form import (
     emit_terms,
     expected_kn,
 )
-from quadnf.spectrum import EigenvalueKind, JordanChain, make_chain
+from quadnf.reporting import MatrixDocument
+from quadnf.spectrum import CLUSTERING_TOL, EigenvalueKind, JordanChain, make_chain
 
 
 def unit_spec(case, lam, rank, sigma=None):
@@ -447,6 +447,31 @@ class TestPipeline:
             budget = 1e-7 * (1 + np.max(np.abs(k))) * max(1.0, rep.residuals["condition"])
             assert rep.residuals["block_match"] <= budget
 
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+    def test_verification_budget_widens_with_the_tolerance(self, tolerance, monkeypatch):
+        # The budget is max(VERIFY_TOL, tolerance) (1 + max|K|) max(1, cond T):
+        # a document tolerance above VERIFY_TOL = 1e-7 widens it.
+        m = two_mode_m(1.0, 0.5)
+        cfg = MatrixDocument(2, m, tolerance).config()
+        cond = normal_form(m, cfg).residuals["condition"]
+        nf = sys.modules["quadnf.normal_form"]
+        expected, attempt, raised = nf.expected_kn, nf._attempt_normal_form, []
+
+        def recorded_attempt(*args):
+            try:
+                return attempt(*args)
+            except VerificationError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(nf, "expected_kn", lambda blocks, n: expected(blocks, n) + 1.0)
+        monkeypatch.setattr(nf, "_attempt_normal_form", recorded_attempt)
+        with pytest.raises(QuadnfError):  # the widest radius's error, not the first
+            normal_form(m, cfg)
+        # The first attempt clusters at CLUSTERING_TOL, as the unpatched run did.
+        budget = max(1e-7, tolerance) * (1 + np.max(np.abs(build_eom(m)))) * max(1.0, cond)
+        assert raised[0].endswith(f"exceeds {budget:.3e}")
+
     def test_n_matrix_equals_minus_j_kn(self, rng):
         m, _ = seeded_matrix([(1, 1.0 + 0j, 2, None), (6, 2.0j, 1, -1j)], rng)
         rep = normal_form(m)
@@ -596,7 +621,7 @@ class TestFactorizationCounts:
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
 
     def test_escalation_clusters_each_radius_once(self, monkeypatch):
-        # The radii run clustering_tol, 10 clustering_tol, ... by repeated
+        # The radii run CLUSTERING_TOL, 10 CLUSTERING_TOL, ... by repeated
         # multiplication, and attempts that share a radius share its pass.
         nf = sys.modules["quadnf.normal_form"]
         cluster, radii = nf.cluster_eigenvalues, []
@@ -609,7 +634,7 @@ class TestFactorizationCounts:
         m, _ = seeded_matrix([(1, 1.3 + 0j, 3, None)], np.random.default_rng(0))
         rep = normal_form(m)
         assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
-        schedule = [DEFAULT.clustering_tol]
+        schedule = [CLUSTERING_TOL]
         for _ in range(8):
             schedule.append(schedule[-1] * 10.0)
         assert len(radii) >= 2

@@ -244,11 +244,11 @@ def _fail_at(monkeypatch, cells, error):
     planted = {(axis[i], axis[j]): (i, j) for i, j in cells}
     analyze = reporting.normal_form
 
-    def flaky(m, cfg):
+    def flaky(m):
         cell = planted.get((m[1, 1], m[0, 1]))
         if cell is not None:
             raise error(*cell)
-        return analyze(m, cfg)
+        return analyze(m)
 
     monkeypatch.setattr(reporting, "normal_form", flaky)
 

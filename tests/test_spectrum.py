@@ -14,9 +14,10 @@ from conftest import (
     two_mode_m,
 )
 from quadnf import build_eom, normal_form, symplectic_form
-from quadnf.config import DEFAULT, maxnorm
+from quadnf.config import maxnorm
 from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
 from quadnf.spectrum import (
+    CLUSTERING_TOL,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
@@ -171,13 +172,13 @@ def _clustering_corpus(rng):
     # A quadruplet whose members each sit 9.9 eps (at t_0) from a mirror image of
     # 1 + i, one outward and two inward: one lies 12.4 eps from the orbit mean.
     k = build_eom(np.eye(4))
-    e = 9.9 * DEFAULT.clustering_tol * (1.0 + maxnorm(k))
+    e = 9.9 * CLUSTERING_TOL * (1.0 + maxnorm(k))
     yield k, np.array([1 + 1j, -(1 + e) - 1j, (1 - e) - 1j, -(1 - e) + 1j])
 
 
 class TestClusteringReference:
     def test_same_as_plain_scan(self, rng):
-        radii = [DEFAULT.clustering_tol]
+        radii = [CLUSTERING_TOL]
         for _ in range(8):
             radii.append(radii[-1] * 10.0)
         outcomes = set()

@@ -10,14 +10,19 @@ on the curve.  The expected Jordan structure is checked twice: against
 the (case, rank, sigma) list of the report, and against the nullities
 of p(K)^j computed in exact rational arithmetic, with p(K) = K at a
 zero eigenvalue and K^2 + omega^2 I at an imaginary pair +-i omega.
+
+Beside the curves, a step in lam^2 must give the generic structure of
+each side, and bisecting lam on the structure must find the curve.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import two_mode_m
 from quadnf import normal_form, symplectic_form
+from quadnf.reporting import signature_string
 
 I = 1j
 
@@ -98,3 +103,51 @@ def test_exact_structure(eta, lam, want, omega2):
     rep = normal_form(m)
     assert [(b.case, b.rank, _sigma(b.sigma)) for b in rep.blocks] == want
     assert report_nullities(rep.blocks, omega2) == exact_nullities(eta, lam, omega2)
+
+
+def critical_lambda2(eta):
+    """lam^2 on the curve through eta: the Krein curve, where the discriminant
+    (1 - eta^2)^2 + 4 eta lam^2 of the characteristic polynomial in s^2
+    vanishes, for eta < 0; the zero curve, where its constant term
+    eta (eta - lam^2) does, for eta > 0."""
+    return (1 - eta * eta) ** 2 / (-4 * eta) if eta < 0 else eta
+
+
+def _structure(eta, lam) -> str:
+    return signature_string(normal_form(two_mode_m(float(eta), lam)), with_eigenvalues=False)
+
+
+# (eta, structure at lam^2 above the curve, structure below it): a complex
+# quadruplet beyond the Krein curve and a real pair beyond the zero curve,
+# two simple imaginary pairs short of either.
+SIDES = [
+    (Fraction(-1, 2), "C(a1,m1,D1)", "I(a1,m1,D1,s-i)|I(a1,m1,D1,s+i)"),
+    (Fraction(1, 2), "I(a1,m1,D1,s-i)|R(a1,m1,D1)", "I(a1,m1,D1,s-i)|I(a1,m1,D1,s-i)"),
+]
+
+
+@pytest.mark.parametrize("eta,above,below", SIDES, ids=[f"eta={e}" for e, _, _ in SIDES])
+def test_generic_structure_beside_the_curve(eta, above, below):
+    # A step of 1e-10 in lam^2 splits the curve's double eigenvalue by about
+    # sqrt(1e-10) = 1e-5, far beyond the first clustering radius.
+    lam2 = float(critical_lambda2(eta))
+    assert _structure(eta, math.sqrt(lam2 + 1e-10)) == above
+    assert _structure(eta, math.sqrt(lam2 - 1e-10)) == below
+    # Within the boundary width the split is below round-off: any structure will do.
+    for delta in (1e-14, -1e-14):
+        _structure(eta, math.sqrt(lam2 + delta))
+
+
+@pytest.mark.parametrize("eta", [Fraction(-2), Fraction(-1, 2), Fraction(1, 2)], ids=str)
+def test_bisected_boundary_lands_on_the_curve(eta):
+    lam_c = math.sqrt(critical_lambda2(eta))
+    lo, hi = lam_c - 0.25, lam_c + 0.25
+    low_side = _structure(eta, lo)
+    assert _structure(eta, hi) != low_side
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _structure(eta, mid) == low_side:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(lo - lam_c) < 1e-8

@@ -8,9 +8,12 @@ imports quadnf from SRC_DIR and prints one line per pool input of
 inputs ``bench/run.py --seed SEED`` checks): the workload, the input's
 index and the SHA-1 of ``json.dumps(report_to_dict(...))`` followed by
 ``report_to_text(...)`` (the CLI's default rendering), or of the
-exception's class and message when the pipeline raises.  A last line
-gives the SHA-1 of the ``scan-2mode`` table, ``serialize_scan(...,
-boundary=True)`` of the default 41x41 grid.  Two source trees produce
+exception's class and message when the pipeline raises.  The planted
+pool then runs once more under a document's structural tolerance of
+1e-6, ``MatrixDocument(...).config()``, labelled
+``planted-defective@1e-06``.  A last line gives the SHA-1 of the
+``scan-2mode`` table, ``serialize_scan(..., boundary=True)`` of the
+default 41x41 grid.  Two source trees produce
 bit-identical reports when the outputs of this script on them are
 identical, e.g.
 
@@ -39,7 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import SCAN_RANGE, SCAN_STEPS, PlantedInput, make_workload  # noqa: E402
 
-MATRIX_WORKLOADS = ("generic-n32", "pd-n32", "planted-defective")
+# (workload, document tolerance): None is the default Config.  A tolerance
+# is the one Config value a caller sets; at 1e-6 it also widens the
+# verification budget, which brings back many planted inputs.
+MATRIX_PASSES = (("generic-n32", None), ("pd-n32", None), ("planted-defective", None),
+                 ("planted-defective", 1e-6))
 
 
 def _sha1(text: str) -> str:
@@ -50,21 +57,28 @@ def digests(seed: int):
     """Yield (workload, index, digest) for each pool input, then the scan's."""
     import quadnf
     from quadnf import normal_form
-    from quadnf.reporting import report_to_dict, report_to_text, scan_two_mode, serialize_scan
+    from quadnf.reporting import (
+        MatrixDocument,
+        report_to_dict,
+        report_to_text,
+        scan_two_mode,
+        serialize_scan,
+    )
 
     print("# quadnf from", Path(quadnf.__file__).resolve().parent, file=sys.stderr)
 
-    for name in MATRIX_WORKLOADS:
+    for name, tolerance in MATRIX_PASSES:
         workload = make_workload(name)
+        label = name if tolerance is None else f"{name}@{tolerance:g}"
         pool = itertools.islice(workload.inputs(np.random.default_rng([seed, 0])), workload.pool)
         for index, inp in enumerate(pool):
             m = inp.m if isinstance(inp, PlantedInput) else inp
             try:
-                report = normal_form(m)
+                report = normal_form(m, MatrixDocument(len(m) // 2, m, tolerance).config())
                 text = json.dumps(report_to_dict(report)) + report_to_text(report)
             except Exception as exc:  # a crash outside QuadnfError is an output too
                 text = f"{type(exc).__name__}: {exc}"
-            yield name, index, _sha1(text)
+            yield label, index, _sha1(text)
     grid = scan_two_mode(SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
     yield "scan-2mode", 0, _sha1(serialize_scan(grid, boundary=True))
 
