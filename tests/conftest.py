@@ -1,11 +1,13 @@
 """Shared fixtures: the published four-mode example and structure builders."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from quadnf import symplectic_form
-from quadnf.normal_form import _Unit, _block_for_unit, expected_kn
+from quadnf.normal_form import NormalFormBlock
 
 # Four coupled oscillators with one real pair (rank-2 chain), a double zero
 # eigenvalue, and one imaginary pair; every published intermediate value of
@@ -75,6 +77,86 @@ def random_symplectic(n_modes, rng, scale=0.4):
     j = symplectic_form(n_modes)
     a = rng.normal(size=(2 * n_modes, 2 * n_modes), scale=scale)
     return expm(j @ ((a + a.T) / 2))
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """One planted block: case, eigenvalue, rank and sigma.  ``t_cols`` and
+    ``s_cols`` are accepted and ignored (``bench/tests/test_planted.py``
+    passes them)."""
+
+    case: int
+    eigenvalue: complex
+    rank: int
+    sigma: complex | None
+    t_cols: tuple = ()
+    s_cols: tuple = ()
+
+
+def _block_for_unit(unit: _Unit) -> NormalFormBlock:
+    """The real Jordan block of one planted unit, from this file's own copy of
+    the block formulas: the planted oracle does not run the program's block
+    code, so a wrong formula there cannot plant itself."""
+    c, lam, d, sigma = unit.case, unit.eigenvalue, unit.rank, unit.sigma
+    nu = lam.imag
+    if c in (1, 4):
+        i_i = lam.real * np.eye(d) + np.eye(d, k=-1)
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+    elif c == 2:
+        size = 2 * d
+        i_i = np.zeros((size, size))
+        rot = np.array([[lam.real, nu], [-nu, lam.real]])
+        for b in range(d):
+            i_i[2 * b: 2 * b + 2, 2 * b: 2 * b + 2] = rot
+            if b + 1 < d:
+                i_i[2 * b + 2: 2 * b + 4, 2 * b: 2 * b + 2] = np.eye(2)
+        i_r = np.zeros((size, size))
+        i_l = np.zeros((size, size))
+    elif c == 3:
+        size = d // 2
+        s = float(np.real(sigma))
+        i_i = s * np.eye(size, k=-1)
+        i_r = np.zeros((size, size))
+        i_l = np.zeros((size, size))
+        i_l[size - 1, size - 1] = s * (-1.0) ** (d // 2)
+    elif c == 5:
+        s = float(np.real(sigma))
+        i_i = np.zeros((d, d))
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+        for r in range(1, d + 1):
+            i_r[r - 1, d - r] = s * nu
+            i_l[r - 1, d - r] = -s * nu
+            if 2 <= r:
+                i_r[r - 1, d + 1 - r] = s if r % 2 == 0 else -s
+            if r <= d - 1:
+                i_l[r - 1, d - r - 1] = s if r % 2 == 0 else -s
+    else:
+        s6 = float(np.real(1j * sigma))
+        i_i = np.eye(d, k=-1)
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+        for r in range(1, d + 1):
+            i_r[r - 1, d - r] = s6 * nu * (-1.0) ** (r + 1)
+            i_l[r - 1, d - r] = s6 * nu * (-1.0) ** r
+    return NormalFormBlock(case=c, eigenvalue=lam, rank=d, sigma=sigma,
+                           i_i=i_i, i_r=i_r, i_l=i_l)
+
+
+def expected_kn(blocks, n_modes):
+    """K_N = [[O_I, O_R], [O_L, -O_I^T]] of consecutive blocks."""
+    n = n_modes
+    kn = np.zeros((2 * n, 2 * n))
+    offset = 0
+    for b in blocks:
+        end = offset + b.size
+        kn[offset:end, offset:end] = b.i_i
+        kn[offset:end, n + offset:n + end] = b.i_r
+        kn[n + offset:n + end, offset:end] = b.i_l
+        offset = end
+    kn[n:, n:] = -kn[:n, :n].T
+    return kn
 
 
 def seeded_matrix(specs, rng, scale=0.4):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
     GOLDEN_E11,
     GOLDEN_E11T,
@@ -180,7 +181,23 @@ class TestCaseColumns:
         assert total == rep.n_modes
 
 
+def same_block(a, b):
+    """Equal fields, and arrays of equal dtype, shape and bytes."""
+    arrays = ("i_i", "i_r", "i_l")
+    return ((a.case, a.eigenvalue, a.rank, a.sigma) == (b.case, b.eigenvalue, b.rank, b.sigma)
+            and (type(a.eigenvalue), type(a.sigma)) == (type(b.eigenvalue), type(b.sigma))
+            and all(getattr(a, x).dtype == getattr(b, x).dtype
+                    and getattr(a, x).shape == getattr(b, x).shape
+                    and getattr(a, x).tobytes() == getattr(b, x).tobytes() for x in arrays))
+
+
 class TestExpectedBlocks:
+    def test_program_blocks_match_the_planted_copy(self):
+        # tests/conftest.py plants K_N from its own copy of the block formulas.
+        for spec in EVERY_BLOCK:
+            want = conftest._block_for_unit(conftest._Unit(*spec, *(None,) * (4 - len(spec))))
+            assert same_block(_block_for_unit(unit_spec(*spec)), want), spec
+
     def test_real_pair_rank_two(self):
         b = _block_for_unit(unit_spec(1, 2.0 + 0j, 2))
         assert np.array_equal(b.i_i, [[2, 0], [1, 2]])
