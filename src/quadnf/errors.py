@@ -7,7 +7,14 @@ input/validation problems (exit 1), numerical pipeline failures
 
 
 class QuadnfError(Exception):
-    """Base class for all quadnf errors."""
+    """Base class for all quadnf errors.
+
+    When ``normal_form`` gives up after its widest clustering radius, the
+    error it raises carries ``attempts``: one plain-string record per
+    radius tried, in order, saying why that radius failed.
+    """
+
+    attempts: tuple[str, ...] = ()
 
 
 class ValidationError(QuadnfError):

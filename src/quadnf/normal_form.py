@@ -46,6 +46,7 @@ from .errors import (
 from .spectrum import (
     CLUSTERING_TOL,
     EigenvalueKind,
+    JordanChain,
     SpectrumReport,
     classify_spectrum,
     cluster_eigenvalues,
@@ -184,21 +185,29 @@ class NormalFormReport:
 
 
 @dataclass(frozen=True)
-class _Unit:
-    """One chain's contribution: its columns, block, and ordering key."""
+class _Group:
+    """The orthonormalized chains of one case and rank, as arrays over a chain
+    axis: row c * width + j of ``t_plus`` (``t_minus``) is column j of chain
+    c in T_+ (T_-), and each chain has an eigenvalue and a sigma."""
 
     case: int
-    eigenvalue: complex
     rank: int
-    sigma: complex | None
-    t_cols: list
-    s_cols: list
+    eigenvalues: tuple[complex, ...]
+    sigmas: tuple[complex | None, ...]
+    t_plus: np.ndarray
+    t_minus: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Modes, i.e. columns of T_+ and of T_-, per chain."""
+        return len(self.t_plus) // len(self.eigenvalues)
 
 
-def build_case_columns(case: int, data) -> _Unit:
-    """Columns of T for one orthonormalized chain (or f/h pair).
+def build_case_columns(case: int, items) -> _Group:
+    """Columns of T for the orthonormalized chains (or f/h pairs) of one case
+    and rank, all at once.
 
-    ``data`` is (chain, partner) for cases 1 and 2 (e and the chain e~ of
+    Each item is (chain, partner) for cases 1 and 2 (e and the chain e~ of
     -lam) and for case 4 (f and h), and (chain, sigma) for cases 3, 5 and
     6.  With z_k = A^(k-1) e for the chain's generator e, cases 1, 2 and
     4 pair z_k with w_k = (-1)^(D-k) e~_k, where e~_k is the partner's
@@ -206,103 +215,116 @@ def build_case_columns(case: int, data) -> _Unit:
     Two rules are shared: cases 1 and 4 take (z | w) as they are, and
     cases 2 and 5 interleave sqrt2 (Re, Im) of z_k with sqrt2 (Re, -Im)
     of w_k, by the parity of k; case 2 applies that to each z_k and w_k
-    twice, taking both parts of every vector.
+    twice, taking both parts of every vector.  Each rule is one product
+    per column over the chain axis, the same scalar product per entry as
+    on a single chain.
 
     Every column is real.  The one complex input is case 1's partner:
     ``orthonormalize_real_complex`` divides it by alpha, a complex with a
     zero imaginary part, and every later step multiplies and adds exact
     zeros there, so its real part is taken.
     """
-    chain, other = data
-    lam, d = chain.eigenvalue, chain.rank
-    z = list(reversed(chain.vectors))
-    sigma = None if case in (1, 2, 4) else other
+    chains = [chain for chain, _ in items]
+    d = chains[0].rank
+    v = np.array([chain.vectors for chain in chains])  # v[c, j] = A^(D-1-j) e of chain c
+    z = v[:, ::-1]
+    sigmas = [None] * len(items) if case in (1, 2, 4) else [other for _, other in items]
     if case in (1, 2, 4):
-        w = [(-1.0) ** (d - kk) * other.vectors[kk - 1] for kk in range(1, d + 1)]
+        signs = np.array([(-1.0) ** (d - kk) for kk in range(1, d + 1)])
+        w = signs[:, None] * np.array([other.vectors for _, other in items])
     elif case == 5:
-        w = [sigma * (-1.0) ** kk * np.conj(z[d - kk]) for kk in range(1, d + 1)]
+        signs = np.array([[sigma * (-1.0) ** kk for kk in range(1, d + 1)] for sigma in sigmas])
+        w = signs[:, :, None] * np.conj(v)  # conj(z_(D+1-k)) is conj(v[k - 1])
     if case in (1, 4):
-        t_cols, s_cols = z, w
+        t_plus, t_minus = z, w
     elif case in (2, 5):
         if case == 2:
-            z, w = [v for v in z for _ in range(2)], [v for v in w for _ in range(2)]
-        t_cols = [SQRT2 * (np.imag(v) if i % 2 else np.real(v)) for i, v in enumerate(z)]
-        s_cols = [-SQRT2 * np.imag(v) if i % 2 else SQRT2 * np.real(v) for i, v in enumerate(w)]
+            z, w = np.repeat(z, 2, axis=1), np.repeat(w, 2, axis=1)
+        t_plus, t_minus = SQRT2 * np.real(z), SQRT2 * np.real(w)
+        t_plus[:, 1::2] = SQRT2 * np.imag(z[:, 1::2])
+        t_minus[:, 1::2] = -SQRT2 * np.imag(w[:, 1::2])
     elif case == 3:
-        s = float(np.real(sigma))
-        t_cols = [s ** (kk - 1) * z[kk - 1] for kk in range(1, d // 2 + 1)]
-        s_cols = [(-s) ** (d - kk) * chain.vectors[kk - 1] for kk in range(1, d // 2 + 1)]
+        s = [float(np.real(sigma)) for sigma in sigmas]
+        half = d // 2
+        t_plus = np.array([[sc ** (kk - 1) for kk in range(1, half + 1)] for sc in s])[:, :, None] * z[:, :half]
+        t_minus = np.array([[(-sc) ** (d - kk) for kk in range(1, half + 1)] for sc in s])[:, :, None] * v[:, :half]
     elif case == 6:
-        eps = float(np.real(-1j * sigma))
-        t_cols = [SQRT2 * np.real(v) for v in z]
-        s_cols = [eps * (-1.0) ** kk * SQRT2 * np.imag(z[d - kk]) for kk in range(1, d + 1)]
+        eps = [float(np.real(-1j * sigma)) for sigma in sigmas]
+        t_plus = SQRT2 * np.real(z)
+        coef = np.array([[e * (-1.0) ** kk * SQRT2 for kk in range(1, d + 1)] for e in eps])
+        t_minus = coef[:, :, None] * np.imag(v)  # z_(D+1-k) is v[k - 1]
     else:
         raise ValueError(f"unknown case {case}")
-    return _Unit(
+    rows = (-1, v.shape[2])
+    return _Group(
         case=case,
-        eigenvalue=complex(lam),
         rank=d,
-        sigma=None if sigma is None else complex(sigma),
-        t_cols=[np.asarray(np.real(c), dtype=float) for c in t_cols],
-        s_cols=[np.asarray(np.real(c), dtype=float) for c in s_cols],
+        eigenvalues=tuple(complex(chain.eigenvalue) for chain in chains),
+        sigmas=tuple(None if sigma is None else complex(sigma) for sigma in sigmas),
+        t_plus=np.asarray(np.real(t_plus), dtype=float).reshape(rows),
+        t_minus=np.asarray(np.real(t_minus), dtype=float).reshape(rows),
     )
 
 
-def _unit_sort_key(unit: _Unit):
-    lam = unit.eigenvalue
-    sigma = unit.sigma if unit.sigma is not None else 0j
-    return (unit.case, -abs(lam), -lam.imag, -unit.rank, -sigma.real, -sigma.imag)
+def _mode_key(group: _Group, c: int):
+    """Sort key of chain c of ``group``: blocks take modes in this order."""
+    lam = group.eigenvalues[c]
+    sigma = group.sigmas[c] if group.sigmas[c] is not None else 0j
+    return (group.case, -abs(lam), -lam.imag, -group.rank, -sigma.real, -sigma.imag)
 
 
-def _block_for_unit(unit: _Unit) -> NormalFormBlock:
-    c, lam, d, sigma = unit.case, unit.eigenvalue, unit.rank, unit.sigma
-    nu = lam.imag
-    if c in (1, 4):  # lam = 0 in case 4, and 0.0 * I + E = E to the bit
-        i_i = lam.real * np.eye(d) + np.eye(d, k=-1)
-        i_r = np.zeros((d, d))
-        i_l = np.zeros((d, d))
-    elif c == 2:
-        size = 2 * d
-        i_i = np.zeros((size, size))
-        rot = np.array([[lam.real, nu], [-nu, lam.real]])
-        for b in range(d):
-            i_i[2 * b: 2 * b + 2, 2 * b: 2 * b + 2] = rot
-            if b + 1 < d:
-                i_i[2 * b + 2: 2 * b + 4, 2 * b: 2 * b + 2] = np.eye(2)
-        i_r = np.zeros((size, size))
-        i_l = np.zeros((size, size))
+def _diagonal(flat: np.ndarray, size: int, offset: int, step: int = 1,
+              anti: bool = False) -> np.ndarray:
+    """A writable view of every ``step``-th entry (i, j) of one diagonal of each
+    size x size matrix in a stack of flattened ones: j - i = ``offset``, or
+    with ``anti`` the anti-diagonal i + j = size - 1 + ``offset``."""
+    if anti:  # entry (i, size - 1 + offset - i) is at flat index i (size - 1) + size - 1 + offset
+        rows, stride, first = range(max(0, offset), min(size, size + offset)), size - 1, size - 1 + offset
+    else:  # entry (i, i + offset) is at flat index i (size + 1) + offset
+        rows, stride, first = range(max(0, -offset), min(size, size - offset)), size + 1, offset
+    start = rows.start * stride + first
+    return flat[:, start:start + len(rows) * stride - stride + 1:max(stride, 1) * step]
+
+
+def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
+    """The real Jordan blocks of case c and rank d at the given eigenvalues and
+    sigmas, written into one stack of arrays per sub-block: the same entries,
+    in the same arithmetic, for every chain of the group."""
+    n = len(eigenvalues)
+    size = {2: 2 * d, 3: d // 2}.get(c, d)
+    stacks = np.zeros((3, n, size * size))
+    i_i, i_r, i_l = stacks[0], stacks[1], stacks[2]
+    if c in (3, 5, 6):
+        s = np.array([[(1j * sigma if c == 6 else sigma).real] for sigma in sigmas])
+    if c in (1, 2, 4):  # lam = 0 in case 4; Re lam >= 0, so lam I + E is this to the bit
+        _diagonal(i_i, size, 0)[:] = np.array([[lam.real] for lam in eigenvalues])
+    if c in (1, 4, 6):
+        _diagonal(i_i, size, -1)[:] = 1.0
+    if c == 2:  # 2 x 2 blocks ((Re, nu), (-nu, Re)) on the diagonal, I below each
+        nu = np.array([[lam.imag] for lam in eigenvalues])
+        _diagonal(i_i, size, 1, 2)[:] = nu
+        _diagonal(i_i, size, -1, 2)[:] = -nu
+        _diagonal(i_i, size, -2)[:] = 1.0
     elif c == 3:
-        size = d // 2
-        s = float(np.real(sigma))
-        i_i = s * np.eye(size, k=-1)
-        i_r = np.zeros((size, size))
-        i_l = np.zeros((size, size))
-        i_l[size - 1, size - 1] = s * (-1.0) ** (d // 2)
-    elif c == 5:
-        s = float(np.real(sigma))
-        i_i = np.zeros((d, d))
-        i_r = np.zeros((d, d))
-        i_l = np.zeros((d, d))
-        for r in range(1, d + 1):
-            i_r[r - 1, d - r] = s * nu
-            i_l[r - 1, d - r] = -s * nu
-            if 2 <= r:
-                col = d + 2 - r
-                i_r[r - 1, col - 1] = s if r % 2 == 0 else -s
-            if r <= d - 1:
-                col = d - r
-                i_l[r - 1, col - 1] = s if r % 2 == 0 else -s
-    else:
-        s6 = float(np.real(1j * sigma))
-        i_i = np.eye(d, k=-1)
-        i_r = np.zeros((d, d))
-        i_l = np.zeros((d, d))
-        for r in range(1, d + 1):
-            i_r[r - 1, d - r] = s6 * nu * (-1.0) ** (r + 1)
-            i_l[r - 1, d - r] = s6 * nu * (-1.0) ** r
-    return NormalFormBlock(
-        case=c, eigenvalue=lam, rank=d, sigma=sigma, i_i=i_i, i_r=i_r, i_l=i_l
-    )
+        i_i[:] = s * np.eye(size, k=-1).ravel()  # its zeros signed as s * 0.0
+        i_l[:, -1] = s[:, 0] * (-1.0) ** (d // 2)
+    elif c in (5, 6):  # I_R and I_L on anti-diagonals, entry (r, D + 1 - r) at offset 0
+        sn = s * np.array([[lam.imag] for lam in eigenvalues])
+        sign = np.array([(-1.0) ** r for r in range(1, d + 1)])
+        if c == 5:
+            _diagonal(i_r, size, 0, anti=True)[:] = sn
+            _diagonal(i_l, size, 0, anti=True)[:] = -sn
+            _diagonal(i_r, size, 1, anti=True)[:] = s * sign[1:]  # s if r is even, else -s
+            _diagonal(i_l, size, -1, anti=True)[:] = s * sign[:-1]
+        else:
+            _diagonal(i_r, size, 0, anti=True)[:] = -sn * sign
+            _diagonal(i_l, size, 0, anti=True)[:] = sn * sign
+    stacks = stacks.reshape(3, n, size, size)
+    i_i, i_r, i_l = stacks[0], stacks[1], stacks[2]
+    return [
+        NormalFormBlock(c, eigenvalues[j], d, sigmas[j], i_i[j], i_r[j], i_l[j])
+        for j in range(n)
+    ]
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -323,19 +345,25 @@ def expected_kn(blocks, n_modes: int) -> np.ndarray:
     return kn
 
 
-def assemble_transform(units, n_modes: int, cfg: Config = DEFAULT, *,
+def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT, *,
                        _residuals: dict | None = None) -> CanonicalTransform:
-    """Stack unit columns into T = (T_+ T_-) and check the symplectic condition.
+    """Gather T = (T_+ T_-) from the groups' columns and check the symplectic condition.
 
-    Units must already be in final mode order.  On failure, the raised
-    ``AssemblyError`` carries the offending Gram residual matrix.  On
-    success, ``_residuals["symplectic"]`` receives the residual checked.
+    ``order`` lists the chains, numbered through the groups in turn, in
+    mode order.  On failure, the raised ``AssemblyError`` carries the
+    offending Gram residual matrix.  On success, ``_residuals["symplectic"]``
+    receives the residual checked.
     """
-    t_cols = [c for u in units for c in u.t_cols]
-    s_cols = [c for u in units for c in u.s_cols]
-    if len(t_cols) != n_modes:
-        raise AssemblyError(f"column groups cover {len(t_cols)} modes, expected {n_modes}")
-    t = np.column_stack(t_cols + s_cols)
+    chains, first = [], 0  # (first row in the groups' stacked T_+ rows, width) per chain
+    for g in groups:
+        for _ in g.eigenvalues:
+            chains.append((first, g.width))
+            first += g.width
+    modes = [row for c in order for row in range(chains[c][0], sum(chains[c]))]
+    if len(modes) != n_modes:
+        raise AssemblyError(f"column groups cover {len(modes)} modes, expected {n_modes}")
+    rows = np.concatenate([g.t_plus for g in groups] + [g.t_minus for g in groups])
+    t = np.ascontiguousarray(rows[modes + [row + first for row in modes]].T)
     res = symplectic_residual(t)
     scale = 1.0 + maxnorm(t) ** 2
     if res > cfg.tol(scale) * scale * 100:
@@ -470,12 +498,14 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
     return Verdict.UNSTABLE, tuple(reasons)
 
 
-def _finish_report(m, k, spectrum, units, cfg: Config) -> NormalFormReport:
+def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     n_modes = k.shape[0] // 2
-    units = sorted(units, key=_unit_sort_key)
+    keys = [_mode_key(g, c) for g in groups for c in range(len(g.eigenvalues))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # ties only within a group
     residuals: dict = {}
-    transform = assemble_transform(units, n_modes, cfg, _residuals=residuals)
-    blocks = tuple(_block_for_unit(u) for u in units)
+    transform = assemble_transform(groups, order, n_modes, cfg, _residuals=residuals)
+    blocks = [b for g in groups for b in _group_blocks(g.case, g.rank, g.eigenvalues, g.sigmas)]
+    blocks = tuple(blocks[c] for c in order)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
     cond = float(np.linalg.cond(t))
@@ -537,25 +567,32 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
     shifts: dict = {}  # representative -> eig(K) columns or restriction; Schur forms of K
     spectrum = classify_spectrum(k, clusters, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
-    units: list[_Unit] = []
+    found: dict = {}  # (case, rank) -> the chains' column data, in the order found
+
+    def add(case, items):
+        for item in items:
+            found.setdefault((case, item[0].rank), []).append(item)
+
     for cls in spectrum.classes:
-        chains = extract_class_chains(k, cls, _level1=shifts[cls.representative])
-        kind = cls.kind
-        if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
-            case = 1 if kind is EigenvalueKind.REAL_PAIR else 2
-            pairs = orthonormalize_real_complex(k, cls.representative, chains.chains,
-                                                chains.partners)
-            units.extend(build_case_columns(case, pair) for pair in pairs)
-        elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
-            case3, case4 = orthonormalize_zero(k, chains.chains)
-            units.extend(build_case_columns(3, item) for item in case3)
-            units.extend(build_case_columns(4, pair) for pair in zero_odd_pairing(k, case4))
+        lam, kind, level1 = cls.representative, cls.kind, shifts[cls.representative]
+        if isinstance(level1, np.ndarray):  # a simple class: its eig(K) columns
+            chains = [JordanChain(lam, 1, (level1[:, 0],))]
+            partners = [JordanChain(-lam, 1, (level1[:, 1],))] if level1.shape[1] > 1 else []
         else:
-            units.extend(
-                build_case_columns(5 + chain.rank % 2, (chain, sigma))
-                for chain, sigma in orthonormalize_imaginary(k, cls.representative, chains.chains)
-            )
-    return _finish_report(m, k, spectrum, units, cfg)
+            found_chains = extract_class_chains(k, cls, _level1=level1)
+            chains, partners = found_chains.chains, found_chains.partners
+        if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
+            add(1 if kind is EigenvalueKind.REAL_PAIR else 2,
+                orthonormalize_real_complex(k, lam, chains, partners))
+        elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
+            case3, case4 = orthonormalize_zero(k, chains)
+            add(3, case3)
+            add(4, zero_odd_pairing(k, case4))
+        else:
+            for item in orthonormalize_imaginary(k, lam, chains):
+                add(5 + item[0].rank % 2, [item])
+    groups = [build_case_columns(case, items) for (case, _), items in found.items()]
+    return _finish_report(m, k, spectrum, groups, cfg)
 
 
 def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
@@ -586,23 +623,30 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     radii = [CLUSTERING_TOL]
     for _ in range(8):
         radii.append(radii[-1] * 10.0)
-    tried: list = []
+    tried: dict = {}  # multiplicities of each clustering tried -> its radius index
+    attempts: list[str] = []  # why each radius failed, as plain strings: no traceback is kept
     last: Exception | None = None
     try:
-        for tol in radii:
+        for i, tol in enumerate(radii):
+            where = f"t_{i} = {tol:.0e}"
             try:
                 clusters = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
             except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
                 last = exc
+                attempts.append(f"{where}: skipped, the spectrum did not pair up "
+                                f"({type(exc).__name__}: {exc})")
                 continue
-            shape = [mult for _, mult in clusters]
+            shape = tuple(mult for _, mult in clusters)
             if shape in tried:  # a wider radius only merges, so this is a clustering tried before
+                attempts.append(f"{where}: skipped, the clustering repeats t_{tried[shape]}'s")
                 continue
-            tried.append(shape)
+            tried[shape] = i
             try:
                 return _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg)
             except (PipelineError, VerificationError) as exc:
                 last = exc
+                attempts.append(f"{where}: {type(exc).__name__}: {exc}")
+        last.attempts = tuple(attempts)
         raise last
     finally:
         last = None  # its traceback holds this frame: drop the cycle on every exit

@@ -75,19 +75,22 @@ class EigenvalueClass:
 
     @property
     def members(self) -> tuple[complex, ...]:
-        lam = self.representative
-        if self.kind is EigenvalueKind.ZERO:
-            return (0j,)
-        if self.kind is EigenvalueKind.REAL_PAIR:
-            return (lam, -lam)
-        if self.kind is EigenvalueKind.IMAGINARY_PAIR:
-            return (lam, lam.conjugate())
-        return (lam, -lam, lam.conjugate(), -lam.conjugate())
+        return _members(self.kind, self.representative)
 
     @property
     def weight(self) -> int:
         """Contribution of this class to the total dimension 2N."""
         return len(self.members) * self.algebraic
+
+
+def _members(kind: EigenvalueKind, lam: complex) -> tuple[complex, ...]:
+    if kind is EigenvalueKind.ZERO:
+        return (0j,)
+    if kind is EigenvalueKind.REAL_PAIR:
+        return (lam, -lam)
+    if kind is EigenvalueKind.IMAGINARY_PAIR:
+        return (lam, lam.conjugate())
+    return (lam, -lam, lam.conjugate(), -lam.conjugate())
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,8 @@ def _union_clusters(values, mults, eps):
         v = np.array(values, dtype=complex)
         if len(values) < 2:
             break
-        close = np.abs(v[:, None] - v) <= eps
+        d = v[:, None] - v
+        close = np.hypot(d.real, d.imag) <= eps  # abs(complex) to the bit, unlike np.abs
         close.flat[::len(values) + 1] = False  # symmetric, so the first hit has i < j
         i, j = divmod(int(close.argmax()), len(values))
         if not close[i, j]:
@@ -329,16 +333,8 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
     n_modes = k.shape[0] // 2
     if clusters is None:
         clusters = cluster_eigenvalues(k, _eigenvalues=_eigenvalues)
-    if _eigenvectors is not None:
-        centers = np.array([lam for lam, _ in clusters])
-        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
-        owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
-        raw_of = np.empty(len(centers), dtype=int)
-        raw_of[owner] = np.arange(len(owner))
-        index = {lam: i for i, (lam, _) in enumerate(clusters)}
-    schur: dict = {} if _shifts is None else _shifts.setdefault("Schur forms", {})
     seen: set[complex] = set()
-    classes = []
+    found = []  # (kind, representative, multiplicity, members) of each class
     for lam, mult in clusters:
         if lam in seen:
             continue
@@ -354,15 +350,37 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
         else:
             kind = EigenvalueKind.COMPLEX_QUADRUPLET
             rep = complex(abs(lam.real), abs(lam.imag))
-        members = EigenvalueClass(kind=kind, representative=rep, algebraic=mult).members
+        members = _members(kind, rep)
         if not seen.isdisjoint(members):
             continue
         seen.update(members)
-        if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
-            own = [index[mu] for mu in members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]]
-            if any(owned[i] != 1 for i in own):
+        found.append((kind, rep, mult, members))
+    # The eig(K) columns of every simple nonzero class, gathered at once: lam's
+    # and, if paired, -lam's, each from the one raw eigenvalue that owns it.
+    simple = {}  # class index -> its columns' slice of ``columns``
+    if _eigenvectors is not None:
+        own = []
+        for i, (kind, _, mult, members) in enumerate(found):
+            if mult == 1 and kind is not EigenvalueKind.ZERO:
+                paired = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
+                simple[i] = slice(len(own), len(own) + len(paired))
+                own.extend(paired)
+        centers = np.array([lam for lam, _ in clusters])
+        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
+        owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
+        raw_of = np.zeros(len(centers), dtype=int)  # 0 for a member no raw value owns
+        raw_of[owner] = np.arange(len(owner))
+        index = {lam: i for i, (lam, _) in enumerate(clusters)}
+        own = [index[mu] for mu in own]
+        single = (owned[own] == 1).tolist()
+        columns = _eigenvectors[:, raw_of[own]]
+    schur: dict = {} if _shifts is None else _shifts.setdefault("Schur forms", {})
+    classes = []
+    for i, (kind, rep, mult, _) in enumerate(found):
+        if i in simple:
+            if not all(single[simple[i]]):
                 raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
-            level1 = _eigenvectors[:, raw_of[own]]
+            level1 = columns[:, simple[i]]
             level1 = level1.real if rep.imag == 0 else level1
         else:
             level1 = _restrict(k, rep, mult, schur)

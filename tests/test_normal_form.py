@@ -30,11 +30,17 @@ from quadnf import (
     symplectic_residual,
     terms_matrix,
 )
-from quadnf.errors import ChainExtractionError, QuadnfError, VerificationError
+from quadnf.errors import (
+    AssemblyError,
+    ChainExtractionError,
+    NondegeneracyError,
+    QuadnfError,
+    SpectrumStructureError,
+    VerificationError,
+)
 from quadnf.normal_form import (
     TermKind,
-    _block_for_unit,
-    _Unit,
+    _group_blocks,
     build_case_columns,
     emit_terms,
     expected_kn,
@@ -43,13 +49,15 @@ from quadnf.reporting import MatrixDocument
 from quadnf.spectrum import CLUSTERING_TOL, EigenvalueKind, JordanChain, make_chain
 
 
-def unit_spec(case, lam, rank, sigma=None):
-    return _Unit(case=case, eigenvalue=lam, rank=rank, sigma=sigma, t_cols=[], s_cols=[])
+def block_of(case, lam, rank, sigma=None):
+    """The program's block for one chain: a group of one."""
+    (block,) = _group_blocks(case, rank, (lam,), (sigma,))
+    return block
 
 
 def block_terms(specs):
     """emit_terms on the blocks of ``specs``; also the blocks and the mode count."""
-    blocks = [_block_for_unit(unit_spec(*spec)) for spec in specs]
+    blocks = [block_of(*spec) for spec in specs]
     terms, zero_modes = emit_terms(blocks)
     return terms, zero_modes, blocks, sum(b.size for b in blocks)
 
@@ -70,27 +78,27 @@ class TestCaseColumns:
         k = build_eom(GOLDEN_M)
         e = make_chain(k, 2.0, GOLDEN_E11, 2)
         et = make_chain(k, -2.0, GOLDEN_E11T, 2)
-        unit = build_case_columns(1, (e, et))
-        assert np.allclose(unit.t_cols[0], GOLDEN_E11, atol=1e-12)
-        assert np.allclose(unit.t_cols[1], GOLDEN_T2, atol=1e-12)
-        assert np.allclose(unit.s_cols[0], GOLDEN_S1, atol=1e-12)
-        assert np.allclose(unit.s_cols[1], GOLDEN_E11T, atol=1e-12)
+        group = build_case_columns(1, [(e, et)])
+        assert np.allclose(group.t_plus[0], GOLDEN_E11, atol=1e-12)
+        assert np.allclose(group.t_plus[1], GOLDEN_T2, atol=1e-12)
+        assert np.allclose(group.t_minus[0], GOLDEN_S1, atol=1e-12)
+        assert np.allclose(group.t_minus[1], GOLDEN_E11T, atol=1e-12)
 
     def test_golden_zero_pair(self):
         k = build_eom(GOLDEN_M)
         f = make_chain(k, 0.0, GOLDEN_F01, 1)
         h = make_chain(k, 0.0, GOLDEN_H01, 1)
-        unit = build_case_columns(4, (f, h))
-        assert np.allclose(unit.t_cols[0], GOLDEN_F01)
-        assert np.allclose(unit.s_cols[0], GOLDEN_H01)
+        group = build_case_columns(4, [(f, h)])
+        assert np.allclose(group.t_plus[0], GOLDEN_F01)
+        assert np.allclose(group.t_minus[0], GOLDEN_H01)
 
     def test_golden_imaginary(self):
         # sigma = -i: the momentum column is +sqrt(2) Im(e), the sign that
         # makes t^T J s = +1 (and matches the assembled transformation).
         k = build_eom(GOLDEN_M)
         chain = make_chain(k, 3j, GOLDEN_E21, 1)
-        unit = build_case_columns(6, (chain, -1j))
-        t, s = unit.t_cols[0], unit.s_cols[0]
+        group = build_case_columns(6, [(chain, -1j)])
+        t, s = group.t_plus[0], group.t_minus[0]
         assert np.allclose(t, np.sqrt(2) * np.real(GOLDEN_E21))
         assert np.allclose(s, np.sqrt(2) * np.imag(GOLDEN_E21))
         j = symplectic_form(4)
@@ -119,9 +127,9 @@ class TestCaseColumns:
 
         for case, lam in ((1, 1.3 + 0j), (4, 0j)):
             e, et = chain(lam, 3, real=True), chain(-lam, 3, real=True)
-            unit = build_case_columns(case, (e, et))
-            assert all(map(np.array_equal, unit.t_cols, powers(e))), case
-            assert all(map(np.array_equal, unit.s_cols, partner_w(e, et))), case
+            group = build_case_columns(case, [(e, et)])
+            assert all(map(np.array_equal, group.t_plus, powers(e))), case
+            assert all(map(np.array_equal, group.t_minus, partner_w(e, et))), case
 
         # Case 1 as orthonormalize_real_complex hands it over: a real partner
         # divided by alpha, a complex with a zero imaginary part.
@@ -130,29 +138,29 @@ class TestCaseColumns:
         et_c = JordanChain(et.eigenvalue, 3, tuple(v / a for v in et.vectors))
         assert all(v.dtype == complex and not v.imag.any() for v in et_c.vectors)
         et_r = JordanChain(et.eigenvalue, 3, tuple(v.real for v in et_c.vectors))
-        unit = build_case_columns(1, (e, et_c))
-        assert all(c.dtype == np.float64 for c in unit.t_cols + unit.s_cols)
-        assert all(map(np.array_equal, unit.t_cols, powers(e)))
-        assert all(map(np.array_equal, unit.s_cols, partner_w(e, et_r)))
+        group = build_case_columns(1, [(e, et_c)])
+        assert all(c.dtype == np.float64 for c in (group.t_plus, group.t_minus))
+        assert all(map(np.array_equal, group.t_plus, powers(e)))
+        assert all(map(np.array_equal, group.t_minus, partner_w(e, et_r)))
 
         e, et = chain(0.6 + 1.2j, 3), chain(-0.6 - 1.2j, 3)
         z, w = powers(e), partner_w(e, et)
-        unit = build_case_columns(2, (e, et))
+        group = build_case_columns(2, [(e, et)])
         t = [r2 * part(v) for v in z for part in (np.real, np.imag)]
         s = [x for v in w for x in (r2 * np.real(v), -r2 * np.imag(v))]
-        assert len(unit.t_cols) == len(unit.s_cols) == 6
-        assert all(map(np.array_equal, unit.t_cols, t))
-        assert all(map(np.array_equal, unit.s_cols, s))
+        assert len(group.t_plus) == len(group.t_minus) == 6
+        assert all(map(np.array_equal, group.t_plus, t))
+        assert all(map(np.array_equal, group.t_minus, s))
 
         for sigma in (1 + 0j, -1 + 0j):
             c = chain(2.1j, 4)
             z = powers(c)
             w = [sigma * (-1.0) ** kk * np.conj(z[4 - kk]) for kk in range(1, 5)]
-            unit = build_case_columns(5, (c, sigma))
+            group = build_case_columns(5, [(c, sigma)])
             t = [r2 * np.real(z[0]), r2 * np.imag(z[1]), r2 * np.real(z[2]), r2 * np.imag(z[3])]
             s = [r2 * np.real(w[0]), -r2 * np.imag(w[1]), r2 * np.real(w[2]), -r2 * np.imag(w[3])]
-            assert all(map(np.array_equal, unit.t_cols, t)), sigma
-            assert all(map(np.array_equal, unit.s_cols, s)), sigma
+            assert all(map(np.array_equal, group.t_plus, t)), sigma
+            assert all(map(np.array_equal, group.t_minus, s)), sigma
 
     def test_columns_pair_symplectically(self, rng):
         specs_list = [
@@ -194,43 +202,48 @@ def same_block(a, b):
 class TestExpectedBlocks:
     def test_program_blocks_match_the_planted_copy(self):
         # tests/conftest.py plants K_N from its own copy of the block formulas.
-        for spec in EVERY_BLOCK:
-            want = conftest._block_for_unit(conftest._Unit(*spec, *(None,) * (4 - len(spec))))
-            assert same_block(_block_for_unit(unit_spec(*spec)), want), spec
+        # Each spec is checked alone and in the group of its case and rank.
+        specs = [spec + (None,) * (4 - len(spec)) for spec in EVERY_BLOCK]
+        for case, rank in {spec[::2] for spec in specs}:
+            group = [spec for spec in specs if spec[::2] == (case, rank)]
+            together = _group_blocks(case, rank, [s[1] for s in group], [s[3] for s in group])
+            for spec, block in zip(group, together, strict=True):
+                want = conftest._block_for_unit(conftest._Unit(*spec))
+                assert same_block(block_of(*spec), want), spec
+                assert same_block(block, want), spec
 
     def test_real_pair_rank_two(self):
-        b = _block_for_unit(unit_spec(1, 2.0 + 0j, 2))
+        b = block_of(1, 2.0 + 0j, 2)
         assert np.array_equal(b.i_i, [[2, 0], [1, 2]])
         assert not b.i_r.any() and not b.i_l.any()
 
     def test_imaginary_rank_one(self):
-        b = _block_for_unit(unit_spec(6, 3j, 1, -1j))
+        b = block_of(6, 3j, 1, -1j)
         assert np.array_equal(b.i_i, [[0]])
         assert np.array_equal(b.i_r, [[3]])
         assert np.array_equal(b.i_l, [[-3]])
 
     def test_zero_even_rank_two(self):
-        b = _block_for_unit(unit_spec(3, 0j, 2, 1 + 0j))
+        b = block_of(3, 0j, 2, 1 + 0j)
         assert np.array_equal(b.i_i, [[0]])
         assert np.array_equal(b.i_r, [[0]])
         assert np.array_equal(b.i_l, [[-1]])
 
     def test_quadruplet_rank_one(self):
-        b = _block_for_unit(unit_spec(2, 0.5 + 1.5j, 1))
+        b = block_of(2, 0.5 + 1.5j, 1)
         assert np.array_equal(b.i_i, [[0.5, 1.5], [-1.5, 0.5]])
 
     def test_block_eigenvalues_match_family(self):
         # assembled block [[I_I, I_R], [I_L, -I_I^T]] must carry the
         # eigenvalue family with the right multiplicities
         cases = [
-            (unit_spec(1, 1.5 + 0j, 3), [1.5] * 3 + [-1.5] * 3),
-            (unit_spec(3, 0j, 4, -1 + 0j), [0.0] * 4),
-            (unit_spec(5, 2.0j, 2, 1 + 0j), [2j, 2j, -2j, -2j]),
-            (unit_spec(6, 3.0j, 3, 1j), [3j] * 3 + [-3j] * 3),
-            (unit_spec(2, 1.0 + 2.0j, 1), [1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j]),
+            (block_of(1, 1.5 + 0j, 3), [1.5] * 3 + [-1.5] * 3),
+            (block_of(3, 0j, 4, -1 + 0j), [0.0] * 4),
+            (block_of(5, 2.0j, 2, 1 + 0j), [2j, 2j, -2j, -2j]),
+            (block_of(6, 3.0j, 3, 1j), [3j] * 3 + [-3j] * 3),
+            (block_of(2, 1.0 + 2.0j, 1), [1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j]),
         ]
-        for unit, expected in cases:
-            b = _block_for_unit(unit)
+        for b, expected in cases:
             full = np.block([[b.i_i, b.i_r], [b.i_l, -b.i_i.T]])
             # defective eigenvalues shift like eps^(1/D) under eigvals, so
             # compare characteristic polynomials instead
@@ -240,8 +253,7 @@ class TestExpectedBlocks:
             assert np.max(np.abs(got - want)) < 1e-8 * scale
 
     def test_expected_kn_is_hamiltonian_structured(self):
-        units = [unit_spec(1, 2.0 + 0j, 2), unit_spec(4, 0j, 1), unit_spec(6, 3j, 1, -1j)]
-        blocks = [_block_for_unit(u) for u in units]
+        blocks = [block_of(1, 2.0 + 0j, 2), block_of(4, 0j, 1), block_of(6, 3j, 1, -1j)]
         kn = expected_kn(blocks, 4)
         j = symplectic_form(4)
         assert np.max(np.abs(j @ kn + kn.T @ j)) < 1e-12
@@ -526,6 +538,47 @@ class TestPipeline:
                 continue
             assert all(b.case in (1, 2, 4, 6) for b in rep.blocks)
             assert {t.kind for t in rep.terms} <= allowed
+
+
+class TestEscalationAttempts:
+    """The error normal_form raises after its widest radius carries one plain
+    string per radius t_0..t_8, and its own message is unchanged."""
+
+    def test_every_radius_is_recorded(self, monkeypatch):
+        # Oscillators at 1, 1 + 3e-6 and 1 + 3e-4: the clustering merges the
+        # first two at t_2, all three at t_4 and +-i into 0 at t_7, and
+        # repeats in between.
+        m = np.diag([1.0, 1.0 + 3e-6, 1.0 + 3e-4] * 2)
+        nf = sys.modules["quadnf.normal_form"]
+        cluster, raised = nf.cluster_eigenvalues, []
+        kinds = [ChainExtractionError, NondegeneracyError, AssemblyError, VerificationError]
+
+        def unpaired_at_t0(k, tol, **kwargs):
+            if tol == CLUSTERING_TOL:
+                raise SpectrumStructureError("no partner, forced")
+            return cluster(k, tol=tol, **kwargs)
+
+        def failing(*args):
+            raised.append(kinds[len(raised)](f"attempt {len(raised)} forced"))
+            raise raised[-1]
+
+        monkeypatch.setattr(nf, "cluster_eigenvalues", unpaired_at_t0)
+        monkeypatch.setattr(nf, "_attempt_normal_form", failing)
+        with pytest.raises(QuadnfError) as info:
+            normal_form(m)
+        assert info.value is raised[-1] and str(info.value) == f"attempt {len(raised) - 1} forced"
+        attempts = info.value.attempts
+        assert len(attempts) == 9 and all(type(a) is str for a in attempts)
+        assert attempts[0] == ("t_0 = 1e-07: skipped, the spectrum did not pair up "
+                               "(SpectrumStructureError: no partner, forced)")
+        tried = [a for a in attempts if "skipped" not in a]
+        assert tried == [f"t_{i} = {10.0 ** (i - 7):.0e}: {type(e).__name__}: {e}"
+                         for i, e in zip((1, 2, 4, 7), raised, strict=True)]
+        repeats = {3: 2, 5: 4, 6: 4, 8: 7}
+        assert [a for a in attempts if "repeats" in a] == [
+            f"t_{i} = {10.0 ** (i - 7):.0e}: skipped, the clustering repeats t_{j}'s"
+            for i, j in repeats.items()]
+        raised.clear()  # their tracebacks hold this frame
 
 
 class TestEscalationGarbage:

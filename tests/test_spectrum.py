@@ -18,6 +18,7 @@ from quadnf.config import maxnorm
 from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
 from quadnf.spectrum import (
     CLUSTERING_TOL,
+    _union_clusters,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
@@ -84,8 +85,7 @@ def _reference_union(values, mults, eps):
     values = list(values)
     mults = list(mults)
     while len(values) > 1:
-        v = np.array(values)
-        close = np.abs(v[:, None] - v) <= eps
+        close = np.array([[abs(complex(a) - complex(b)) <= eps for b in values] for a in values])
         np.fill_diagonal(close, False)
         hit = int(np.argmax(close))
         if not close.flat[hit]:
@@ -198,6 +198,19 @@ class TestClusteringReference:
                 outcomes.add("ok")
         # no mirror partner, unequal multiplicities, diameter, multiplicity sum
         assert outcomes == {"ok", "eigenvalue", "mirror", "cluster", "clustered"}
+
+
+    def test_merges_by_the_distance_of_the_mirror_search(self):
+        # np.abs rounds |z| differently from abs(complex) for some z; clusters
+        # merge by abs(complex), the distance every later decision uses.
+        rng = np.random.default_rng(0)
+        z = next((complex(x) for x in rng.normal(size=10000) + 1j * rng.normal(size=10000)
+                  if float(np.abs(x)) != abs(complex(x))), None)
+        if z is None:
+            pytest.skip("np.abs agrees with abs(complex) on this NumPy")
+        for eps in (float(np.abs(np.complex128(z))), abs(z)):  # on both sides of one of them
+            merged = ([z / 2], [2]) if abs(z) <= eps else ([0j, z], [1, 1])
+            assert _union_clusters([0j, z], [1, 1], eps) == merged, eps
 
 
 class TestClassification:
