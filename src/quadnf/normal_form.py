@@ -4,12 +4,15 @@ This module alone knows the six chain cases of the construction: 1 real
 pair, 2 complex quadruplet, 3/4 zero eigenvalue at even/odd rank, 5/6
 imaginary pair at even/odd rank.  ``_attempt_normal_form`` names each
 chain's case where it picks the orthonormalization for the chain's
-eigenvalue class.  Given the symplectically orthonormalized chains of
-K = J M, each case prescribes real column vectors for the transformation
-T = (T_+ T_-), in ``build_case_columns``.  The same data determines the
-real Jordan normal form K_N = T^{-1} K T block by block.  Each block is
-written down once, in ``_block_for_unit``, and blocks take consecutive
-modes in report order; the transformed Hamiltonian matrix
+eigenvalue class, and collects the chains of each case and rank into a
+group.  Given the symplectically orthonormalized chains of K = J M, each
+case prescribes real column vectors for the transformation T = (T_+ T_-);
+``build_case_columns`` writes them for a whole group at once, with array
+operations over a chain axis.  The same data determines the real Jordan
+normal form K_N = T^{-1} K T block by block, and ``_group_blocks`` writes
+a group's blocks into one stack of arrays.  Blocks take consecutive
+modes in report order, into which ``assemble_transform`` gathers T once;
+the transformed Hamiltonian matrix
 N = T^T M T = -J K_N is then read off those blocks as a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
 beam splitters), and one table gives each term kind's symbol and N
@@ -227,32 +230,35 @@ def build_case_columns(case: int, items) -> _Group:
     chains = [chain for chain, _ in items]
     d = chains[0].rank
     v = np.array([chain.vectors for chain in chains])  # v[c, j] = A^(D-1-j) e of chain c
-    z = v[:, ::-1]
+    z = v[:, ::-1]  # z[c, k - 1] = z_k
     sigmas = [None] * len(items) if case in (1, 2, 4) else [other for _, other in items]
     if case in (1, 2, 4):
         signs = np.array([(-1.0) ** (d - kk) for kk in range(1, d + 1)])
         w = signs[:, None] * np.array([other.vectors for _, other in items])
-    elif case == 5:
+    elif case == 5:  # z_(D+1-k) is v[k - 1]
         signs = np.array([[sigma * (-1.0) ** kk for kk in range(1, d + 1)] for sigma in sigmas])
-        w = signs[:, :, None] * np.conj(v)  # conj(z_(D+1-k)) is conj(v[k - 1])
+        w = signs[:, :, None] * np.conj(v)
     if case in (1, 4):
-        t_plus, t_minus = z, w
-    elif case in (2, 5):
-        if case == 2:
-            z, w = np.repeat(z, 2, axis=1), np.repeat(w, 2, axis=1)
-        t_plus, t_minus = SQRT2 * np.real(z), SQRT2 * np.real(w)
-        t_plus[:, 1::2] = SQRT2 * np.imag(z[:, 1::2])
-        t_minus[:, 1::2] = -SQRT2 * np.imag(w[:, 1::2])
+        t_plus, t_minus = np.real(z), np.real(w)
+    elif case == 2:  # both parts of every z_k and w_k
+        t_plus = SQRT2 * np.stack([np.real(z), np.imag(z)], axis=2)
+        t_minus = np.stack([SQRT2 * np.real(w), -SQRT2 * np.imag(w)], axis=2)
+    elif case == 5:  # Re at odd k, Im at even k
+        odd = (np.arange(d) % 2 == 0)[:, None]
+        t_plus = SQRT2 * np.where(odd, np.real(z), np.imag(z))
+        t_minus = np.where(odd, SQRT2 * np.real(w), -SQRT2 * np.imag(w))
     elif case == 3:
-        s = [float(np.real(sigma)) for sigma in sigmas]
-        half = d // 2
-        t_plus = np.array([[sc ** (kk - 1) for kk in range(1, half + 1)] for sc in s])[:, :, None] * z[:, :half]
-        t_minus = np.array([[(-sc) ** (d - kk) for kk in range(1, half + 1)] for sc in s])[:, :, None] * v[:, :half]
-    elif case == 6:
-        eps = [float(np.real(-1j * sigma)) for sigma in sigmas]
+        s = [float(complex(sigma).real) for sigma in sigmas]
+        first = range(1, d // 2 + 1)  # the first D/2 positions k
+        t_plus = np.real(np.array([[sc ** (kk - 1) for kk in first] for sc in s])[:, :, None]
+                         * z[:, :d // 2])
+        t_minus = np.real(np.array([[(-sc) ** (d - kk) for kk in first] for sc in s])[:, :, None]
+                          * v[:, :d // 2])
+    elif case == 6:  # z_(D+1-k) is v[k - 1]
+        eps = [float((-1j * sigma).real) for sigma in sigmas]
         t_plus = SQRT2 * np.real(z)
         coef = np.array([[e * (-1.0) ** kk * SQRT2 for kk in range(1, d + 1)] for e in eps])
-        t_minus = coef[:, :, None] * np.imag(v)  # z_(D+1-k) is v[k - 1]
+        t_minus = coef[:, :, None] * np.imag(v)
     else:
         raise ValueError(f"unknown case {case}")
     rows = (-1, v.shape[2])
@@ -261,8 +267,8 @@ def build_case_columns(case: int, items) -> _Group:
         rank=d,
         eigenvalues=tuple(complex(chain.eigenvalue) for chain in chains),
         sigmas=tuple(None if sigma is None else complex(sigma) for sigma in sigmas),
-        t_plus=np.asarray(np.real(t_plus), dtype=float).reshape(rows),
-        t_minus=np.asarray(np.real(t_minus), dtype=float).reshape(rows),
+        t_plus=t_plus.reshape(rows),
+        t_minus=t_minus.reshape(rows),
     )
 
 
@@ -275,28 +281,26 @@ def _mode_key(group: _Group, c: int):
 
 def _diagonal(flat: np.ndarray, size: int, offset: int, step: int = 1,
               anti: bool = False) -> np.ndarray:
-    """A writable view of every ``step``-th entry (i, j) of one diagonal of each
-    size x size matrix in a stack of flattened ones: j - i = ``offset``, or
-    with ``anti`` the anti-diagonal i + j = size - 1 + ``offset``."""
+    """A writable view of every ``step``-th entry (i, j) of one diagonal of the
+    size x size matrices flattened along the last axis of ``flat``: j - i =
+    ``offset``, or with ``anti`` the anti-diagonal i + j = size - 1 + ``offset``."""
     if anti:  # entry (i, size - 1 + offset - i) is at flat index i (size - 1) + size - 1 + offset
         rows, stride, first = range(max(0, offset), min(size, size + offset)), size - 1, size - 1 + offset
     else:  # entry (i, i + offset) is at flat index i (size + 1) + offset
         rows, stride, first = range(max(0, -offset), min(size, size - offset)), size + 1, offset
     start = rows.start * stride + first
-    return flat[:, start:start + len(rows) * stride - stride + 1:max(stride, 1) * step]
+    return flat[..., start:start + len(rows) * stride - stride + 1:max(stride, 1) * step]
 
 
 def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
     """The real Jordan blocks of case c and rank d at the given eigenvalues and
-    sigmas, written into one stack of arrays per sub-block: the same entries,
-    in the same arithmetic, for every chain of the group."""
+    sigmas, written into one stack of arrays: the same entries, in the same
+    arithmetic, for every chain of the group."""
     n = len(eigenvalues)
     size = {2: 2 * d, 3: d // 2}.get(c, d)
-    stacks = np.zeros((3, n, size * size))
-    i_i, i_r, i_l = stacks[0], stacks[1], stacks[2]
-    if c in (3, 5, 6):
-        s = np.array([[(1j * sigma if c == 6 else sigma).real] for sigma in sigmas])
-    if c in (1, 2, 4):  # lam = 0 in case 4; Re lam >= 0, so lam I + E is this to the bit
+    stack = np.zeros((n, 3, size * size))  # I_I, I_R and I_L of each chain, flattened
+    i_i, i_r, i_l = stack[:, 0], stack[:, 1], stack[:, 2]
+    if c in (1, 2, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
         _diagonal(i_i, size, 0)[:] = np.array([[lam.real] for lam in eigenvalues])
     if c in (1, 4, 6):
         _diagonal(i_i, size, -1)[:] = 1.0
@@ -306,25 +310,25 @@ def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
         _diagonal(i_i, size, -1, 2)[:] = -nu
         _diagonal(i_i, size, -2)[:] = 1.0
     elif c == 3:
+        s = np.array([[sigma.real] for sigma in sigmas])
         i_i[:] = s * np.eye(size, k=-1).ravel()  # its zeros signed as s * 0.0
         i_l[:, -1] = s[:, 0] * (-1.0) ** (d // 2)
-    elif c in (5, 6):  # I_R and I_L on anti-diagonals, entry (r, D + 1 - r) at offset 0
+    elif c in (5, 6):  # I_R and I_L fill anti-diagonals; (r, D + 1 - r) is at offset 0
+        s = np.array([[(1j * sigma if c == 6 else sigma).real] for sigma in sigmas])
         sn = s * np.array([[lam.imag] for lam in eigenvalues])
-        sign = np.array([(-1.0) ** r for r in range(1, d + 1)])
+        signs = np.array([(-1.0) ** r for r in range(1, d + 1)])
         if c == 5:
             _diagonal(i_r, size, 0, anti=True)[:] = sn
             _diagonal(i_l, size, 0, anti=True)[:] = -sn
-            _diagonal(i_r, size, 1, anti=True)[:] = s * sign[1:]  # s if r is even, else -s
-            _diagonal(i_l, size, -1, anti=True)[:] = s * sign[:-1]
+            _diagonal(i_r, size, 1, anti=True)[:] = s * signs[1:]  # s if r is even, else -s
+            _diagonal(i_l, size, -1, anti=True)[:] = s * signs[:-1]
         else:
-            _diagonal(i_r, size, 0, anti=True)[:] = -sn * sign
-            _diagonal(i_l, size, 0, anti=True)[:] = sn * sign
-    stacks = stacks.reshape(3, n, size, size)
-    i_i, i_r, i_l = stacks[0], stacks[1], stacks[2]
-    return [
-        NormalFormBlock(c, eigenvalues[j], d, sigmas[j], i_i[j], i_r[j], i_l[j])
-        for j in range(n)
-    ]
+            _diagonal(i_r, size, 0, anti=True)[:] = -sn * signs
+            _diagonal(i_l, size, 0, anti=True)[:] = sn * signs
+    stack = stack.reshape(n, 3, size, size)
+    i_i, i_r, i_l = stack[:, 0], stack[:, 1], stack[:, 2]
+    return [NormalFormBlock(c, eigenvalues[j], d, sigmas[j], i_i[j], i_r[j], i_l[j])
+            for j in range(n)]
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -575,7 +579,7 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
 
     for cls in spectrum.classes:
         lam, kind, level1 = cls.representative, cls.kind, shifts[cls.representative]
-        if isinstance(level1, np.ndarray):  # a simple class: its eig(K) columns
+        if isinstance(level1, np.ndarray):  # a simple class: its eig(K) columns, of lam and -lam
             chains = [JordanChain(lam, 1, (level1[:, 0],))]
             partners = [JordanChain(-lam, 1, (level1[:, 1],))] if level1.shape[1] > 1 else []
         else:
@@ -609,8 +613,10 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     up to t_8 = 10^8 t_0, a radius of 10 (1 + max|K|), and runs the rest
     of the pipeline on each clustering that pairs the spectrum up and
     differs from every one tried before; the first that succeeds wins,
-    and after t_8 the last error is raised.  Clean spectra cluster once,
-    at t_0.
+    and after t_8 the last error is raised, its ``attempts`` set to one
+    plain-string record per radius: skipped (the spectrum did not pair up,
+    or the clustering repeats an earlier one) or the class and message of
+    the error that attempt raised.  Clean spectra cluster once, at t_0.
 
     ``cfg`` carries only the structural tolerance: it checks M's symmetry
     and T's symplectic condition, and it widens the verification budget

@@ -327,7 +327,10 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
     nonzero class takes no Schur form: ``_shifts`` gets the columns of
     lam and, if paired, -lam, each owned by exactly one raw eigenvalue
-    nearest to it among the cluster members, else ``AmbiguousSpectrumError``.
+    nearest to it among the cluster members, else ``AmbiguousSpectrumError``
+    (for the first such class in report order).  The columns of every
+    simple class are gathered in one indexing step, and each class's are
+    a view of them.
     """
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
@@ -509,26 +512,20 @@ class ClassChains:
 def extract_class_chains(k, cls: EigenvalueClass, *, _level1=None) -> ClassChains:
     """Chains (and partner chains where applicable) for one eigenvalue class.
 
-    ``_level1`` is what ``classify_spectrum`` left in ``_shifts`` for the
-    class.  For a simple lam these are eigenvector columns of eig(K):
-    the one rank-1 chain of lam and, for real pairs and quadruplets, the
-    partner of -lam.  Otherwise it is the restriction of K to lam's
-    invariant subspace (computed if not given), and the chains come from
-    its nullspace filtration, the partner chains from that of -lam's
-    restriction, read from the same Schur form.
+    The chains come from the nullspace filtration of K's restriction to
+    lam's invariant subspace, ``_level1`` if given (what ``classify_spectrum``
+    left in ``_shifts`` for a repeated class), and the partner chains from
+    that of -lam's restriction, read from the same Schur form.  A simple
+    class that ``classify_spectrum`` gave eig(K) columns does not come here:
+    ``normal_form`` takes those columns as its rank-1 chains.
     """
     k = np.asarray(k, dtype=float)
     lam = cls.representative
     paired = cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)
-    if isinstance(_level1, np.ndarray):
-        chains = [make_chain(k, lam, _level1[:, 0], 1)]
-        partners = [make_chain(k, -lam, _level1[:, 1], 1)] if paired else []
-    else:
-        schur = {} if _level1 is None else _level1[3]
-        chains = sorted(jordan_chains(k, lam, cls.algebraic, _level1=_level1),
-                        key=lambda c: -c.rank)
-        partners = sorted(jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
-            k, -lam, cls.algebraic, schur)), key=lambda c: -c.rank) if paired else []
+    schur = {} if _level1 is None else _level1[3]
+    chains = sorted(jordan_chains(k, lam, cls.algebraic, _level1=_level1), key=lambda c: -c.rank)
+    partners = sorted(jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
+        k, -lam, cls.algebraic, schur)), key=lambda c: -c.rank) if paired else []
     if paired and [c.rank for c in chains] != [c.rank for c in partners]:
         raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
     return ClassChains(eigen_class=cls, chains=chains, partners=partners)

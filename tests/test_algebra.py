@@ -33,7 +33,9 @@ from quadnf.algebra import (
 )
 from quadnf.errors import ContractViolationError, NondegeneracyError
 from quadnf.spectrum import (
+    ClassChains,
     EigenvalueKind,
+    JordanChain,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
@@ -596,15 +598,20 @@ def _same_bits(a, b):
 
 
 def _simple_classes(m):
-    """(K, class, chains) of every class of M, the chains as the pipeline makes them:
-    for a simple class, strided columns of eig(K)."""
+    """(K, class, chains) of every simple class of M, the chains as the pipeline
+    makes them: rank-1 chains on strided columns of eig(K)."""
     k = build_eom(m)
     eigenvalues, vectors = np.linalg.eig(k)
     shifts = {}
     spectrum = classify_spectrum(k, _eigenvalues=eigenvalues, _eigenvectors=vectors,
                                  _shifts=shifts)
-    return [(k, cls, extract_class_chains(k, cls, _level1=shifts[cls.representative]))
-            for cls in spectrum.classes]
+    out = []
+    for cls in spectrum.classes:
+        lam, columns = cls.representative, shifts[cls.representative]
+        chains = [JordanChain(lam, 1, (columns[:, 0],))]
+        partners = [JordanChain(-lam, 1, (columns[:, 1],))] if columns.shape[1] > 1 else []
+        out.append((k, cls, ClassChains(cls, chains, partners)))
+    return out
 
 
 class TestSimpleClassScalars:

@@ -32,10 +32,12 @@ from quadnf.algebra import (
 from quadnf.normal_form import VERIFY_TOL, emit_terms, expected_kn
 from quadnf.spectrum import (
     CLUSTERING_TOL,
+    ClassChains,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
+    make_chain,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -95,7 +97,12 @@ def reference_attempt(k, clusters, eigenvalues, vectors):
     chains = []
     for cls in spectrum.classes:
         lam = cls.representative
-        found = extract_class_chains(k, cls, _level1=shifts[lam])
+        if isinstance(shifts[lam], np.ndarray):  # a simple class: its eig(K) columns
+            paired = shifts[lam].shape[1] > 1
+            found = ClassChains(cls, [make_chain(k, lam, shifts[lam][:, 0], 1)],
+                                [make_chain(k, -lam, shifts[lam][:, 1], 1)] if paired else [])
+        else:
+            found = extract_class_chains(k, cls, _level1=shifts[lam])
         if cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             case = 1 if cls.kind is EigenvalueKind.REAL_PAIR else 2
             chains += [chain_columns(case, pair) for pair in
