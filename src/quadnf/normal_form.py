@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +188,7 @@ class NormalFormReport:
     residuals: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """The orthonormalized chains of one case and rank, as arrays over a chain
     axis: row c * width + j of ``t_plus`` (``t_minus``) is column j of chain
     c in T_+ (T_-), and each chain has an eigenvalue and a sigma."""
@@ -231,45 +231,40 @@ def build_case_columns(case: int, items) -> _Group:
     d = chains[0].rank
     v = np.array([chain.vectors for chain in chains])  # v[c, j] = A^(D-1-j) e of chain c
     z = v[:, ::-1]  # z[c, k - 1] = z_k
-    sigmas = [None] * len(items) if case in (1, 2, 4) else [other for _, other in items]
+    sigmas = (None,) * len(items) if case in (1, 2, 4) else tuple(other for _, other in items)
     if case in (1, 2, 4):
-        signs = np.array([(-1.0) ** (d - kk) for kk in range(1, d + 1)])
-        w = signs[:, None] * np.array([other.vectors for _, other in items])
+        w = np.array([[(-1.0) ** (d - kk) * vec for kk, vec in enumerate(other.vectors, 1)]
+                      for _, other in items])
     elif case == 5:  # z_(D+1-k) is v[k - 1]
         signs = np.array([[sigma * (-1.0) ** kk for kk in range(1, d + 1)] for sigma in sigmas])
-        w = signs[:, :, None] * np.conj(v)
+        w = signs[:, :, None] * v.conj()
     if case in (1, 4):
-        t_plus, t_minus = np.real(z), np.real(w)
+        t_plus, t_minus = z.real, w.real
     elif case == 2:  # both parts of every z_k and w_k
-        t_plus = SQRT2 * np.stack([np.real(z), np.imag(z)], axis=2)
-        t_minus = np.stack([SQRT2 * np.real(w), -SQRT2 * np.imag(w)], axis=2)
+        t_plus = SQRT2 * np.stack([z.real, z.imag], axis=2)
+        t_minus = np.stack([SQRT2 * w.real, -SQRT2 * w.imag], axis=2)
     elif case == 5:  # Re at odd k, Im at even k
         odd = (np.arange(d) % 2 == 0)[:, None]
-        t_plus = SQRT2 * np.where(odd, np.real(z), np.imag(z))
-        t_minus = np.where(odd, SQRT2 * np.real(w), -SQRT2 * np.imag(w))
+        t_plus = SQRT2 * np.where(odd, z.real, z.imag)
+        t_minus = np.where(odd, SQRT2 * w.real, -SQRT2 * w.imag)
     elif case == 3:
         s = [float(complex(sigma).real) for sigma in sigmas]
         first = range(1, d // 2 + 1)  # the first D/2 positions k
-        t_plus = np.real(np.array([[sc ** (kk - 1) for kk in first] for sc in s])[:, :, None]
-                         * z[:, :d // 2])
-        t_minus = np.real(np.array([[(-sc) ** (d - kk) for kk in first] for sc in s])[:, :, None]
-                          * v[:, :d // 2])
+        t_plus = (np.array([[sc ** (kk - 1) for kk in first] for sc in s])[:, :, None]
+                  * z[:, :d // 2]).real
+        t_minus = (np.array([[(-sc) ** (d - kk) for kk in first] for sc in s])[:, :, None]
+                   * v[:, :d // 2]).real
     elif case == 6:  # z_(D+1-k) is v[k - 1]
         eps = [float((-1j * sigma).real) for sigma in sigmas]
-        t_plus = SQRT2 * np.real(z)
+        t_plus = SQRT2 * z.real
         coef = np.array([[e * (-1.0) ** kk * SQRT2 for kk in range(1, d + 1)] for e in eps])
-        t_minus = coef[:, :, None] * np.imag(v)
+        t_minus = coef[:, :, None] * v.imag
     else:
         raise ValueError(f"unknown case {case}")
     rows = (-1, v.shape[2])
-    return _Group(
-        case=case,
-        rank=d,
-        eigenvalues=tuple(complex(chain.eigenvalue) for chain in chains),
-        sigmas=tuple(None if sigma is None else complex(sigma) for sigma in sigmas),
-        t_plus=t_plus.reshape(rows),
-        t_minus=t_minus.reshape(rows),
-    )
+    return _Group(case, d, tuple(complex(chain.eigenvalue) for chain in chains),
+                  tuple(None if sigma is None else complex(sigma) for sigma in sigmas),
+                  t_plus.reshape(rows), t_minus.reshape(rows))
 
 
 def _mode_key(group: _Group, c: int):
@@ -279,56 +274,48 @@ def _mode_key(group: _Group, c: int):
     return (group.case, -abs(lam), -lam.imag, -group.rank, -sigma.real, -sigma.imag)
 
 
-def _diagonal(flat: np.ndarray, size: int, offset: int, step: int = 1,
-              anti: bool = False) -> np.ndarray:
-    """A writable view of every ``step``-th entry (i, j) of one diagonal of the
-    size x size matrices flattened along the last axis of ``flat``: j - i =
-    ``offset``, or with ``anti`` the anti-diagonal i + j = size - 1 + ``offset``."""
-    if anti:  # entry (i, size - 1 + offset - i) is at flat index i (size - 1) + size - 1 + offset
-        rows, stride, first = range(max(0, offset), min(size, size + offset)), size - 1, size - 1 + offset
-    else:  # entry (i, i + offset) is at flat index i (size + 1) + offset
-        rows, stride, first = range(max(0, -offset), min(size, size - offset)), size + 1, offset
-    start = rows.start * stride + first
-    return flat[..., start:start + len(rows) * stride - stride + 1:max(stride, 1) * step]
-
-
 def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
     """The real Jordan blocks of case c and rank d at the given eigenvalues and
-    sigmas, written into one stack of arrays: the same entries, in the same
-    arithmetic, for every chain of the group."""
-    n = len(eigenvalues)
+    sigmas, written into one stack of arrays: ``where`` lists the entries a
+    block of the group sets, in I_I, I_R, I_L flattened one after another,
+    and each chain's ``values`` are computed in the same arithmetic as
+    ever, so every other entry keeps the stack's +0.0."""
     size = {2: 2 * d, 3: d // 2}.get(c, d)
-    stack = np.zeros((n, 3, size * size))  # I_I, I_R and I_L of each chain, flattened
-    i_i, i_r, i_l = stack[:, 0], stack[:, 1], stack[:, 2]
-    if c in (1, 2, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
-        _diagonal(i_i, size, 0)[:] = np.array([[lam.real] for lam in eigenvalues])
-    if c in (1, 4, 6):
-        _diagonal(i_i, size, -1)[:] = 1.0
-    if c == 2:  # 2 x 2 blocks ((Re, nu), (-nu, Re)) on the diagonal, I below each
-        nu = np.array([[lam.imag] for lam in eigenvalues])
-        _diagonal(i_i, size, 1, 2)[:] = nu
-        _diagonal(i_i, size, -1, 2)[:] = -nu
-        _diagonal(i_i, size, -2)[:] = 1.0
-    elif c == 3:
-        s = np.array([[sigma.real] for sigma in sigmas])
-        i_i[:] = s * np.eye(size, k=-1).ravel()  # its zeros signed as s * 0.0
-        i_l[:, -1] = s[:, 0] * (-1.0) ** (d // 2)
-    elif c in (5, 6):  # I_R and I_L fill anti-diagonals; (r, D + 1 - r) is at offset 0
-        s = np.array([[(1j * sigma if c == 6 else sigma).real] for sigma in sigmas])
-        sn = s * np.array([[lam.imag] for lam in eigenvalues])
-        signs = np.array([(-1.0) ** r for r in range(1, d + 1)])
-        if c == 5:
-            _diagonal(i_r, size, 0, anti=True)[:] = sn
-            _diagonal(i_l, size, 0, anti=True)[:] = -sn
-            _diagonal(i_r, size, 1, anti=True)[:] = s * signs[1:]  # s if r is even, else -s
-            _diagonal(i_l, size, -1, anti=True)[:] = s * signs[:-1]
-        else:
-            _diagonal(i_r, size, 0, anti=True)[:] = -sn * signs
-            _diagonal(i_l, size, 0, anti=True)[:] = sn * signs
+    n, rows, cells = len(eigenvalues), range(size), size * size
+    diagonal = [r * (size + 1) for r in rows]  # (r, r), flattened
+    below = [r * (size + 1) + size for r in rows[:-1]]  # (r + 1, r)
+    anti = [r * (size - 1) + size - 1 for r in rows]  # (r, D - 1 - r)
+    if c in (1, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
+        where = diagonal + below
+        values = [[lam.real] * size + [1.0] * (size - 1) for lam in eigenvalues]
+    elif c == 2:  # 2 x 2 blocks ((Re, nu), (-nu, Re)) on the diagonal, I below each
+        where = diagonal + [r + 1 for r in diagonal[::2]] + below[::2] + [r + size for r in below[:-1]]
+        values = [[lam.real] * size + [lam.imag] * d + [-lam.imag] * d + [1.0] * (size - 2)
+                  for lam in eigenvalues]
+    elif c == 3:  # I_I = s E, its zeros signed as s * 0.0, and the last entry of I_L
+        eye = np.eye(size, k=-1).ravel().tolist()
+        where = list(range(cells)) + [3 * cells - 1]
+        values = [[sigma.real * e for e in eye] + [sigma.real * (-1.0) ** (d // 2)]
+                  for sigma in sigmas]
+    elif c == 5:  # I_R and I_L on the anti-diagonal, s or -s beside it
+        where = ([cells + r for r in anti] + [2 * cells + r for r in anti]
+                 + [cells + r + size for r in anti[:-1]] + [2 * cells + r - size for r in anti[1:]])
+        values = []
+        for lam, sigma in zip(eigenvalues, sigmas):
+            s, nu = sigma.real, lam.imag
+            values.append([s * nu] * d + [-s * nu] * d + [s if r % 2 else -s for r in rows[1:]]
+                          + [s if r % 2 else -s for r in rows[:-1]])
+    else:  # I_I = E, I_R and I_L on the anti-diagonal
+        where = below + [cells + r for r in anti] + [2 * cells + r for r in anti]
+        values = []
+        for lam, sigma in zip(eigenvalues, sigmas):
+            s6, nu = (1j * sigma).real, lam.imag
+            values.append([1.0] * (d - 1) + [s6 * nu * (-1.0) ** (r + 2) for r in rows]
+                          + [s6 * nu * (-1.0) ** (r + 1) for r in rows])
+    stack = np.zeros((n, 3 * cells))
+    stack[:, where] = values
     stack = stack.reshape(n, 3, size, size)
-    i_i, i_r, i_l = stack[:, 0], stack[:, 1], stack[:, 2]
-    return [NormalFormBlock(c, eigenvalues[j], d, sigmas[j], i_i[j], i_r[j], i_l[j])
-            for j in range(n)]
+    return [NormalFormBlock(c, eigenvalues[j], d, sigmas[j], *stack[j]) for j in range(n)]
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -358,12 +345,13 @@ def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT, *,
     offending Gram residual matrix.  On success, ``_residuals["symplectic"]``
     receives the residual checked.
     """
-    chains, first = [], 0  # (first row in the groups' stacked T_+ rows, width) per chain
+    starts, widths, first = [], [], 0  # each chain's first row in the groups' T_+ rows, width
     for g in groups:
-        for _ in g.eigenvalues:
-            chains.append((first, g.width))
-            first += g.width
-    modes = [row for c in order for row in range(chains[c][0], sum(chains[c]))]
+        width, n = g.width, len(g.eigenvalues)
+        starts += range(first, first + n * width, width)
+        widths += [width] * n
+        first += n * width
+    modes = [row for c in order for row in range(starts[c], starts[c] + widths[c])]
     if len(modes) != n_modes:
         raise AssemblyError(f"column groups cover {len(modes)} modes, expected {n_modes}")
     rows = np.concatenate([g.t_plus for g in groups] + [g.t_minus for g in groups])
@@ -571,11 +559,11 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
     shifts: dict = {}  # representative -> eig(K) columns or restriction; Schur forms of K
     spectrum = classify_spectrum(k, clusters, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
-    found: dict = {}  # (case, rank) -> the chains' column data, in the order found
+    by_group: dict = {}  # (case, rank) -> the chains' column data, in the order found
 
     def add(case, items):
         for item in items:
-            found.setdefault((case, item[0].rank), []).append(item)
+            by_group.setdefault((case, item[0].rank), []).append(item)
 
     for cls in spectrum.classes:
         lam, kind, level1 = cls.representative, cls.kind, shifts[cls.representative]
@@ -583,8 +571,8 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
             chains = [JordanChain(lam, 1, (level1[:, 0],))]
             partners = [JordanChain(-lam, 1, (level1[:, 1],))] if level1.shape[1] > 1 else []
         else:
-            found_chains = extract_class_chains(k, cls, _level1=level1)
-            chains, partners = found_chains.chains, found_chains.partners
+            found = extract_class_chains(k, cls, _level1=level1)
+            chains, partners = found.chains, found.partners
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             add(1 if kind is EigenvalueKind.REAL_PAIR else 2,
                 orthonormalize_real_complex(k, lam, chains, partners))
@@ -595,7 +583,7 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
         else:
             for item in orthonormalize_imaginary(k, lam, chains):
                 add(5 + item[0].rank % 2, [item])
-    groups = [build_case_columns(case, items) for (case, _), items in found.items()]
+    groups = [build_case_columns(case, items) for (case, _), items in by_group.items()]
     return _finish_report(m, k, spectrum, groups, cfg)
 
 

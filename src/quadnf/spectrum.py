@@ -365,9 +365,9 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
         own = []
         for i, (kind, _, mult, members) in enumerate(found):
             if mult == 1 and kind is not EigenvalueKind.ZERO:
-                paired = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
-                simple[i] = slice(len(own), len(own) + len(paired))
-                own.extend(paired)
+                taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
+                simple[i] = slice(len(own), len(own) + len(taken))
+                own.extend(taken)
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
         owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
