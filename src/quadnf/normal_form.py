@@ -622,24 +622,24 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     last: Exception | None = None
     try:
         for i, tol in enumerate(radii):
-            where = f"t_{i} = {tol:.0e}"
             try:
                 clusters = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
             except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
                 last = exc
-                attempts.append(f"{where}: skipped, the spectrum did not pair up "
+                attempts.append(f"t_{i} = {tol:.0e}: skipped, the spectrum did not pair up "
                                 f"({type(exc).__name__}: {exc})")
                 continue
             shape = tuple(mult for _, mult in clusters)
             if shape in tried:  # a wider radius only merges, so this is a clustering tried before
-                attempts.append(f"{where}: skipped, the clustering repeats t_{tried[shape]}'s")
+                attempts.append(f"t_{i} = {tol:.0e}: skipped, the clustering repeats "
+                                f"t_{tried[shape]}'s")
                 continue
             tried[shape] = i
             try:
                 return _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg)
             except (PipelineError, VerificationError) as exc:
                 last = exc
-                attempts.append(f"{where}: {type(exc).__name__}: {exc}")
+                attempts.append(f"t_{i} = {tol:.0e}: {type(exc).__name__}: {exc}")
         last.attempts = tuple(attempts)
         raise last
     finally:

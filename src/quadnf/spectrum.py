@@ -108,7 +108,11 @@ class SpectrumReport:
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
     merges the first close pair i < j, in row-major order, into its weighted mean at i.
-    The values come back as Python complex, whatever type they merged in."""
+    The values come back as Python complex, whatever type they merged in.
+
+    Distance is abs(complex), libm's hypot, as in every later clustering decision.
+    np.abs of a complex array rounds some distances a few ulps apart from it, never
+    by 1e-12 relative, so it picks the candidates and hypot confirms the first."""
     values = list(values)
     mults = list(mults)
     while True:
@@ -116,11 +120,16 @@ def _union_clusters(values, mults, eps):
         if len(values) < 2:
             break
         d = v[:, None] - v
-        close = np.hypot(d.real, d.imag) <= eps  # abs(complex) to the bit, unlike np.abs
+        close = np.abs(d) <= eps * (1.0 + 1e-12)
         close.flat[::len(values) + 1] = False  # symmetric, so the first hit has i < j
-        i, j = divmod(int(close.argmax()), len(values))
-        if not close[i, j]:
+        first = int(close.argmax())
+        if close.flat[first] and abs(complex(d.flat[first])) > eps:  # decide all by hypot
+            close = np.hypot(d.real, d.imag) <= eps
+            close.flat[::len(values) + 1] = False
+            first = int(close.argmax())
+        if not close.flat[first]:
             break
+        i, j = divmod(first, len(values))
         total = mults[i] + mults[j]
         values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
         mults[i] = total
