@@ -267,55 +267,43 @@ def build_case_columns(case: int, items) -> _Group:
                   t_plus.reshape(rows), t_minus.reshape(rows))
 
 
-def _mode_key(group: _Group, c: int):
-    """Sort key of chain c of ``group``: blocks take modes in this order."""
-    lam = group.eigenvalues[c]
-    sigma = group.sigmas[c] if group.sigmas[c] is not None else 0j
-    return (group.case, -abs(lam), -lam.imag, -group.rank, -sigma.real, -sigma.imag)
-
-
 def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
     """The real Jordan blocks of case c and rank d at the given eigenvalues and
     sigmas, written into one stack of arrays: ``where`` lists the entries a
     block of the group sets, in I_I, I_R, I_L flattened one after another,
     and each chain's ``values`` are computed in the same arithmetic as
     ever, so every other entry keeps the stack's +0.0."""
-    size = {2: 2 * d, 3: d // 2}.get(c, d)
-    n, rows, cells = len(eigenvalues), range(size), size * size
-    diagonal = [r * (size + 1) for r in rows]  # (r, r), flattened
-    below = [r * (size + 1) + size for r in rows[:-1]]  # (r + 1, r)
-    anti = [r * (size - 1) + size - 1 for r in rows]  # (r, D - 1 - r)
+    size = 2 * d if c == 2 else d // 2 if c == 3 else d
+    n, cells, step = len(eigenvalues), size * size, size + 1  # step: (r, c) to (r + 1, c + 1)
+    anti = range(cells + size - 1, cells + cells - size + 1, max(size - 1, 1))  # I_R (r, D - 1 - r)
     if c in (1, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
-        where = diagonal + below
+        where = [*range(0, cells, step), *range(size, cells, step)]
         values = [[lam.real] * size + [1.0] * (size - 1) for lam in eigenvalues]
     elif c == 2:  # 2 x 2 blocks ((Re, nu), (-nu, Re)) on the diagonal, I below each
-        where = diagonal + [r + 1 for r in diagonal[::2]] + below[::2] + [r + size for r in below[:-1]]
+        where = [*range(0, cells, step), *range(1, cells, 2 * step), *range(size, cells, 2 * step),
+                 *range(2 * size, cells, step)]
         values = [[lam.real] * size + [lam.imag] * d + [-lam.imag] * d + [1.0] * (size - 2)
                   for lam in eigenvalues]
     elif c == 3:  # I_I = s E, its zeros signed as s * 0.0, and the last entry of I_L
         eye = np.eye(size, k=-1).ravel().tolist()
-        where = list(range(cells)) + [3 * cells - 1]
+        where = [*range(cells), 3 * cells - 1]
         values = [[sigma.real * e for e in eye] + [sigma.real * (-1.0) ** (d // 2)]
                   for sigma in sigmas]
     elif c == 5:  # I_R and I_L on the anti-diagonal, s or -s beside it
-        where = ([cells + r for r in anti] + [2 * cells + r for r in anti]
-                 + [cells + r + size for r in anti[:-1]] + [2 * cells + r - size for r in anti[1:]])
-        values = []
-        for lam, sigma in zip(eigenvalues, sigmas):
-            s, nu = sigma.real, lam.imag
-            values.append([s * nu] * d + [-s * nu] * d + [s if r % 2 else -s for r in rows[1:]]
-                          + [s if r % 2 else -s for r in rows[:-1]])
+        where = [*anti, *(r + cells for r in anti), *(r + 1 for r in anti[1:]),
+                 *(r + cells - 1 for r in anti[:-1])]
+        values = [[s * nu] * d + [-s * nu] * d + [s if r % 2 else -s for r in range(1, d)]
+                  + [s if r % 2 else -s for r in range(d - 1)]
+                  for s, nu in ((sigma.real, lam.imag) for lam, sigma in zip(eigenvalues, sigmas))]
     else:  # I_I = E, I_R and I_L on the anti-diagonal
-        where = below + [cells + r for r in anti] + [2 * cells + r for r in anti]
-        values = []
-        for lam, sigma in zip(eigenvalues, sigmas):
-            s6, nu = (1j * sigma).real, lam.imag
-            values.append([1.0] * (d - 1) + [s6 * nu * (-1.0) ** (r + 2) for r in rows]
-                          + [s6 * nu * (-1.0) ** (r + 1) for r in rows])
+        where = [*range(size, cells, step), *anti, *(r + cells for r in anti)]
+        values = [[1.0] * (d - 1) + [sn * (-1.0) ** (r + 2) for r in range(d)]
+                  + [sn * (-1.0) ** (r + 1) for r in range(d)]
+                  for sn in ((1j * sigma).real * lam.imag for lam, sigma in zip(eigenvalues, sigmas))]
     stack = np.zeros((n, 3 * cells))
     stack[:, where] = values
-    stack = stack.reshape(n, 3, size, size)
-    return [NormalFormBlock(c, eigenvalues[j], d, sigmas[j], *stack[j]) for j in range(n)]
+    return [NormalFormBlock(c, lam, d, sigma, b[0], b[1], b[2])
+            for lam, sigma, b in zip(eigenvalues, sigmas, stack.reshape(n, 3, size, size))]
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -492,8 +480,9 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
 
 def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     n_modes = k.shape[0] // 2
-    keys = [_mode_key(g, c) for g in groups for c in range(len(g.eigenvalues))]
-    order = sorted(range(len(keys)), key=keys.__getitem__)  # ties only within a group
+    keys = [(g.case, -abs(lam), -lam.imag, -g.rank, -(sigma or 0j).real, -(sigma or 0j).imag)
+            for g in groups for lam, sigma in zip(g.eigenvalues, g.sigmas)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # mode order; ties only within a group
     residuals: dict = {}
     transform = assemble_transform(groups, order, n_modes, cfg, _residuals=residuals)
     blocks = [b for g in groups for b in _group_blocks(g.case, g.rank, g.eigenvalues, g.sigmas)]
