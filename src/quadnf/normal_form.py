@@ -271,11 +271,11 @@ def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
     """The real Jordan blocks of case c and rank d at the given eigenvalues and
     sigmas, written into one stack of arrays: ``where`` lists the entries a
     block of the group sets, in I_I, I_R, I_L flattened one after another,
-    and each chain's ``values`` are computed in the same arithmetic as
-    ever, so every other entry keeps the stack's +0.0."""
+    and ``values`` each chain's entries there, so every other entry keeps
+    the stack's +0.0."""
     size = 2 * d if c == 2 else d // 2 if c == 3 else d
-    n, cells, step = len(eigenvalues), size * size, size + 1  # step: (r, c) to (r + 1, c + 1)
-    anti = range(cells + size - 1, cells + cells - size + 1, max(size - 1, 1))  # I_R (r, D - 1 - r)
+    n, cells, step = len(eigenvalues), size * size, size + 1  # step: (i, j) to (i + 1, j + 1)
+    anti = range(cells + size - 1, cells + cells - size + 1, max(size - 1, 1))  # I_R's (i, D - 1 - i)
     if c in (1, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
         where = [*range(0, cells, step), *range(size, cells, step)]
         values = [[lam.real] * size + [1.0] * (size - 1) for lam in eigenvalues]
