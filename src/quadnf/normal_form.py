@@ -218,9 +218,9 @@ def build_case_columns(case: int, items) -> _Group:
     Two rules are shared: cases 1 and 4 take (z | w) as they are, and
     cases 2 and 5 interleave sqrt2 (Re, Im) of z_k with sqrt2 (Re, -Im)
     of w_k, by the parity of k; case 2 applies that to each z_k and w_k
-    twice, taking both parts of every vector.  Each rule is one product
-    per column over the chain axis, the same scalar product per entry as
-    on a single chain.
+    twice, taking both parts of every vector.  Each rule is applied to the
+    group's chains at once, an array with a chain axis, with the same
+    scalar product per entry as on a single chain.
 
     Every column is real.  The one complex input is case 1's partner:
     ``orthonormalize_real_complex`` divides it by alpha, a complex with a
