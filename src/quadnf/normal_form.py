@@ -9,10 +9,9 @@ group.  Given the symplectically orthonormalized chains of K = J M, each
 case prescribes real column vectors for the transformation T = (T_+ T_-);
 ``build_case_columns`` writes them for a whole group at once, with array
 operations over a chain axis.  The same data determines the real Jordan
-normal form K_N = T^{-1} K T block by block, and ``_group_blocks`` writes
-a group's blocks into one stack of arrays.  Blocks take consecutive
-modes in report order, into which ``assemble_transform`` gathers T once;
-the transformed Hamiltonian matrix
+normal form K_N = T^{-1} K T block by block; each block is written down
+once, in ``_block``.  Blocks take consecutive modes in report order, into
+which ``assemble_transform`` gathers T once; the transformed Hamiltonian matrix
 N = T^T M T = -J K_N is then read off those blocks as a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
 beam splitters), and one table gives each term kind's symbol and N
@@ -189,26 +188,20 @@ class NormalFormReport:
 
 
 class _Group(NamedTuple):
-    """The orthonormalized chains of one case and rank, as arrays over a chain
-    axis: row c * width + j of ``t_plus`` (``t_minus``) is column j of chain
-    c in T_+ (T_-), and each chain has an eigenvalue and a sigma."""
+    """The orthonormalized chains of one case and rank: ``t_plus[c, j]``
+    (``t_minus[c, j]``) is column j of chain c in T_+ (T_-)."""
 
     case: int
     rank: int
-    eigenvalues: tuple[complex, ...]
-    sigmas: tuple[complex | None, ...]
+    eigenvalues: list
+    sigmas: list
     t_plus: np.ndarray
     t_minus: np.ndarray
-
-    @property
-    def width(self) -> int:
-        """Modes, i.e. columns of T_+ and of T_-, per chain."""
-        return len(self.t_plus) // len(self.eigenvalues)
 
 
 def build_case_columns(case: int, items) -> _Group:
     """Columns of T for the orthonormalized chains (or f/h pairs) of one case
-    and rank, all at once.
+    and rank.
 
     Each item is (chain, partner) for cases 1 and 2 (e and the chain e~ of
     -lam) and for case 4 (f and h), and (chain, sigma) for cases 3, 5 and
@@ -218,9 +211,9 @@ def build_case_columns(case: int, items) -> _Group:
     Two rules are shared: cases 1 and 4 take (z | w) as they are, and
     cases 2 and 5 interleave sqrt2 (Re, Im) of z_k with sqrt2 (Re, -Im)
     of w_k, by the parity of k; case 2 applies that to each z_k and w_k
-    twice, taking both parts of every vector.  Each rule is applied to the
-    group's chains at once, an array with a chain axis, with the same
-    scalar product per entry as on a single chain.
+    twice, taking both parts of every vector.  Each rule acts on all
+    chains at once, over a leading chain axis, with the scalar products
+    of the chain-by-chain formulas.
 
     Every column is real.  The one complex input is case 1's partner:
     ``orthonormalize_real_complex`` divides it by alpha, a complex with a
@@ -229,81 +222,89 @@ def build_case_columns(case: int, items) -> _Group:
     """
     chains = [chain for chain, _ in items]
     d = chains[0].rank
-    v = np.array([chain.vectors for chain in chains])  # v[c, j] = A^(D-1-j) e of chain c
+    v = np.array([chain.vectors for chain in chains])  # v[c, j] = A^(D-1-j) e = z_(D-j)
     z = v[:, ::-1]  # z[c, k - 1] = z_k
-    sigmas = (None,) * len(items) if case in (1, 2, 4) else tuple(other for _, other in items)
+    sign = [(-1.0) ** kk for kk in range(1, d + 1)]  # (-1)^k
     if case in (1, 2, 4):
-        w = np.array([[(-1.0) ** (d - kk) * vec for kk, vec in enumerate(other.vectors, 1)]
-                      for _, other in items])
-    elif case == 5:  # z_(D+1-k) is v[k - 1]
-        signs = np.array([[sigma * (-1.0) ** kk for kk in range(1, d + 1)] for sigma in sigmas])
-        w = signs[:, :, None] * v.conj()
+        sigmas = [None] * len(items)
+        w = (np.array([(-1.0) ** (d - kk) for kk in range(1, d + 1)])[:, None]
+             * np.array([other.vectors for _, other in items]))
+    else:
+        sigmas = [complex(sigma) for _, sigma in items]
     if case in (1, 4):
         t_plus, t_minus = z.real, w.real
     elif case == 2:  # both parts of every z_k and w_k
-        t_plus = SQRT2 * np.stack([z.real, z.imag], axis=2)
-        t_minus = np.stack([SQRT2 * w.real, -SQRT2 * w.imag], axis=2)
+        t_plus = (SQRT2 * np.stack([z.real, z.imag], axis=2)).reshape(len(v), 2 * d, -1)
+        t_minus = np.stack([SQRT2 * w.real, -SQRT2 * w.imag], axis=2).reshape(len(v), 2 * d, -1)
     elif case == 5:  # Re at odd k, Im at even k
-        odd = (np.arange(d) % 2 == 0)[:, None]
+        w = np.array([[sigma * s for s in sign] for _, sigma in items])[:, :, None] * v.conj()
+        odd = np.array(sign)[:, None] < 0
         t_plus = SQRT2 * np.where(odd, z.real, z.imag)
         t_minus = np.where(odd, SQRT2 * w.real, -SQRT2 * w.imag)
-    elif case == 3:
-        s = [float(complex(sigma).real) for sigma in sigmas]
-        first = range(1, d // 2 + 1)  # the first D/2 positions k
-        t_plus = (np.array([[sc ** (kk - 1) for kk in first] for sc in s])[:, :, None]
+    elif case == 3:  # the first D/2 positions k
+        s = [float(sigma.real) for sigma in sigmas]
+        t_plus = (np.array([[c ** kk for kk in range(d // 2)] for c in s])[:, :, None]
                   * z[:, :d // 2]).real
-        t_minus = (np.array([[(-sc) ** (d - kk) for kk in first] for sc in s])[:, :, None]
-                   * v[:, :d // 2]).real
-    elif case == 6:  # z_(D+1-k) is v[k - 1]
-        eps = [float((-1j * sigma).real) for sigma in sigmas]
+        t_minus = (np.array([[(-c) ** (d - kk) for kk in range(1, d // 2 + 1)] for c in s])
+                   [:, :, None] * v[:, :d // 2]).real
+    elif case == 6:
+        eps = [(-1j * sigma).real for _, sigma in items]
         t_plus = SQRT2 * z.real
-        coef = np.array([[e * (-1.0) ** kk * SQRT2 for kk in range(1, d + 1)] for e in eps])
-        t_minus = coef[:, :, None] * v.imag
+        t_minus = np.array([[e * s * SQRT2 for s in sign] for e in eps])[:, :, None] * v.imag
     else:
         raise ValueError(f"unknown case {case}")
-    rows = (-1, v.shape[2])
-    return _Group(case, d, tuple(complex(chain.eigenvalue) for chain in chains),
-                  tuple(None if sigma is None else complex(sigma) for sigma in sigmas),
-                  t_plus.reshape(rows), t_minus.reshape(rows))
+    return _Group(case, d, [complex(chain.eigenvalue) for chain in chains], sigmas, t_plus, t_minus)
 
 
-def _group_blocks(c: int, d: int, eigenvalues, sigmas) -> list[NormalFormBlock]:
-    """The real Jordan blocks of case c and rank d at the given eigenvalues and
-    sigmas, written into one stack of arrays: ``where`` lists the entries a
-    block of the group sets, in I_I, I_R, I_L flattened one after another,
-    and ``values`` each chain's entries there, so every other entry keeps
-    the stack's +0.0."""
-    size = 2 * d if c == 2 else d // 2 if c == 3 else d
-    n, cells, step = len(eigenvalues), size * size, size + 1  # step: (i, j) to (i + 1, j + 1)
-    anti = range(cells + size - 1, cells + cells - size + 1, max(size - 1, 1))  # I_R's (i, D - 1 - i)
-    if c in (1, 4):  # Re lam >= 0 (0 in case 4): the same bits as Re lam I + E
-        where = [*range(0, cells, step), *range(size, cells, step)]
-        values = [[lam.real] * size + [1.0] * (size - 1) for lam in eigenvalues]
-    elif c == 2:  # 2 x 2 blocks ((Re, nu), (-nu, Re)) on the diagonal, I below each
-        where = [*range(0, cells, step), *range(1, cells, 2 * step), *range(size, cells, 2 * step),
-                 *range(2 * size, cells, step)]
-        values = [[lam.real] * size + [lam.imag] * d + [-lam.imag] * d + [1.0] * (size - 2)
-                  for lam in eigenvalues]
-    elif c == 3:  # I_I = s E, its zeros signed as s * 0.0, and the last entry of I_L
-        eye = np.eye(size, k=-1).ravel().tolist()
-        where = [*range(cells), 3 * cells - 1]
-        values = [[sigma.real * e for e in eye] + [sigma.real * (-1.0) ** (d // 2)]
-                  for sigma in sigmas]
-    elif c == 5:  # I_R and I_L on the anti-diagonal, s or -s beside it
-        where = [*anti, *(r + cells for r in anti), *(r + 1 for r in anti[1:]),
-                 *(r + cells - 1 for r in anti[:-1])]
-        values = [[s * nu] * d + [-s * nu] * d + [s if r % 2 else -s for r in range(1, d)]
-                  + [s if r % 2 else -s for r in range(d - 1)]
-                  for s, nu in ((sigma.real, lam.imag) for lam, sigma in zip(eigenvalues, sigmas))]
-    else:  # I_I = E, I_R and I_L on the anti-diagonal
-        where = [*range(size, cells, step), *anti, *(r + cells for r in anti)]
-        values = [[1.0] * (d - 1) + [sn * (-1.0) ** (r + 2) for r in range(d)]
-                  + [sn * (-1.0) ** (r + 1) for r in range(d)]
-                  for sn in ((1j * sigma).real * lam.imag for lam, sigma in zip(eigenvalues, sigmas))]
-    stack = np.zeros((n, 3 * cells))
-    stack[:, where] = values
-    return [NormalFormBlock(c, lam, d, sigma, b[0], b[1], b[2])
-            for lam, sigma, b in zip(eigenvalues, sigmas, stack.reshape(n, 3, size, size))]
+def _block(c: int, lam: complex, d: int, sigma: complex | None) -> NormalFormBlock:
+    """The real Jordan block of one chain of case c and rank d."""
+    nu = lam.imag
+    if c in (1, 4):  # lam = 0 in case 4, and 0.0 * I + E = E to the bit
+        i_i = lam.real * np.eye(d) + np.eye(d, k=-1)
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+    elif c == 2:
+        size = 2 * d
+        i_i = np.zeros((size, size))
+        rot = np.array([[lam.real, nu], [-nu, lam.real]])
+        for b in range(d):
+            i_i[2 * b: 2 * b + 2, 2 * b: 2 * b + 2] = rot
+            if b + 1 < d:
+                i_i[2 * b + 2: 2 * b + 4, 2 * b: 2 * b + 2] = np.eye(2)
+        i_r = np.zeros((size, size))
+        i_l = np.zeros((size, size))
+    elif c == 3:
+        size = d // 2
+        s = float(np.real(sigma))
+        i_i = s * np.eye(size, k=-1)
+        i_r = np.zeros((size, size))
+        i_l = np.zeros((size, size))
+        i_l[size - 1, size - 1] = s * (-1.0) ** (d // 2)
+    elif c == 5:
+        s = float(np.real(sigma))
+        i_i = np.zeros((d, d))
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+        for r in range(1, d + 1):
+            i_r[r - 1, d - r] = s * nu
+            i_l[r - 1, d - r] = -s * nu
+            if 2 <= r:
+                col = d + 2 - r
+                i_r[r - 1, col - 1] = s if r % 2 == 0 else -s
+            if r <= d - 1:
+                col = d - r
+                i_l[r - 1, col - 1] = s if r % 2 == 0 else -s
+    else:
+        s6 = float(np.real(1j * sigma))
+        i_i = np.eye(d, k=-1)
+        i_r = np.zeros((d, d))
+        i_l = np.zeros((d, d))
+        for r in range(1, d + 1):
+            i_r[r - 1, d - r] = s6 * nu * (-1.0) ** (r + 1)
+            i_l[r - 1, d - r] = s6 * nu * (-1.0) ** r
+    return NormalFormBlock(
+        case=c, eigenvalue=lam, rank=d, sigma=sigma, i_i=i_i, i_r=i_r, i_l=i_l
+    )
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
@@ -333,17 +334,12 @@ def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT, *,
     offending Gram residual matrix.  On success, ``_residuals["symplectic"]``
     receives the residual checked.
     """
-    starts, widths, first = [], [], 0  # each chain's first row in the groups' T_+ rows, width
-    for g in groups:
-        width, n = g.width, len(g.eigenvalues)
-        starts += range(first, first + n * width, width)
-        widths += [width] * n
-        first += n * width
-    modes = [row for c in order for row in range(starts[c], starts[c] + widths[c])]
-    if len(modes) != n_modes:
-        raise AssemblyError(f"column groups cover {len(modes)} modes, expected {n_modes}")
-    rows = np.concatenate([g.t_plus for g in groups] + [g.t_minus for g in groups])
-    t = np.ascontiguousarray(rows[modes + [row + first for row in modes]].T)
+    plus = [cols for g in groups for cols in g.t_plus]
+    minus = [cols for g in groups for cols in g.t_minus]
+    t = np.concatenate([plus[c] for c in order] + [minus[c] for c in order])
+    if len(t) != 2 * n_modes:
+        raise AssemblyError(f"column groups cover {len(t) // 2} modes, expected {n_modes}")
+    t = np.ascontiguousarray(t.T)
     res = symplectic_residual(t)
     scale = 1.0 + maxnorm(t) ** 2
     if res > cfg.tol(scale) * scale * 100:
@@ -480,13 +476,14 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
 
 def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     n_modes = k.shape[0] // 2
-    keys = [(g.case, -abs(lam), -lam.imag, -g.rank, -(sigma or 0j).real, -(sigma or 0j).imag)
-            for g in groups for lam, sigma in zip(g.eigenvalues, g.sigmas)]
+    chains = [(g.case, lam, g.rank, sigma)
+              for g in groups for lam, sigma in zip(g.eigenvalues, g.sigmas)]
+    keys = [(c, -abs(lam), -lam.imag, -d, -(sigma or 0j).real, -(sigma or 0j).imag)
+            for c, lam, d, sigma in chains]
     order = sorted(range(len(keys)), key=keys.__getitem__)  # mode order; ties only within a group
     residuals: dict = {}
     transform = assemble_transform(groups, order, n_modes, cfg, _residuals=residuals)
-    blocks = [b for g in groups for b in _group_blocks(g.case, g.rank, g.eigenvalues, g.sigmas)]
-    blocks = tuple(blocks[c] for c in order)
+    blocks = tuple(_block(*chains[c]) for c in order)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
     cond = float(np.linalg.cond(t))

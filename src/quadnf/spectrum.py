@@ -109,10 +109,8 @@ def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
     merges the first close pair i < j, in row-major order, into its weighted mean at i.
     The values come back as Python complex, whatever type they merged in.
-
-    Distance is abs(complex), libm's hypot, as in every later clustering decision.
-    np.abs of a complex array rounds some distances a few ulps apart from it, never
-    by 1e-12 relative, so it picks the candidates and hypot confirms the first."""
+    Distance is hypot(Re, Im), which rounds as Python's abs(complex) does in the
+    later clustering decisions; np.abs of a complex array can differ in the last bit."""
     values = list(values)
     mults = list(mults)
     while True:
@@ -120,16 +118,11 @@ def _union_clusters(values, mults, eps):
         if len(values) < 2:
             break
         d = v[:, None] - v
-        close = np.abs(d) <= eps * (1.0 + 1e-12)
+        close = np.hypot(d.real, d.imag) <= eps
         close.flat[::len(values) + 1] = False  # symmetric, so the first hit has i < j
-        first = int(close.argmax())
-        if close.flat[first] and abs(complex(d.flat[first])) > eps:  # decide all by hypot
-            close = np.hypot(d.real, d.imag) <= eps
-            close.flat[::len(values) + 1] = False
-            first = int(close.argmax())
-        if not close.flat[first]:
+        i, j = divmod(int(close.argmax()), len(values))
+        if not close[i, j]:
             break
-        i, j = divmod(first, len(values))
         total = mults[i] + mults[j]
         values[i] = (values[i] * mults[i] + values[j] * mults[j]) / total
         mults[i] = total
@@ -369,14 +362,13 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
         found.append((kind, rep, mult, members))
     # The eig(K) columns of every simple nonzero class, gathered at once: lam's
     # and, if paired, -lam's, each from the one raw eigenvalue that owns it.
-    simple = {}  # class index -> its columns' slice of ``columns``
-    if _eigenvectors is not None:
-        own = []
-        for i, (kind, _, mult, members) in enumerate(found):
-            if mult == 1 and kind is not EigenvalueKind.ZERO:
-                taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
-                simple[i] = slice(len(own), len(own) + len(taken))
-                own.extend(taken)
+    simple, own = {}, []  # class index -> its columns' slice of the members in ``own``
+    for i, (kind, _, mult, members) in enumerate(found):
+        if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
+            taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
+            simple[i] = slice(len(own), len(own) + len(taken))
+            own.extend(taken)
+    if own:
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
         owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member

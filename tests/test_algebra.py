@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from conftest import (
     GOLDEN_M,
     seeded_matrix,
 )
-from quadnf import build_eom
+from quadnf import build_eom, normal_form
 from quadnf.algebra import (
     NilpotentPoly,
     alpha,
@@ -35,7 +37,6 @@ from quadnf.errors import ContractViolationError, NondegeneracyError
 from quadnf.spectrum import (
     ClassChains,
     EigenvalueKind,
-    JordanChain,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
@@ -597,21 +598,27 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _simple_classes(m):
-    """(K, class, chains) of every simple class of M, the chains as the pipeline
-    makes them: rank-1 chains on strided columns of eig(K)."""
-    k = build_eom(m)
-    eigenvalues, vectors = np.linalg.eig(k)
-    shifts = {}
-    spectrum = classify_spectrum(k, _eigenvalues=eigenvalues, _eigenvectors=vectors,
-                                 _shifts=shifts)
-    out = []
-    for cls in spectrum.classes:
-        lam, columns = cls.representative, shifts[cls.representative]
-        chains = [JordanChain(lam, 1, (columns[:, 0],))]
-        partners = [JordanChain(-lam, 1, (columns[:, 1],))] if columns.shape[1] > 1 else []
-        out.append((k, cls, ClassChains(cls, chains, partners)))
-    return out
+def _simple_classes(m, monkeypatch):
+    """(K, class, chains) of every simple class of M, the chains as normal_form
+    hands them to the orthonormalization: rank-1 chains on strided columns of
+    eig(K)."""
+    nf = sys.modules["quadnf.normal_form"]
+    pair, single, seen = nf.orthonormalize_real_complex, nf.orthonormalize_imaginary, {}
+
+    def paired(k, lam, chains, partners):
+        seen[lam] = k, chains, partners
+        return pair(k, lam, chains, partners)
+
+    def unpaired(k, lam, chains):
+        seen[lam] = k, chains, []
+        return single(k, lam, chains)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nf, "orthonormalize_real_complex", paired)
+        patch.setattr(nf, "orthonormalize_imaginary", unpaired)
+        classes = normal_form(m).spectrum.classes
+    return [(seen[c.representative][0], c, ClassChains(c, *seen[c.representative][1:]))
+            for c in classes]
 
 
 class TestSimpleClassScalars:
@@ -620,7 +627,7 @@ class TestSimpleClassScalars:
     SPECS = [(1, 1.7 + 0j, 1, None), (2, 0.6 + 1.2j, 1, None), (6, 1.3j, 1, -1j),
              (6, 2.1j, 1, 1j), (1, 0.4 + 0j, 1, None)]
 
-    def test_matches_polynomial_recipe(self, rng):
+    def test_matches_polynomial_recipe(self, rng, monkeypatch):
         def strided(chain):
             g = chain.generator
             return make_chain(k, chain.eigenvalue, np.stack([g, g], axis=1)[:, 0], 1)
@@ -628,7 +635,7 @@ class TestSimpleClassScalars:
         seen = set()
         for _ in range(6):
             m, _ = seeded_matrix(self.SPECS, rng)
-            for k, cls, cc in _simple_classes(m):
+            for k, cls, cc in _simple_classes(m, monkeypatch):
                 lam = cls.representative
                 if cls.kind is EigenvalueKind.REAL_PAIR:  # the real part of a complex column
                     assert not cc.chains[0].generator.flags.c_contiguous

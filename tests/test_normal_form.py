@@ -1,12 +1,15 @@
 import gc
 import itertools
+import os
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import conftest
+import quadnf
 from conftest import (
     GOLDEN_E11,
     GOLDEN_E11T,
@@ -40,19 +43,18 @@ from quadnf.errors import (
 )
 from quadnf.normal_form import (
     TermKind,
-    _group_blocks,
+    _block,
     build_case_columns,
     emit_terms,
     expected_kn,
 )
-from quadnf.reporting import MatrixDocument
+from quadnf.reporting import MatrixDocument, report_to_dict
 from quadnf.spectrum import CLUSTERING_TOL, EigenvalueKind, JordanChain, make_chain
 
 
 def block_of(case, lam, rank, sigma=None):
-    """The program's block for one chain: a group of one."""
-    (block,) = _group_blocks(case, rank, (lam,), (sigma,))
-    return block
+    """The program's block for one chain."""
+    return _block(case, lam, rank, sigma)
 
 
 def block_terms(specs):
@@ -79,18 +81,18 @@ class TestCaseColumns:
         e = make_chain(k, 2.0, GOLDEN_E11, 2)
         et = make_chain(k, -2.0, GOLDEN_E11T, 2)
         group = build_case_columns(1, [(e, et)])
-        assert np.allclose(group.t_plus[0], GOLDEN_E11, atol=1e-12)
-        assert np.allclose(group.t_plus[1], GOLDEN_T2, atol=1e-12)
-        assert np.allclose(group.t_minus[0], GOLDEN_S1, atol=1e-12)
-        assert np.allclose(group.t_minus[1], GOLDEN_E11T, atol=1e-12)
+        assert np.allclose(group.t_plus[0, 0], GOLDEN_E11, atol=1e-12)
+        assert np.allclose(group.t_plus[0, 1], GOLDEN_T2, atol=1e-12)
+        assert np.allclose(group.t_minus[0, 0], GOLDEN_S1, atol=1e-12)
+        assert np.allclose(group.t_minus[0, 1], GOLDEN_E11T, atol=1e-12)
 
     def test_golden_zero_pair(self):
         k = build_eom(GOLDEN_M)
         f = make_chain(k, 0.0, GOLDEN_F01, 1)
         h = make_chain(k, 0.0, GOLDEN_H01, 1)
         group = build_case_columns(4, [(f, h)])
-        assert np.allclose(group.t_plus[0], GOLDEN_F01)
-        assert np.allclose(group.t_minus[0], GOLDEN_H01)
+        assert np.allclose(group.t_plus[0, 0], GOLDEN_F01)
+        assert np.allclose(group.t_minus[0, 0], GOLDEN_H01)
 
     def test_golden_imaginary(self):
         # sigma = -i: the momentum column is +sqrt(2) Im(e), the sign that
@@ -98,7 +100,7 @@ class TestCaseColumns:
         k = build_eom(GOLDEN_M)
         chain = make_chain(k, 3j, GOLDEN_E21, 1)
         group = build_case_columns(6, [(chain, -1j)])
-        t, s = group.t_plus[0], group.t_minus[0]
+        t, s = group.t_plus[0, 0], group.t_minus[0, 0]
         assert np.allclose(t, np.sqrt(2) * np.real(GOLDEN_E21))
         assert np.allclose(s, np.sqrt(2) * np.imag(GOLDEN_E21))
         j = symplectic_form(4)
@@ -128,8 +130,8 @@ class TestCaseColumns:
         for case, lam in ((1, 1.3 + 0j), (4, 0j)):
             e, et = chain(lam, 3, real=True), chain(-lam, 3, real=True)
             group = build_case_columns(case, [(e, et)])
-            assert all(map(np.array_equal, group.t_plus, powers(e))), case
-            assert all(map(np.array_equal, group.t_minus, partner_w(e, et))), case
+            assert all(map(np.array_equal, group.t_plus[0], powers(e))), case
+            assert all(map(np.array_equal, group.t_minus[0], partner_w(e, et))), case
 
         # Case 1 as orthonormalize_real_complex hands it over: a real partner
         # divided by alpha, a complex with a zero imaginary part.
@@ -140,17 +142,17 @@ class TestCaseColumns:
         et_r = JordanChain(et.eigenvalue, 3, tuple(v.real for v in et_c.vectors))
         group = build_case_columns(1, [(e, et_c)])
         assert all(c.dtype == np.float64 for c in (group.t_plus, group.t_minus))
-        assert all(map(np.array_equal, group.t_plus, powers(e)))
-        assert all(map(np.array_equal, group.t_minus, partner_w(e, et_r)))
+        assert all(map(np.array_equal, group.t_plus[0], powers(e)))
+        assert all(map(np.array_equal, group.t_minus[0], partner_w(e, et_r)))
 
         e, et = chain(0.6 + 1.2j, 3), chain(-0.6 - 1.2j, 3)
         z, w = powers(e), partner_w(e, et)
         group = build_case_columns(2, [(e, et)])
         t = [r2 * part(v) for v in z for part in (np.real, np.imag)]
         s = [x for v in w for x in (r2 * np.real(v), -r2 * np.imag(v))]
-        assert len(group.t_plus) == len(group.t_minus) == 6
-        assert all(map(np.array_equal, group.t_plus, t))
-        assert all(map(np.array_equal, group.t_minus, s))
+        assert group.t_plus.shape == group.t_minus.shape == (1, 6, 8)
+        assert all(map(np.array_equal, group.t_plus[0], t))
+        assert all(map(np.array_equal, group.t_minus[0], s))
 
         for sigma in (1 + 0j, -1 + 0j):
             c = chain(2.1j, 4)
@@ -159,8 +161,8 @@ class TestCaseColumns:
             group = build_case_columns(5, [(c, sigma)])
             t = [r2 * np.real(z[0]), r2 * np.imag(z[1]), r2 * np.real(z[2]), r2 * np.imag(z[3])]
             s = [r2 * np.real(w[0]), -r2 * np.imag(w[1]), r2 * np.real(w[2]), -r2 * np.imag(w[3])]
-            assert all(map(np.array_equal, group.t_plus, t)), sigma
-            assert all(map(np.array_equal, group.t_minus, s)), sigma
+            assert all(map(np.array_equal, group.t_plus[0], t)), sigma
+            assert all(map(np.array_equal, group.t_minus[0], s)), sigma
 
     def test_columns_pair_symplectically(self, rng):
         specs_list = [
@@ -202,15 +204,10 @@ def same_block(a, b):
 class TestExpectedBlocks:
     def test_program_blocks_match_the_planted_copy(self):
         # tests/conftest.py plants K_N from its own copy of the block formulas.
-        # Each spec is checked alone and in the group of its case and rank.
-        specs = [spec + (None,) * (4 - len(spec)) for spec in EVERY_BLOCK]
-        for case, rank in {spec[::2] for spec in specs}:
-            group = [spec for spec in specs if spec[::2] == (case, rank)]
-            together = _group_blocks(case, rank, [s[1] for s in group], [s[3] for s in group])
-            for spec, block in zip(group, together, strict=True):
-                want = conftest._block_for_unit(conftest._Unit(*spec))
-                assert same_block(block_of(*spec), want), spec
-                assert same_block(block, want), spec
+        for spec in EVERY_BLOCK:
+            spec = spec + (None,) * (4 - len(spec))
+            want = conftest._block_for_unit(conftest._Unit(*spec))
+            assert same_block(block_of(*spec), want), spec
 
     def test_real_pair_rank_two(self):
         b = block_of(1, 2.0 + 0j, 2)
@@ -609,6 +606,40 @@ class TestEscalationGarbage:
         assert gc.collect() == 0
 
 
+class TestRetainedMemory:
+    """Nothing an op allocates outlives its report.
+
+    tracemalloc counts numpy's data too.  Only allocations made on quadnf's
+    own lines count here: numpy keeps a few blocks per call of
+    ``np.linalg.cond``, and SciPy's ``gees`` wrappers, which repeated
+    classes call, keep about 60 bytes per call, in every version of this
+    program.  So the inputs have simple spectra only.
+    """
+
+    def test_repeated_calls_hold_no_more_memory(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(8, 8))
+        inputs = [(a + a.T) / 2, a @ a.T + np.eye(8),
+                  seeded_matrix([(1, 1.3 + 0j, 1, None), (2, 0.5 + 1.1j, 1, None),
+                                 (6, 2.6j, 1, -1j)], rng, 0.3)[0]]
+        own = [tracemalloc.Filter(True, os.path.join(os.path.dirname(quadnf.__file__), "*"))]
+
+        def held(calls):
+            for _ in range(calls):
+                for m in inputs:
+                    report_to_dict(normal_form(m))
+            gc.collect()
+            return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(own).traces)
+
+        tracemalloc.start()
+        try:
+            before = held(10)
+            after = held(50)  # one 24-byte object kept per op would add 3.6 kB
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1024
+
+
 class TestFactorizationCounts:
     """K gets one eig per normal_form call, however many attempts it takes,
     and each clustering radius at most one pass; a simple class takes its
@@ -652,6 +683,28 @@ class TestFactorizationCounts:
         assert all(c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO for c in classes)
         assert any(c.kind is not EigenvalueKind.IMAGINARY_PAIR for c in classes)
         assert (calls["svd"], calls["norm2"], calls["eig"], calls["eigvals"]) == (0, 0, 1, 0)
+
+    def test_simple_chains_are_eig_columns_of_lam_and_minus_lam(self, monkeypatch):
+        # A simple real pair or quadruplet reaches orthonormalize_real_complex
+        # as one rank-1 chain of lam and one rank-1 partner of -lam, each on
+        # its own column of eig(K).
+        a = np.random.default_rng(11).normal(size=(6, 6))
+        k = build_eom((a + a.T) / 2)
+        nf = sys.modules["quadnf.normal_form"]
+        orthonormalize, seen = nf.orthonormalize_real_complex, []
+
+        def recorded(k, lam, chains, partners):
+            seen.append((lam, list(chains), list(partners)))
+            return orthonormalize(k, lam, chains, partners)
+
+        monkeypatch.setattr(nf, "orthonormalize_real_complex", recorded)
+        normal_form((a + a.T) / 2)
+        assert seen
+        for lam, chains, partners in seen:
+            assert [(c.eigenvalue, c.rank) for c in chains] == [(lam, 1)]
+            assert [(p.eigenvalue, p.rank) for p in partners] == [(-lam, 1)]
+            for mu, (v,) in ((lam, chains[0].vectors), (-lam, partners[0].vectors)):
+                assert np.linalg.norm(k @ v - mu * v) <= 1e-12 * np.linalg.norm(k, 2)
 
     def test_defective_partner_keeps_its_own_svds(self, calls, rng):
         # A rank-2 real pair: K - lam I and (K - lam I)^2 for lam, and the
