@@ -242,7 +242,7 @@ def build_case_columns(case: int, items) -> _Group:
         t_plus = SQRT2 * np.where(odd, z.real, z.imag)
         t_minus = np.where(odd, SQRT2 * w.real, -SQRT2 * w.imag)
     elif case == 3:  # the first D/2 positions k
-        s = [float(sigma.real) for sigma in sigmas]
+        s = [sigma.real for sigma in sigmas]
         t_plus = (np.array([[c ** kk for kk in range(d // 2)] for c in s])[:, :, None]
                   * z[:, :d // 2]).real
         t_minus = (np.array([[(-c) ** (d - kk) for kk in range(1, d // 2 + 1)] for c in s])
@@ -275,13 +275,13 @@ def _block(c: int, lam: complex, d: int, sigma: complex | None) -> NormalFormBlo
         i_l = np.zeros((size, size))
     elif c == 3:
         size = d // 2
-        s = float(np.real(sigma))
+        s = sigma.real
         i_i = s * np.eye(size, k=-1)
         i_r = np.zeros((size, size))
         i_l = np.zeros((size, size))
         i_l[size - 1, size - 1] = s * (-1.0) ** (d // 2)
     elif c == 5:
-        s = float(np.real(sigma))
+        s = sigma.real
         i_i = np.zeros((d, d))
         i_r = np.zeros((d, d))
         i_l = np.zeros((d, d))
@@ -295,7 +295,7 @@ def _block(c: int, lam: complex, d: int, sigma: complex | None) -> NormalFormBlo
                 col = d - r
                 i_l[r - 1, col - 1] = s if r % 2 == 0 else -s
     else:
-        s6 = float(np.real(1j * sigma))
+        s6 = (1j * sigma).real
         i_i = np.eye(d, k=-1)
         i_r = np.zeros((d, d))
         i_l = np.zeros((d, d))

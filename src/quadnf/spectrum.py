@@ -390,12 +390,10 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
             level1 = _restrict(k, rep, mult, schur)
         geometric = geometric_multiplicity(k, rep, _shifts=_shifts, _level1=level1)
         classes.append(EigenvalueClass(kind, rep, mult, geometric))
-    report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
-    if report.sum_rule_residual != 0:
-        raise SpectrumStructureError(
-            f"multiplicity sum rule violated by {report.sum_rule_residual}"
-        )
-    return report
+    residual = 2 * n_modes - sum(len(members) * mult for _, _, mult, members in found)
+    if residual != 0:  # SpectrumReport.sum_rule_residual
+        raise SpectrumStructureError(f"multiplicity sum rule violated by {residual}")
+    return SpectrumReport(n_modes=n_modes, classes=tuple(classes))
 
 
 @dataclass(frozen=True)
