@@ -90,9 +90,9 @@ def require_hamiltonian_matrix(m, cfg: Config = DEFAULT) -> np.ndarray:
     scale = maxnorm(m)
     if not scale < np.inf:
         raise _non_finite_error(m)
-    asym = maxnorm(m - m.T)
-    if asym > cfg.tol(scale):
-        raise StructureError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    asym, limit = maxnorm(m - m.T), cfg.tol(scale)
+    if asym > limit:
+        raise StructureError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e} > {limit:.3e}")
     return m
 
 

@@ -2,10 +2,11 @@
 
 This module alone knows the six chain cases of the construction: 1 real
 pair, 2 complex quadruplet, 3/4 zero eigenvalue at even/odd rank, 5/6
-imaginary pair at even/odd rank.  ``_attempt_normal_form`` names each
-chain's case where it picks the orthonormalization for the chain's
-eigenvalue class, and collects the chains of each case and rank into a
-group.  Given the symplectically orthonormalized chains of K = J M, each
+imaginary pair at even/odd rank.  ``_attempt_normal_form`` takes every
+eigenvalue class's chains from ``spectrum.extract_class_chains``, simple
+classes included, names each chain's case where it picks the
+orthonormalization for the chain's eigenvalue class, and collects the
+chains of each case and rank into a group.  Given the symplectically orthonormalized chains of K = J M, each
 case prescribes real column vectors for the transformation T = (T_+ T_-);
 ``build_case_columns`` writes them for a whole group at once, with array
 operations over a chain axis.  The same data determines the real Jordan
@@ -49,7 +50,6 @@ from .errors import (
 from .spectrum import (
     CLUSTERING_TOL,
     EigenvalueKind,
-    JordanChain,
     SpectrumReport,
     classify_spectrum,
     cluster_eigenvalues,
@@ -542,7 +542,7 @@ def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
 
 
 def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
-    shifts: dict = {}  # representative -> eig(K) columns or restriction; Schur forms of K
+    shifts: dict = {}  # representative -> what classify_spectrum found for its class's chains
     spectrum = classify_spectrum(k, clusters, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
     by_group: dict = {}  # (case, rank) -> the chains' column data, in the order found
@@ -552,13 +552,8 @@ def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> N
             by_group.setdefault((case, item[0].rank), []).append(item)
 
     for cls in spectrum.classes:
-        lam, kind, level1 = cls.representative, cls.kind, shifts[cls.representative]
-        if isinstance(level1, np.ndarray):  # a simple class: its eig(K) columns, of lam and -lam
-            chains = [JordanChain(lam, 1, (level1[:, 0],))]
-            partners = [JordanChain(-lam, 1, (level1[:, 1],))] if level1.shape[1] > 1 else []
-        else:
-            found = extract_class_chains(k, cls, _level1=level1)
-            chains, partners = found.chains, found.partners
+        lam, kind = cls.representative, cls.kind
+        chains, partners = extract_class_chains(k, cls, _level1=shifts[lam])
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             add(1 if kind is EigenvalueKind.REAL_PAIR else 2,
                 orthonormalize_real_complex(k, lam, chains, partners))

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Config, maxnorm
-from .core import _non_finite_error
-from .errors import ParseError, QuadnfError, StructureError, ValidationError
+from .config import DEFAULT, Config
+from .core import require_hamiltonian_matrix
+from .errors import ParseError, QuadnfError, ValidationError
 from .normal_form import NormalFormReport, _format_eigenvalue, normal_form
 from .spectrum import EigenvalueKind
 
@@ -77,16 +77,7 @@ def _validated(doc: MatrixDocument) -> MatrixDocument:
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
                             or not 0 < tol < np.inf):
         raise ParseError(f"tolerance must be a finite number > 0, got {tol!r}")
-    scale = maxnorm(doc.matrix)
-    if not scale < np.inf:
-        raise _non_finite_error(doc.matrix)
-    if tol is None:
-        tol = DEFAULT.tol(scale)
-    asym = maxnorm(doc.matrix - doc.matrix.T)
-    if asym > tol:
-        raise StructureError(
-            f"input matrix is not symmetric: max |M - M^T| = {asym:.3e} > {tol:.1e}"
-        )
+    require_hamiltonian_matrix(doc.matrix, doc.config())
     return doc
 
 

@@ -6,17 +6,20 @@ families: real pairs {l, -l}, complex quadruplets {l, -l, conj(l),
 {l, conj(l)}.  This module clusters the numerically computed spectrum,
 snaps it onto the axes, symmetrizes it so the pairing rules hold
 exactly, classifies the result, and extracts Jordan chains (generalized
-eigenvectors with their ranks) for every eigenvalue, a repeated one from
-K's restriction to its invariant subspace in a Schur form.  A class's chain
-ranks always add up to its algebraic multiplicity, so the zero class has
-an even number of odd-rank chains.  Which of the normal form's six chain
-cases a chain falls in is decided in ``normal_form``, not here.
+eigenvectors with their ranks) for every eigenvalue class.  It alone knows
+where a class's chains come from: ``classify_spectrum`` records, per class,
+the eig(K) columns of a simple one or K's restriction to a repeated one's
+invariant subspace in a Schur form, and ``extract_class_chains`` turns
+that record into the class's chains.  A class's chain ranks always add
+up to its algebraic multiplicity, so the zero class has an even number of
+odd-rank chains.  Which of the normal form's six chain cases a chain
+falls in is decided in ``normal_form``, not here.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,7 +37,6 @@ __all__ = [
     "EigenvalueClass",
     "SpectrumReport",
     "JordanChain",
-    "ClassChains",
     "cluster_eigenvalues",
     "classify_spectrum",
     "geometric_multiplicity",
@@ -282,24 +284,22 @@ def _restrict(k: np.ndarray, lam: complex, algebraic: int, schur: dict):
     return z[:, :algebraic], a, _kernel(a, lambda top: RANK_TOL * (1.0 + top)), schur
 
 
-def geometric_multiplicity(k, lam: complex, *, _shifts=None, _level1=None) -> int:
+def geometric_multiplicity(k, lam: complex, *, _level1=None) -> int:
     """Dimension of null(K - lam I): the singular values at or below RANK_TOL
     (1 + sigma_max) of K - lam I restricted to the invariant subspace of the
     eig(K) values within ``CLUSTERING_TOL * (1 + max|K|)`` of lam.
 
     A singular value within a factor 10 of the cut makes the rank
     decision fragile; a ``BorderlineRankWarning`` is emitted in that case
-    (the returned value still reflects that cut).  Given
-    ``_level1`` (that restriction, or the eig(K) columns of a simple lam)
-    it reads that instead, and leaves it in ``_shifts[lam]`` if given.
+    (the returned value still reflects that cut).  Given ``_level1`` (what
+    ``classify_spectrum`` found for lam's class: that restriction, or the
+    eig(K) columns of a simple lam) it reads that instead.
     """
     if _level1 is None:
         k = np.asarray(k, dtype=float)
         eps = CLUSTERING_TOL * (1.0 + maxnorm(k))
-        algebraic = int(np.sum(np.abs(np.linalg.eigvals(k) - lam) <= eps))
-        _level1 = _restrict(k, lam, algebraic, {})
-    if _shifts is not None:
-        _shifts[lam] = _level1
+        d = np.linalg.eigvals(k) - lam
+        _level1 = _restrict(k, lam, int(np.sum(np.hypot(d.real, d.imag) <= eps)), {})
     if isinstance(_level1, np.ndarray):
         return 1
     s, basis, thresh = _level1[2]
@@ -322,24 +322,25 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
     2N = a_0 + 2*sum_R a + 4*sum_C a + 2*sum_I a holds by construction.
     Without ``clusters`` it clusters once, at ``CLUSTERING_TOL``, on
     ``_eigenvalues`` if given; a failure to pair up there is raised, not
-    retried (``normal_form`` widens the radius).  ``_shifts`` collects
-    each class's restriction of K (see geometric_multiplicity) and, under
-    "Schur forms", the Schur forms of K those are read from.
+    retried (``normal_form`` widens the radius).  ``_shifts`` receives one
+    entry per class, under its representative: what ``extract_class_chains``
+    takes as ``_level1``, K's restriction to lam's invariant subspace (see
+    geometric_multiplicity), or for a simple class its eig(K) columns.
 
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
-    nonzero class takes no Schur form: ``_shifts`` gets the columns of
-    lam and, if paired, -lam, each owned by exactly one raw eigenvalue
-    nearest to it among the cluster members, else ``AmbiguousSpectrumError``
-    (for the first such class in report order).  The columns of every
-    simple class are gathered in one indexing step, and each class's are
-    a view of them.
+    nonzero class takes no Schur form: its columns are lam's and, if
+    paired, -lam's, each owned by exactly one raw eigenvalue nearest to it
+    among the cluster members, else ``AmbiguousSpectrumError`` (for the
+    first such class in report order).  The columns of every simple class
+    are gathered in one indexing step, and each class's are a view of them.
     """
     k = np.asarray(k, dtype=float)
     n_modes = k.shape[0] // 2
     if clusters is None:
         clusters = cluster_eigenvalues(k, _eigenvalues=_eigenvalues)
     seen: set[complex] = set()
-    found = []  # (kind, representative, multiplicity, members) of each class
+    found = []  # (kind, representative, multiplicity) of each class
+    simple, own = {}, []  # class index -> its columns' slice of the members in ``own``
     for lam, mult in clusters:
         if lam in seen:
             continue
@@ -359,15 +360,13 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
         if not seen.isdisjoint(members):
             continue
         seen.update(members)
-        found.append((kind, rep, mult, members))
-    # The eig(K) columns of every simple nonzero class, gathered at once: lam's
-    # and, if paired, -lam's, each from the one raw eigenvalue that owns it.
-    simple, own = {}, []  # class index -> its columns' slice of the members in ``own``
-    for i, (kind, _, mult, members) in enumerate(found):
         if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
             taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
-            simple[i] = slice(len(own), len(own) + len(taken))
+            simple[len(found)] = slice(len(own), len(own) + len(taken))
             own.extend(taken)
+        found.append((kind, rep, mult))
+    # The eig(K) columns of every simple nonzero class, gathered at once: lam's
+    # and, if paired, -lam's, each from the one raw eigenvalue that owns it.
     if own:
         centers = np.array([lam for lam, _ in clusters])
         owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
@@ -378,9 +377,9 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
         own = [index[mu] for mu in own]
         single = (owned[own] == 1).tolist()
         columns = _eigenvectors[:, raw_of[own]]
-    schur: dict = {} if _shifts is None else _shifts.setdefault("Schur forms", {})
+    schur: dict = {}  # K's real and complex Schur forms, shared by the restrictions
     classes = []
-    for i, (kind, rep, mult, _) in enumerate(found):
+    for i, (kind, rep, mult) in enumerate(found):
         if i in simple:
             if not all(single[simple[i]]):
                 raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
@@ -388,12 +387,15 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
             level1 = level1.real if rep.imag == 0 else level1
         else:
             level1 = _restrict(k, rep, mult, schur)
-        geometric = geometric_multiplicity(k, rep, _shifts=_shifts, _level1=level1)
+        if _shifts is not None:
+            _shifts[rep] = level1
+        geometric = geometric_multiplicity(k, rep, _level1=level1)
         classes.append(EigenvalueClass(kind, rep, mult, geometric))
-    residual = 2 * n_modes - sum(len(members) * mult for _, _, mult, members in found)
-    if residual != 0:  # SpectrumReport.sum_rule_residual
-        raise SpectrumStructureError(f"multiplicity sum rule violated by {residual}")
-    return SpectrumReport(n_modes=n_modes, classes=tuple(classes))
+    report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
+    if report.sum_rule_residual:
+        raise SpectrumStructureError(
+            f"multiplicity sum rule violated by {report.sum_rule_residual}")
+    return report
 
 
 @dataclass(frozen=True)
@@ -494,37 +496,30 @@ def jordan_chains(k, lam: complex, algebraic: int, *, _level1=None) -> list[Jord
     return [make_chain(k, lam, q @ c.generator, c.rank) for c in chains]
 
 
-@dataclass
-class ClassChains:
-    """Jordan chains of one eigenvalue class, with partners.
+def extract_class_chains(k, cls: EigenvalueClass, *, _level1=None):
+    """Chains of one eigenvalue class and their partners, as (chains, partners).
 
-    For real pairs and quadruplets, ``partners`` holds the chains of the
-    mirror eigenvalue -lam.  For imaginary pairs the partner chains are
-    the exact complex conjugates and are not stored.
+    For real pairs and quadruplets, the partners are the chains of the
+    mirror eigenvalue -lam; for the zero class and imaginary pairs there
+    are none (an imaginary pair's partner chains are the exact complex
+    conjugates).  ``_level1`` is what ``classify_spectrum`` left in
+    ``_shifts`` for the class.  A simple class's eig(K) columns are its
+    rank-1 chains of lam and -lam, on strided views of those columns.
+    Otherwise the chains come from the nullspace filtration of K's
+    restriction to lam's invariant subspace, ``_level1`` if given, and the
+    partner chains from that of -lam's restriction, read from the same
+    Schur form.
     """
-
-    eigen_class: EigenvalueClass
-    chains: list[JordanChain]
-    partners: list[JordanChain] = field(default_factory=list)
-
-
-def extract_class_chains(k, cls: EigenvalueClass, *, _level1=None) -> ClassChains:
-    """Chains (and partner chains where applicable) for one eigenvalue class.
-
-    The chains come from the nullspace filtration of K's restriction to
-    lam's invariant subspace, ``_level1`` if given (what ``classify_spectrum``
-    left in ``_shifts`` for a repeated class), and the partner chains from
-    that of -lam's restriction, read from the same Schur form.  A simple
-    class that ``classify_spectrum`` gave eig(K) columns does not come here:
-    ``normal_form`` takes those columns as its rank-1 chains.
-    """
-    k = np.asarray(k, dtype=float)
     lam = cls.representative
     paired = cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET)
+    if isinstance(_level1, np.ndarray):
+        return ([JordanChain(lam, 1, (_level1[:, 0],))],
+                [JordanChain(-lam, 1, (_level1[:, 1],))] if paired else [])
+    k = np.asarray(k, dtype=float)
     schur = {} if _level1 is None else _level1[3]
     chains = sorted(jordan_chains(k, lam, cls.algebraic, _level1=_level1), key=lambda c: -c.rank)
     partners = sorted(jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
         k, -lam, cls.algebraic, schur)), key=lambda c: -c.rank) if paired else []
     if paired and [c.rank for c in chains] != [c.rank for c in partners]:
         raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
-    return ClassChains(eigen_class=cls, chains=chains, partners=partners)
+    return chains, partners

@@ -320,25 +320,24 @@ class TestCriterion6AlgebraProperties:
             k = build_eom(m)
             report = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5))
             cls = max(report.classes, key=lambda c: abs(c.representative - lam) < 1e-4)
-            cc = extract_class_chains(k, cls)
-            fixtures.append((k, cls.representative, cc))
+            fixtures.append((k, cls.representative, *extract_class_chains(k, cls)))
 
         worst_exchange = 0.0
         worst_symmetry = 0.0
         pair_count = 0
         while pair_count < 1000:
-            k, lam, cc = fixtures[pair_count % len(fixtures)]
+            k, lam, chains, partners = fixtures[pair_count % len(fixtures)]
             imag = lam.real == 0 and lam != 0
-            d = max(c.rank for c in cc.chains)
-            top = next(c for c in cc.chains if c.rank == d)
+            d = max(c.rank for c in chains)
+            top = next(c for c in chains if c.rank == d)
             coefs = rng.normal(size=d) + 1j * rng.normal(size=d)
             if abs(coefs[0]) < 0.1:
                 coefs[0] += 1.0
             x = apply_poly(NilpotentPoly(lam, coefs), k, top.generator.astype(complex))
             if imag or lam == 0:
-                partner_gens = [c.generator.conj() for c in cc.chains]
+                partner_gens = [c.generator.conj() for c in chains]
             else:
-                partner_gens = [c.generator for c in cc.partners]
+                partner_gens = [c.generator for c in partners]
             y = sum(rng.normal() * np.asarray(g, complex) for g in partner_gens)
 
             phi = NilpotentPoly(lam, rng.normal(size=d) + 1j * rng.normal(size=d))

@@ -35,7 +35,6 @@ from quadnf.algebra import (
 )
 from quadnf.errors import ContractViolationError, NondegeneracyError
 from quadnf.spectrum import (
-    ClassChains,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
@@ -203,16 +202,15 @@ class TestOmegaIdentities:
             k = build_eom(m)
             report = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5))
             cls = max(report.classes, key=lambda c: abs(c.representative - lam) < 1e-6)
-            cc = extract_class_chains(k, cls)
-            out.append((k, cls.representative, cc))
+            out.append((k, cls.representative, *extract_class_chains(k, cls)))
         return out
 
     def test_exchange_identities(self, rng):
-        for k, lam, cc in self.fixtures(rng):
+        for k, lam, chains, partners in self.fixtures(rng):
             imag = lam.real == 0 and lam != 0
             for _ in range(40):
                 x, y, d = random_gev_pair(
-                    k, lam, cc.chains, cc.partners, rng, conjugate=imag or lam == 0
+                    k, lam, chains, partners, rng, conjugate=imag or lam == 0
                 )
                 if lam == 0:
                     y = y.real.astype(complex)
@@ -243,8 +241,8 @@ class TestOmegaIdentities:
         m, _ = seeded_matrix([(3, 0j, 2, 1 + 0j), (3, 0j, 2, -1 + 0j)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        gens = [c.generator for c in cc.chains]
+        chains, _ = extract_class_chains(k, cls)
+        gens = [c.generator for c in chains]
         for _ in range(50):
             cx = rng.normal(size=len(gens))
             cy = rng.normal(size=len(gens))
@@ -259,8 +257,8 @@ class TestOmegaIdentities:
         m, _ = seeded_matrix([(5, 1.3j, 2, 1 + 0j), (5, 1.3j, 2, -1 + 0j)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        gens = [c.generator.astype(complex) for c in cc.chains]
+        chains, _ = extract_class_chains(k, cls)
+        gens = [c.generator.astype(complex) for c in chains]
         for _ in range(50):
             cx = rng.normal(size=len(gens)) + 1j * rng.normal(size=len(gens))
             cy = rng.normal(size=len(gens)) + 1j * rng.normal(size=len(gens))
@@ -292,9 +290,9 @@ class TestRealComplexOrthonormalization:
         m, _ = seeded_matrix([(1, 1.7 + 0j, 1, None)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
+        chains, partners = extract_class_chains(k, cls)
         ((e, et),) = orthonormalize_real_complex(
-            k, cls.representative, cc.chains, cc.partners
+            k, cls.representative, chains, partners
         )
         assert abs(alpha(k, cls.representative, e.generator, et.generator, 1) - 1) < 1e-10
 
@@ -304,8 +302,8 @@ class TestRealComplexOrthonormalization:
         )
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        pairs = orthonormalize_real_complex(k, 1.0, cc.chains, cc.partners)
+        chains, partners = extract_class_chains(k, cls)
+        pairs = orthonormalize_real_complex(k, 1.0, chains, partners)
         for i, (e, _) in enumerate(pairs):
             for j, (_, et) in enumerate(pairs):
                 w = omega(k, 1.0, e.generator, et.generator, e.rank)
@@ -328,8 +326,8 @@ class TestZeroOrthonormalization:
 
         k = build_eom(two_mode_m(1.0, 1.0))
         cls = next(c for c in classify_spectrum(k).classes if c.representative == 0)
-        cc = extract_class_chains(k, cls)
-        case3, case4 = orthonormalize_zero(k, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        case3, case4 = orthonormalize_zero(k, chains)
         assert case4 == []
         ((e, sigma),) = case3
         assert sigma == 1
@@ -341,16 +339,16 @@ class TestZeroOrthonormalization:
 
         k = build_eom(two_mode_m(0.0, 1.0))
         cls = next(c for c in classify_spectrum(k).classes if c.representative == 0)
-        cc = extract_class_chains(k, cls)
-        ((e, sigma),) = orthonormalize_zero(k, cc.chains)[0]
+        chains, _ = extract_class_chains(k, cls)
+        ((e, sigma),) = orthonormalize_zero(k, chains)[0]
         assert sigma == -1
 
     def test_single_chain_negative_pairing(self, rng):
         m, _ = seeded_matrix([(3, 0j, 2, -1 + 0j)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        ((e, sigma),), case4 = orthonormalize_zero(k, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        ((e, sigma),), case4 = orthonormalize_zero(k, chains)
         assert sigma == -1
         w = omega(k, 0.0, e.generator, e.generator, 2)
         assert np.max(np.abs(w.array() - [-1, 0])) < 1e-9
@@ -418,17 +416,17 @@ class TestZeroOddPairing:
         m, _ = seeded_matrix([(4, 0j, 1, None)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        ((f, h),) = zero_odd_pairing(k, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        ((f, h),) = zero_odd_pairing(k, chains)
         assert abs(alpha(k, 0.0, f.generator, h.generator, 1) - 1) < 1e-10
 
     def test_rank_three_pair(self, rng):
         m, _ = seeded_matrix([(4, 0j, 3, None)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k, cluster_eigenvalues(k, tol=1e-5)).classes[0]
-        cc = extract_class_chains(k, cls)
-        assert [c.rank for c in cc.chains] == [3, 3]
-        ((f, h),) = zero_odd_pairing(k, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        assert [c.rank for c in chains] == [3, 3]
+        ((f, h),) = zero_odd_pairing(k, chains)
         wfh = omega(k, 0.0, f.generator, h.generator, 3)
         assert np.max(np.abs(wfh.array() - [1, 0, 0])) < 1e-8
         assert np.max(np.abs(omega(k, 0.0, f.generator, f.generator, 3).array())) < 1e-8
@@ -438,8 +436,8 @@ class TestZeroOddPairing:
         m, _ = seeded_matrix([(4, 0j, 1, None), (4, 0j, 1, None)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        pairs = zero_odd_pairing(k, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        pairs = zero_odd_pairing(k, chains)
         assert len(pairs) == 2
         (f1, h1), (f2, h2) = pairs
         for x in (f2.generator, h2.generator):
@@ -483,8 +481,8 @@ class TestImaginaryOrthonormalization:
         m, _ = seeded_matrix([(5, 1.4j, 2, 1 + 0j)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        ((e, sigma),) = orthonormalize_imaginary(k, cls.representative, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        ((e, sigma),) = orthonormalize_imaginary(k, cls.representative, chains)
         assert sigma == 1
         w = omega(k, cls.representative, e.generator, e.generator.conj(), 2)
         assert np.max(np.abs(w.array() - [sigma, 0])) < 1e-9
@@ -493,8 +491,8 @@ class TestImaginaryOrthonormalization:
         m, _ = seeded_matrix([(5, 1.5j, 2, 1 + 0j), (6, 1.5j, 1, -1j)], rng)
         k = build_eom(m)
         cls = classify_spectrum(k).classes[0]
-        cc = extract_class_chains(k, cls)
-        results = orthonormalize_imaginary(k, cls.representative, cc.chains)
+        chains, _ = extract_class_chains(k, cls)
+        results = orthonormalize_imaginary(k, cls.representative, chains)
         assert sorted((r.rank, s) for r, s in results) == [(1, -1j), (2, 1 + 0j)]
         for (ci, si) in results:
             for (cj, sj) in results:
@@ -599,8 +597,8 @@ def _same_bits(a, b):
 
 
 def _simple_classes(m, monkeypatch):
-    """(K, class, chains) of every simple class of M, the chains as normal_form
-    hands them to the orthonormalization: rank-1 chains on strided columns of
+    """(K, class, chains, partners) of every simple class of M, the chains as
+    normal_form hands them to the orthonormalization: rank-1 chains on strided columns of
     eig(K)."""
     nf = sys.modules["quadnf.normal_form"]
     pair, single, seen = nf.orthonormalize_real_complex, nf.orthonormalize_imaginary, {}
@@ -617,8 +615,7 @@ def _simple_classes(m, monkeypatch):
         patch.setattr(nf, "orthonormalize_real_complex", paired)
         patch.setattr(nf, "orthonormalize_imaginary", unpaired)
         classes = normal_form(m).spectrum.classes
-    return [(seen[c.representative][0], c, ClassChains(c, *seen[c.representative][1:]))
-            for c in classes]
+    return [(seen[c.representative][0], c, *seen[c.representative][1:]) for c in classes]
 
 
 class TestSimpleClassScalars:
@@ -635,13 +632,13 @@ class TestSimpleClassScalars:
         seen = set()
         for _ in range(6):
             m, _ = seeded_matrix(self.SPECS, rng)
-            for k, cls, cc in _simple_classes(m, monkeypatch):
+            for k, cls, simple, simple_partners in _simple_classes(m, monkeypatch):
                 lam = cls.representative
                 if cls.kind is EigenvalueKind.REAL_PAIR:  # the real part of a complex column
-                    assert not cc.chains[0].generator.flags.c_contiguous
-                for chains, partners in ((cc.chains, cc.partners),
-                                         ([strided(c) for c in cc.chains],
-                                          [strided(c) for c in cc.partners])):
+                    assert not simple[0].generator.flags.c_contiguous
+                for chains, partners in ((simple, simple_partners),
+                                         ([strided(c) for c in simple],
+                                          [strided(c) for c in simple_partners])):
                     g = chains[0].generator
                     if cls.kind is EigenvalueKind.IMAGINARY_PAIR:
                         ((e, sigma),) = orthonormalize_imaginary(k, lam, chains)

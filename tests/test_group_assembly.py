@@ -32,12 +32,10 @@ from quadnf.algebra import (
 from quadnf.normal_form import VERIFY_TOL, emit_terms, expected_kn
 from quadnf.spectrum import (
     CLUSTERING_TOL,
-    ClassChains,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
     extract_class_chains,
-    make_chain,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -97,23 +95,18 @@ def reference_attempt(k, clusters, eigenvalues, vectors):
     chains = []
     for cls in spectrum.classes:
         lam = cls.representative
-        if isinstance(shifts[lam], np.ndarray):  # a simple class: its eig(K) columns
-            paired = shifts[lam].shape[1] > 1
-            found = ClassChains(cls, [make_chain(k, lam, shifts[lam][:, 0], 1)],
-                                [make_chain(k, -lam, shifts[lam][:, 1], 1)] if paired else [])
-        else:
-            found = extract_class_chains(k, cls, _level1=shifts[lam])
+        found, partners = extract_class_chains(k, cls, _level1=shifts[lam])
         if cls.kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
             case = 1 if cls.kind is EigenvalueKind.REAL_PAIR else 2
             chains += [chain_columns(case, pair) for pair in
-                       orthonormalize_real_complex(k, lam, found.chains, found.partners)]
+                       orthonormalize_real_complex(k, lam, found, partners)]
         elif cls.kind is EigenvalueKind.ZERO:
-            case3, case4 = orthonormalize_zero(k, found.chains)
+            case3, case4 = orthonormalize_zero(k, found)
             chains += [chain_columns(3, item) for item in case3]
             chains += [chain_columns(4, pair) for pair in zero_odd_pairing(k, case4)]
         else:
             chains += [chain_columns(5 + chain.rank % 2, (chain, sigma))
-                       for chain, sigma in orthonormalize_imaginary(k, lam, found.chains)]
+                       for chain, sigma in orthonormalize_imaginary(k, lam, found)]
     chains.sort(key=mode_key)
     t = np.column_stack([c for ch in chains for c in ch.t_cols] +
                         [c for ch in chains for c in ch.s_cols])

@@ -374,6 +374,33 @@ class TestEmitTerms:
             assert np.max(np.abs(rebuilt - (-j @ kn))) < 1e-10
 
 
+class TestAssemblyCheck:
+    def test_a_broken_column_raises_with_its_gram_residual(self, rng, monkeypatch):
+        # Doubling one column of a valid group breaks T J T^T = J; the error
+        # names the residual checked and carries T J T^T - J of the broken T.
+        nf = sys.modules["quadnf.normal_form"]
+        assemble, seen = nf.assemble_transform, []
+
+        def recorded(groups, order, n_modes, cfg, **kwargs):
+            seen.append((groups, order, n_modes))
+            return assemble(groups, order, n_modes, cfg, **kwargs)
+
+        monkeypatch.setattr(nf, "assemble_transform", recorded)
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j)], rng)
+        t = normal_form(m).transform.matrix
+        ((groups, order, n_modes),) = seen
+        t_plus = groups[0].t_plus.copy()
+        t_plus[0, 0] *= 2
+        (column,) = [j for j in range(2 * n_modes) if np.array_equal(t[:, j], t_plus[0, 0] / 2)]
+        broken = t.copy()
+        broken[:, column] *= 2
+        j = symplectic_form(n_modes)
+        with pytest.raises(AssemblyError, match="not symplectic") as info:
+            assemble([groups[0]._replace(t_plus=t_plus), *groups[1:]], order, n_modes)
+        assert f"residual {symplectic_residual(broken):.3e}" in str(info.value)
+        assert np.array_equal(info.value.gram_residual, broken @ j @ broken.T - j)
+
+
 class TestBogoliubov:
     def test_identity_hamiltonian(self):
         rep = bogoliubov_transform(np.eye(2))

@@ -386,6 +386,22 @@ class TestCli:
         assert "tolerance: 2.000e-04" in result.output
         assert "status: ok" in result.output
 
+    @pytest.mark.parametrize("entry", [1.5e-4, 2.5e-4])
+    def test_document_tolerance_scales_with_max_m(self, entry):
+        # A declared tolerance t bounds |M - M^T| by t (1 + max|M|), here 2e-4,
+        # in check and analyze alike, as normal_form(m, Config(t)) does.
+        doc = json.dumps({"modes": 1, "matrix": [[1, entry], [0, 1]], "tolerances": 1e-4})
+        check = self.runner.invoke(main, ["check", "-"], input=doc)
+        analyze = self.runner.invoke(main, ["analyze", "-"], input=doc)
+        if entry < 2e-4:
+            assert check.exit_code == 0
+            assert "tolerance: 2.000e-04" in check.output and "status: ok" in check.output
+            assert analyze.exit_code == 0 and "verdict: stable" in analyze.output
+        else:
+            for result in (check, analyze):
+                assert result.exit_code == 1
+                assert "max |M - M^T| = 2.500e-04 > 2.000e-04" in result.output
+
     def test_scan_output(self, tmp_path):
         dst = tmp_path / "scan.dat"
         result = self.runner.invoke(

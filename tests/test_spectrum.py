@@ -298,6 +298,28 @@ class TestGeometricMultiplicity:
         with pytest.warns(BorderlineRankWarning):
             geometric_multiplicity(k, 1j * (1 + 5e-8))
 
+    def test_counts_by_the_distance_of_the_mirror_search(self, monkeypatch):
+        # Without _level1 the algebraic multiplicity counts the eig(K) values
+        # within eps of lam by hypot, as clustering does; np.abs of a complex
+        # can round to the other side of eps.  K = 0, so eps = CLUSTERING_TOL.
+        eps = CLUSTERING_TOL
+        rng = np.random.default_rng(0)
+
+        def near_eps(z):  # z scaled to |z| = eps, then a few ulps outward
+            d = z * (eps / abs(z))
+            for _ in range(8):
+                yield d
+                d = complex(np.nextafter(d.real, 2 * d.real), d.imag)
+
+        d = next((d for z in rng.normal(size=10000) + 1j * rng.normal(size=10000)
+                  for d in near_eps(complex(z))
+                  if (float(np.abs(np.complex128(d))) <= eps) != (np.hypot(d.real, d.imag) <= eps)),
+                 None)
+        if d is None:
+            pytest.skip("np.abs agrees with hypot about eps on this NumPy")
+        monkeypatch.setattr(np.linalg, "eigvals", lambda k: np.array([0j, d, 5, -5]))
+        assert geometric_multiplicity(np.zeros((4, 4)), 0.0) == 1 + (np.hypot(d.real, d.imag) <= eps)
+
 
 class TestJordanChains:
     def test_golden_rank_two_chain(self):
@@ -349,11 +371,11 @@ class TestJordanChains:
         report = classify_spectrum(k)
         cols = []
         for cls in report.classes:
-            cc = extract_class_chains(k, cls)
-            for chain in cc.chains + cc.partners:
+            chains, partners = extract_class_chains(k, cls)
+            for chain in chains + partners:
                 cols.extend(chain.vectors)
             if cls.kind is EigenvalueKind.IMAGINARY_PAIR:
-                for chain in cc.chains:
+                for chain in chains:
                     cols.extend(v.conj() for v in chain.vectors)
         stack = np.column_stack(cols)
         assert stack.shape == (6, 6)
@@ -381,6 +403,36 @@ class TestJordanChains:
             assert np.linalg.norm(a @ v) <= 1e-12 * np.linalg.norm(a, 2)
             (own,) = jordan_chains(k, -lam, 1)
             assert 1 - abs(np.vdot(v, own.generator)) <= 1e-12
+
+    def test_one_record_per_class_and_simple_chains_on_eig_columns(self, rng):
+        # classify_spectrum leaves exactly one record per class in _shifts, and
+        # extract_class_chains adds none; a simple class's chains are its
+        # eig(K) columns of lam and -lam, the same bytes at the same strides.
+        m, _ = seeded_matrix([(1, 0.9 + 0j, 1, None), (2, 0.6 + 1.2j, 1, None),
+                              (6, 2.0j, 1, -1j), (1, 1.4 + 0j, 2, None)], rng)
+        k = build_eom(m)
+        eigenvalues, vectors = np.linalg.eig(k)
+        shifts = {}
+        classes = classify_spectrum(k, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                                    _shifts=shifts).classes
+        assert list(shifts) == [c.representative for c in classes]
+        assert sorted(c.algebraic for c in classes) == [1, 1, 1, 2]
+        for cls in classes:
+            record = shifts[cls.representative]
+            chains, partners = extract_class_chains(k, cls, _level1=record)
+            if cls.algebraic > 1:
+                assert [c.rank for c in chains] == [c.rank for c in partners] == [2]
+                continue
+            assert len(chains + partners) == record.shape[1]
+            for j, chain in enumerate(chains + partners):
+                (g,) = chain.vectors
+                assert (chain.eigenvalue, chain.rank) == (cls.members[j], 1)
+                column = vectors[:, np.argmin(np.abs(eigenvalues - chain.eigenvalue))]
+                column = column.real if cls.representative.imag == 0 else column
+                assert g.ctypes.data == record[:, j].ctypes.data
+                assert g.strides == record[:, j].strides
+                assert g.dtype == column.dtype and g.tobytes() == column.tobytes()
+        assert list(shifts) == [c.representative for c in classes]
 
     def test_eigenvector_match_must_be_one_to_one(self, rng):
         # If -lam's own eigenvalue is replaced by lam, lam owns two eig(K)

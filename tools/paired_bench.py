@@ -15,9 +15,19 @@ the pairs, and how many pairs each side won (a tie counts for neither).
 The gap between the medians is then set against side A's spread, the
 distance between its quartiles: "B better" or "B worse" when the gap
 exceeds it, "within A's spread" otherwise.  A gain is claimed when B wins
-at least nine tenths of the pairs and the gap exceeds the spread.  The
-failure counts of both sides are printed too, and a last JSON line holds
-every run.  Nothing under either root is changed.
+at least nine tenths of the pairs and the gap exceeds the spread.
+
+A change that claims no gain is judged instead by whether each metric is
+no worse than the metric's ``bound`` in ROOT_A's ``BENCHMARK.json``, read
+as a fraction of A's median (so a bound of 0.1 on a 86 MB peak RSS
+allows 8.6 MB; an absolute reading would allow 0.1 MB, which a change
+that raised ``peak_rss_mb`` by 0.36-0.48 MB passed the benchmark's own
+check with).  The verdict is "no worse than its bound" when every B run
+beats every A run; otherwise "worse than its bound" when B's median is
+worse than A's by more than the bound, "unresolved" when A's spread
+exceeds the bound, and "no worse than its bound" when neither holds.
+The failure counts of both sides are printed too, and a last JSON line
+holds every run.  Nothing under either root is changed.
 """
 
 from __future__ import annotations
@@ -64,9 +74,19 @@ def summarize(spec: list[dict], runs: list[tuple[dict, dict]]) -> list[dict]:
         else:
             verdict = "B better" if (gap < 0) == lower else "B worse"
         claim = verdict == "B better" and b_wins >= 0.9 * len(runs)
+        bound = entry["bound"] * abs(qa[1])
+        if (max(b) < min(a)) if lower else (min(b) > max(a)):
+            regression = "no worse than its bound"
+        elif (gap if lower else -gap) > bound:
+            regression = "worse than its bound"
+        elif spread > bound:
+            regression = "unresolved"
+        else:
+            regression = "no worse than its bound"
         rows.append({"metric": name, "unit": entry["unit"], "better": entry["better"],
                      "a": qa, "b": qb, "a_wins": a_wins, "b_wins": b_wins,
-                     "gap": gap, "a_spread": spread, "verdict": verdict, "gain": claim})
+                     "gap": gap, "a_spread": spread, "verdict": verdict, "gain": claim,
+                     "bound": bound, "regression": regression})
     return rows
 
 
@@ -106,7 +126,8 @@ def main(argv=None) -> int:
         print(f"  {r['metric']:16s} A {a2:.4g} [{a1:.4g}, {a3:.4g}]  B {b2:.4g} [{b1:.4g}, {b3:.4g}]"
               f" {r['unit']}  wins A {r['a_wins']} B {r['b_wins']}  gap {r['gap']:+.4g}"
               f" vs A's spread {r['a_spread']:.4g}: {r['verdict']}"
-              + ("  (gain)" if r["gain"] else ""))
+              + ("  (gain)" if r["gain"] else "")
+              + f"; bound {r['bound']:.4g}: {r['regression']}")
     for side, name in ((0, "A"), (1, "B")):
         failed = sorted({(p[side]["failed"], p[side]["attempted"]) for p in runs})
         correct = all(p[side]["correct"] for p in runs)
