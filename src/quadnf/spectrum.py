@@ -496,7 +496,8 @@ def jordan_chains(k, lam: complex, algebraic: int, *, _level1=None) -> list[Jord
     return [make_chain(k, lam, q @ c.generator, c.rank) for c in chains]
 
 
-def extract_class_chains(k, cls: EigenvalueClass, *, _level1=None):
+def extract_class_chains(k, cls: EigenvalueClass, *,
+                         _level1=None) -> tuple[list[JordanChain], list[JordanChain]]:
     """Chains of one eigenvalue class and their partners, as (chains, partners).
 
     For real pairs and quadruplets, the partners are the chains of the

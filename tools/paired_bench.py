@@ -19,13 +19,14 @@ at least nine tenths of the pairs and the gap exceeds the spread.
 
 A change that claims no gain is judged instead by whether each metric is
 no worse than the metric's ``bound`` in ROOT_A's ``BENCHMARK.json``, read
-as a fraction of A's median (so a bound of 0.1 on a 86 MB peak RSS
-allows 8.6 MB; an absolute reading would allow 0.1 MB, which a change
-that raised ``peak_rss_mb`` by 0.36-0.48 MB passed the benchmark's own
-check with).  The verdict is "no worse than its bound" when every B run
-beats every A run; otherwise "worse than its bound" when B's median is
-worse than A's by more than the bound, "unresolved" when A's spread
-exceeds the bound, and "no worse than its bound" when neither holds.
+as a fraction of A's median: a bound of 0.1 on an 86 MB peak RSS allows
+8.6 MB.  An absolute reading (0.1 MB) would have failed the group-assembly
+change, which raised ``peak_rss_mb`` by 0.36-0.48 MB and was accepted
+against that bound.  The verdict is "no worse than its bound" when
+every B run beats every A run; otherwise "worse than its bound" when B's
+median is worse than A's by more than the bound, "unresolved" when A's
+spread exceeds the bound, and "no worse than its bound" when neither
+holds.
 The failure counts of both sides are printed too, and a last JSON line
 holds every run.  Nothing under either root is changed.
 """
