@@ -36,7 +36,6 @@ from .errors import (
     StructureError,
     ValidationError,
     VerificationError,
-    WrongPathError,
 )
 from .normal_form import (
     CanonicalTransform,
@@ -45,7 +44,6 @@ from .normal_form import (
     NormalFormReport,
     TermKind,
     Verdict,
-    bogoliubov_transform,
     normal_form,
     terms_matrix,
 )

@@ -76,10 +76,6 @@ class ContractViolationError(PipelineError):
     """An argument violates an operation's precondition (e.g. non-symplectic T)."""
 
 
-class WrongPathError(PipelineError):
-    """``bogoliubov_transform`` was called outside its precondition."""
-
-
 class AssemblyError(PipelineError):
     """The assembled transformation failed the symplectic condition."""
 

@@ -19,8 +19,7 @@ beam splitters), and one table gives each term kind's symbol and N
 entries.  This module builds the columns, assembles and verifies T,
 generates the expected blocks, emits the term list and decides the
 stability verdict.  A Bogoliubov diagonalization is the special case of
-an all-case-6, rank-1 spectrum and takes the same construction;
-``bogoliubov_transform`` only checks that precondition.
+an all-case-6, rank-1 spectrum, whose verdict is STABLE.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .errors import (
     PipelineError,
     SpectrumStructureError,
     VerificationError,
-    WrongPathError,
 )
 from .spectrum import (
     CLUSTERING_TOL,
@@ -67,7 +65,6 @@ __all__ = [
     "assemble_transform",
     "expected_kn",
     "emit_terms",
-    "bogoliubov_transform",
     "normal_form",
 ]
 
@@ -325,14 +322,14 @@ def expected_kn(blocks, n_modes: int) -> np.ndarray:
     return kn
 
 
-def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT, *,
-                       _residuals: dict | None = None) -> CanonicalTransform:
+def assemble_transform(groups, order, n_modes: int,
+                       cfg: Config = DEFAULT) -> tuple[CanonicalTransform, float]:
     """Gather T = (T_+ T_-) from the groups' columns and check the symplectic condition.
 
     ``order`` lists the chains, numbered through the groups in turn, in
     mode order.  On failure, the raised ``AssemblyError`` carries the
-    offending Gram residual matrix.  On success, ``_residuals["symplectic"]``
-    receives the residual checked.
+    offending Gram residual matrix.  On success, returns T with the
+    symplectic residual checked.
     """
     plus = [cols for g in groups for cols in g.t_plus]
     minus = [cols for g in groups for cols in g.t_minus]
@@ -348,9 +345,7 @@ def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT, *,
             f"assembled transformation is not symplectic: residual {res:.3e}",
             gram_residual=t @ j @ t.T - j,
         )
-    if _residuals is not None:
-        _residuals["symplectic"] = res
-    return CanonicalTransform(matrix=t)
+    return CanonicalTransform(matrix=t), res
 
 
 def _piece(entry, modes, a, b, single, pair) -> HamiltonianTerm:
@@ -481,8 +476,7 @@ def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     keys = [(c, -abs(lam), -lam.imag, -d, -(sigma or 0j).real, -(sigma or 0j).imag)
             for c, lam, d, sigma in chains]
     order = sorted(range(len(keys)), key=keys.__getitem__)  # mode order; ties only within a group
-    residuals: dict = {}
-    transform = assemble_transform(groups, order, n_modes, cfg, _residuals=residuals)
+    transform, symplectic = assemble_transform(groups, order, n_modes, cfg)
     blocks = tuple(_block(*chains[c]) for c in order)
     kn_expected = expected_kn(blocks, n_modes)
     t = transform.matrix
@@ -501,11 +495,6 @@ def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     terms, zero_modes = emit_terms(blocks)
     verdict, reasons = _verdict(blocks)
     n_expected = np.concatenate([-kn_expected[n_modes:], kn_expected[:n_modes]])  # -J K_N, exactly
-    residuals.update(
-        block_match=block_residual,
-        n_reconstruction=maxnorm(n_matrix - n_expected),
-        condition=cond,
-    )
     return NormalFormReport(
         n_modes=n_modes,
         spectrum=spectrum,
@@ -517,28 +506,13 @@ def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
         verdict=verdict,
         reasons=reasons,
         zero_frequency_modes=zero_modes,
-        residuals=residuals,
+        residuals={
+            "symplectic": symplectic,
+            "block_match": block_residual,
+            "n_reconstruction": maxnorm(n_matrix - n_expected),
+            "condition": cond,
+        },
     )
-
-
-def bogoliubov_transform(m, cfg: Config = DEFAULT) -> NormalFormReport:
-    """Normal form of M, required to be a Bogoliubov diagonalization.
-
-    Under this precondition (K diagonalizable with purely imaginary
-    spectrum) the Hamiltonian is a sum of independent harmonic
-    oscillators: N = T^T M T is diagonal with paired entries (the K_N it
-    induces is in real Jordan form, not diagonal).  Returns
-    ``normal_form(m, cfg)``, checked afterwards on its own spectrum:
-    ``WrongPathError`` when any other eigenvalue family is present or
-    any eigenvalue is defective.
-    """
-    report = normal_form(m, cfg)
-    if not all(c.kind is EigenvalueKind.IMAGINARY_PAIR and c.geometric == c.algebraic
-               for c in report.spectrum.classes):
-        raise WrongPathError(
-            "spectrum is not diagonalizable-imaginary; use normal_form"
-        )
-    return report
 
 
 def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:

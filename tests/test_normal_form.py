@@ -25,8 +25,6 @@ from conftest import (
 )
 from quadnf import (
     Verdict,
-    WrongPathError,
-    bogoliubov_transform,
     build_eom,
     normal_form,
     symplectic_form,
@@ -381,9 +379,9 @@ class TestAssemblyCheck:
         nf = sys.modules["quadnf.normal_form"]
         assemble, seen = nf.assemble_transform, []
 
-        def recorded(groups, order, n_modes, cfg, **kwargs):
+        def recorded(groups, order, n_modes, cfg):
             seen.append((groups, order, n_modes))
-            return assemble(groups, order, n_modes, cfg, **kwargs)
+            return assemble(groups, order, n_modes, cfg)
 
         monkeypatch.setattr(nf, "assemble_transform", recorded)
         m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j)], rng)
@@ -401,26 +399,69 @@ class TestAssemblyCheck:
         assert np.array_equal(info.value.gram_residual, broken @ j @ broken.T - j)
 
 
+def is_bogoliubov(spectrum) -> bool:
+    """K is diagonalizable with a purely imaginary spectrum."""
+    return all(c.kind is EigenvalueKind.IMAGINARY_PAIR and c.geometric == c.algebraic
+               for c in spectrum.classes)
+
+
+def assert_not_bogoliubov(rep):
+    assert rep.verdict is not Verdict.STABLE
+    assert any((b.case, b.rank) != (6, 1) for b in rep.blocks)
+
+
+def _equivalence_inputs(family):
+    rng = np.random.default_rng(20261019)
+    if family == "pd":
+        for n in (1, 2, 3, 6):
+            a = rng.normal(size=(2 * n, 2 * n))
+            yield a @ a.T + 0.3 * np.eye(2 * n)
+    elif family == "generic":
+        for n in (1, 2, 3, 6):
+            a = rng.normal(size=(2 * n, 2 * n))
+            yield (a + a.T) / 2
+    elif family == "planted":
+        for specs in (
+            [(6, 0.8j, 1, 1j)],
+            [(6, 0.8j, 1, 1j), (6, 1.3j, 1, -1j)],
+            [(6, 0.8j, 1, 1j), (6, 0.8j, 1, -1j)],  # repeated, diagonalizable
+            [(6, 0.8j, 3, 1j)],  # defective, odd rank
+            [(5, 0.8j, 2, 1.0)],  # defective, even rank
+            [(6, 0.8j, 1, 1j), (6, 0.8j, 3, -1j)],  # geometric 2 < algebraic 4
+            [(6, 0.8j, 1, 1j), (1, 1.3 + 0j, 1, None)],
+            [(6, 0.8j, 1, -1j), (2, 0.7 + 1.1j, 1, None)],
+            [(6, 0.8j, 1, 1j), (4, 0j, 1, None)],  # zero-frequency mode
+            [(3, 0j, 2, 1.0)],
+        ):
+            yield seeded_matrix(specs, rng)[0]
+    else:
+        grid = np.linspace(-2.0, 2.0, 41)
+        for eta, lam in itertools.product(grid, grid):
+            yield two_mode_m(eta, lam)
+
+
 class TestBogoliubov:
+    """A Bogoliubov diagonalization is the STABLE verdict of ``normal_form``:
+    case-6 blocks of rank 1, with N diagonal."""
+
     def test_identity_hamiltonian(self):
-        rep = bogoliubov_transform(np.eye(2))
+        rep = normal_form(np.eye(2))
         assert rep.verdict is Verdict.STABLE
         assert np.allclose(rep.n_matrix, np.eye(2), atol=1e-12)
         assert np.allclose(np.abs(rep.transform.matrix), np.eye(2), atol=1e-12)
 
     def test_two_mode_frequencies(self):
-        rep = bogoliubov_transform(two_mode_m(1.0, 0.5))
+        rep = normal_form(two_mode_m(1.0, 0.5))
+        assert rep.verdict is Verdict.STABLE
         # roots of mu^2 - 2 mu + (1 - 1/4): frequencies sqrt(3/2), sqrt(1/2)
         want = np.array([np.sqrt(1.5), np.sqrt(0.5), np.sqrt(1.5), np.sqrt(0.5)])
         assert np.allclose(np.diag(rep.n_matrix), want, atol=1e-10)
         off = rep.n_matrix - np.diag(np.diag(rep.n_matrix))
         assert np.max(np.abs(off)) < 1e-10
 
-    def test_wrong_path_rejected(self):
-        with pytest.raises(WrongPathError):
-            bogoliubov_transform(GOLDEN_M)
-        with pytest.raises(WrongPathError):
-            bogoliubov_transform(two_mode_m(1.0, 2.0))
+    def test_other_families_not_stable(self):
+        assert_not_bogoliubov(normal_form(GOLDEN_M))
+        assert_not_bogoliubov(normal_form(two_mode_m(1.0, 2.0)))
 
     def test_frequencies_match_eigenvalues(self, rng):
         for _ in range(5):
@@ -441,17 +482,29 @@ class TestBogoliubov:
     ])
     def test_defective_imaginary_rejected(self, specs, rng):
         m, _ = seeded_matrix(specs, rng)
-        with pytest.raises(WrongPathError):
-            bogoliubov_transform(m)
+        assert_not_bogoliubov(normal_form(m))
 
     def test_indefinite_oscillators(self):
         # two uncoupled oscillators of opposite energy sign share lambda = i
         m = np.diag([1.0, -1.0, 1.0, -1.0])
-        rep = bogoliubov_transform(m)
+        rep = normal_form(m)
         assert rep.verdict is Verdict.STABLE
         sigmas = sorted((b.sigma for b in rep.blocks), key=lambda z: z.imag)
         assert sigmas == [-1j, 1j]
         assert np.allclose(sorted(np.diag(rep.n_matrix)), [-1, -1, 1, 1], atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["pd", "generic", "planted", "two-mode-grid"])
+    def test_stable_exactly_when_spectrum_is_diagonalizable_imaginary(self, family):
+        # The verdict's rule (every block case 6, rank 1) and the spectrum's
+        # (every class an imaginary pair with geometric == algebraic) agree.
+        seen = Counter()
+        for m in _equivalence_inputs(family):
+            rep = normal_form(m)
+            stable = rep.verdict is Verdict.STABLE
+            assert stable == is_bogoliubov(rep.spectrum)
+            seen[stable] += 1
+        want = {"pd": {True}, "generic": {False}}.get(family, {True, False})
+        assert set(seen) == want
 
 
 class TestPipeline:
@@ -792,8 +845,8 @@ class TestFactorizationCounts:
         assert radii == schedule[:len(radii)]
 
     def test_bogoliubov_takes_one_eig(self, calls):
-        # The precondition is checked on normal_form's own spectrum.
-        rep = bogoliubov_transform(two_mode_m(1.0, 0.5))
+        # A stable verdict is read off normal_form's own blocks.
+        rep = normal_form(two_mode_m(1.0, 0.5))
         assert rep.verdict is Verdict.STABLE
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
 

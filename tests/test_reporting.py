@@ -189,7 +189,7 @@ class TestReportSerialization:
             assert np.array_equal(got, arr)
             assert np.array_equal(np.signbit(got), np.signbit(arr))
 
-    def test_embedded_residuals(self):
+    def test_dict_embeds_residual_values(self):
         d = report_to_dict(normal_form(GOLDEN_M))
         assert d["residuals"]["symplectic"] <= 1e-10
         assert d["residuals"]["block_match"] <= 1e-7

@@ -8,7 +8,8 @@ imports quadnf from SRC_DIR and prints one line per pool input of
 inputs ``bench/run.py --seed SEED`` checks): the workload, the input's
 index and the SHA-1 of ``json.dumps(report_to_dict(...))`` followed by
 ``report_to_text(...)`` (the CLI's default rendering), or of the
-exception's class and message when the pipeline raises.  The planted
+exception's class and message followed by its ``attempts`` records,
+one a line, when the pipeline raises.  The planted
 pool then runs once more under a document's structural tolerance of
 1e-6, ``MatrixDocument(...).config()``, labelled
 ``planted-defective@1e-06``.  A last line gives the SHA-1 of the
@@ -77,7 +78,7 @@ def digests(seed: int):
                 report = normal_form(m, MatrixDocument(len(m) // 2, m, tolerance).config())
                 text = json.dumps(report_to_dict(report)) + report_to_text(report)
             except Exception as exc:  # a crash outside QuadnfError is an output too
-                text = f"{type(exc).__name__}: {exc}"
+                text = "\n".join([f"{type(exc).__name__}: {exc}", *getattr(exc, "attempts", ())])
             yield label, index, _sha1(text)
     grid = scan_two_mode(SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
     yield "scan-2mode", 0, _sha1(serialize_scan(grid, boundary=True))
