@@ -7,7 +7,9 @@ nilpotent on the generalized eigenspace).  The generalized symplectic
 Gram form ``Omega(x, y)`` with coefficients
 ``omega_k = ((K - lam I)^(D-k) x)^T J y`` lives in the same algebra and
 generalizes the symplectic inner product ``alpha`` (its leading
-coefficient).
+coefficient).  A polynomial is its 1-D complex coefficient array,
+``p[k-1] = phi_k``.  It carries no eigenvalue: ``apply_poly`` and
+``poly_star`` take lam, so an adjoint can act on partner chains at -lam.
 
 Orthonormalizing the Jordan chains against this form is what makes the
 normal-form columns symplectic.  Every routine below runs one recipe on
@@ -28,8 +30,6 @@ routine on rank-1 chains, where the square root reduces to a real scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import maxnorm
@@ -38,8 +38,6 @@ from .errors import ContractViolationError, NondegeneracyError
 from .spectrum import JordanChain, make_chain
 
 __all__ = [
-    "NilpotentPoly",
-    "identity_poly",
     "poly_product",
     "poly_sqrt",
     "poly_inverse",
@@ -58,53 +56,15 @@ __all__ = [
 ALPHA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NilpotentPoly:
-    """Coefficient vector of ``sum_k coef[k-1] (K - eigenvalue I)^(k-1)``."""
-
-    eigenvalue: complex
-    coef: tuple
-
-    def __post_init__(self):
-        coef = self.coef.tolist() if isinstance(self.coef, np.ndarray) else self.coef
-        object.__setattr__(self, "coef", tuple(map(complex, coef)))
-
-    @property
-    def rank_bound(self) -> int:
-        return len(self.coef)
-
-    @property
-    def leading(self) -> complex:
-        return self.coef[0]
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coef, dtype=complex)
-
-
-def identity_poly(lam: complex, d: int) -> NilpotentPoly:
-    return NilpotentPoly(lam, (1.0,) + (0.0,) * (d - 1))
-
-
-def _check_compatible(a: NilpotentPoly, b: NilpotentPoly):
-    if a.eigenvalue != b.eigenvalue:
-        raise ContractViolationError(
-            f"polynomial eigenvalues differ: {a.eigenvalue} vs {b.eigenvalue}"
-        )
-    if a.rank_bound != b.rank_bound:
-        raise ContractViolationError(
-            f"polynomial lengths differ: {a.rank_bound} vs {b.rank_bound}"
-        )
-
-
-def poly_product(a: NilpotentPoly, b: NilpotentPoly) -> NilpotentPoly:
+def poly_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product in the truncated algebra: coefficient convolution."""
-    _check_compatible(a, b)
-    d = a.rank_bound
-    pa, pb = a.array(), b.array()
+    d = len(a)
+    if len(b) != d:
+        raise ContractViolationError(f"polynomial lengths differ: {d} vs {len(b)}")
     out = np.zeros(d, dtype=complex)
     for k in range(d):
-        out[k] = np.dot(pa[: k + 1], pb[k::-1])
-    return NilpotentPoly(a.eigenvalue, out)
+        out[k] = np.dot(a[: k + 1], b[k::-1])
+    return out
 
 
 def _root(lead: complex):
@@ -114,64 +74,52 @@ def _root(lead: complex):
     return np.sqrt(lead)
 
 
-def poly_sqrt(w: NilpotentPoly) -> NilpotentPoly:
+def poly_sqrt(w: np.ndarray) -> np.ndarray:
     """Square root in the algebra, solved coefficient by coefficient.
 
     The leading coefficient takes the principal complex square root;
     the rest follow from the convolution recursion.  Requires an
     invertible leading coefficient.
     """
-    d = w.rank_bound
-    cw = w.array()
-    phi = np.zeros(d, dtype=complex)
-    phi[0] = _root(w.leading)
-    for k in range(1, d):
+    phi = np.zeros(len(w), dtype=complex)
+    phi[0] = _root(w[0])
+    for k in range(1, len(w)):
         conv = np.dot(phi[1:k], phi[k - 1:0:-1]) if k >= 2 else 0.0
-        phi[k] = (cw[k] - conv) / (2.0 * phi[0])
-    return NilpotentPoly(w.eigenvalue, phi)
+        phi[k] = (w[k] - conv) / (2.0 * phi[0])
+    return phi
 
 
-def poly_inverse(p: NilpotentPoly) -> NilpotentPoly:
+def poly_inverse(p: np.ndarray) -> np.ndarray:
     """Multiplicative inverse in the algebra (leading coefficient nonzero)."""
-    if p.leading == 0:
+    if p[0] == 0:
         raise NondegeneracyError("polynomial with vanishing leading coefficient is singular")
-    d = p.rank_bound
-    cp = p.array()
-    q = np.zeros(d, dtype=complex)
-    q[0] = 1.0 / cp[0]
-    for k in range(1, d):
-        q[k] = -np.dot(cp[1: k + 1], q[k - 1:: -1]) / cp[0]
-    return NilpotentPoly(p.eigenvalue, q)
+    q = np.zeros(len(p), dtype=complex)
+    q[0] = 1.0 / p[0]
+    for k in range(1, len(p)):
+        q[k] = -np.dot(p[1: k + 1], q[k - 1:: -1]) / p[0]
+    return q
 
 
-def poly_star(p: NilpotentPoly) -> NilpotentPoly:
-    """Adjoint under the symplectic pairing: alternate signs, and
-    conjugate the coefficients iff the eigenvalue is purely imaginary
+def poly_star(p: np.ndarray, lam: complex) -> np.ndarray:
+    """Adjoint under the symplectic pairing at eigenvalue lam: alternate
+    signs, and conjugate the coefficients iff lam is purely imaginary
     and nonzero."""
-    lam = complex(p.eigenvalue)
-    conj = lam.real == 0 and lam != 0
-    coef = p.array()
-    if conj:
-        coef = coef.conj()
-    signs = np.array([(-1.0) ** k for k in range(p.rank_bound)])
-    return NilpotentPoly(p.eigenvalue, coef * signs)
+    lam = complex(lam)
+    coef = p.conj() if lam.real == 0 and lam != 0 else p
+    return coef * np.array([(-1.0) ** k for k in range(len(p))])
 
 
-def _rebase(p: NilpotentPoly, lam: complex) -> NilpotentPoly:
-    """Same coefficients, evaluated at a different eigenvalue."""
-    return NilpotentPoly(lam, p.coef)
-
-
-def apply_poly(p: NilpotentPoly, k, x: np.ndarray) -> np.ndarray:
+def apply_poly(p: np.ndarray, k, lam: complex, x: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` as a matrix polynomial in (K - lam I) acting on x.
 
     Powers are accumulated by repeated application, never by explicit
-    matrix powers.
+    matrix powers.  The arithmetic is real (and so is the result) when
+    lam, x and every coefficient are.
     """
     k = np.asarray(k)
-    lam = complex(p.eigenvalue)
-    real = lam.imag == 0 and not np.iscomplexobj(x) and all(c.imag == 0 for c in p.coef)
-    coefs = [c.real for c in p.coef] if real else list(p.coef)
+    lam = complex(lam)
+    real = lam.imag == 0 and not np.iscomplexobj(x) and not np.any(p.imag)
+    coefs = p.real.tolist() if real else p.tolist()
     acc = coefs[0] * x
     if len(coefs) > 1:
         shift = k - lam * np.eye(k.shape[0])
@@ -183,7 +131,7 @@ def apply_poly(p: NilpotentPoly, k, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def omega(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> NilpotentPoly:
+def omega(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
     """Generalized symplectic Gram form of x against y at eigenvalue lam.
 
     ``omega_k = ((K - lam I)^(rank-k) x)^T J y`` for k = 1..rank.  The
@@ -191,8 +139,8 @@ def omega(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> Nilpotent
     or beyond the actual rank of x vanish, so a longer rank only pads
     leading zeros.
     """
-    coefs = [form_product(v, y) for v in make_chain(k, lam, x, rank).vectors]
-    return NilpotentPoly(lam, coefs)
+    return np.array([form_product(v, y) for v in make_chain(k, lam, x, rank).vectors],
+                    dtype=complex)
 
 
 def alpha(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> complex:
@@ -241,12 +189,14 @@ def _pair_candidates(work, pairing):
     return candidates
 
 
-def _dual_normalize(k, w: NilpotentPoly, x: np.ndarray, y: np.ndarray, lam_y: complex):
+def _dual_normalize(k, lam: complex, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    lam_y: complex):
     """``(x Phi^-1, y Phi*^-1)`` for ``Phi = sqrt(W)``: turns a Gram pairing
-    ``Omega(x, y) = W`` into the identity, y taken at eigenvalue lam_y."""
+    ``Omega(x, y) = W`` at eigenvalue lam into the identity, y taken at
+    eigenvalue lam_y."""
     phi = poly_sqrt(w)
-    x_new = apply_poly(poly_inverse(phi), k, x)
-    y_new = apply_poly(_rebase(poly_inverse(poly_star(phi)), lam_y), k, y)
+    x_new = apply_poly(poly_inverse(phi), k, lam, x)
+    y_new = apply_poly(poly_inverse(poly_star(phi, lam)), k, lam_y, y)
     return x_new, y_new
 
 
@@ -306,12 +256,12 @@ def orthonormalize_real_complex(k, lam: complex, chains: list[JordanChain],
         g, _ = work.pop(i)
         gt, _ = work_p.pop(j)
         gt = gt / a
-        e_vec, et_vec = _dual_normalize(k, omega(k, lam, g, gt, r), g, gt, -lam)
+        e_vec, et_vec = _dual_normalize(k, lam, omega(k, lam, g, gt, r), g, gt, -lam)
         done.append((make_chain(k, lam, e_vec, r), make_chain(k, -lam, et_vec, r)))
 
-        _deflate(work, lambda g_o: g_o - apply_poly(omega(k, lam, g_o, et_vec, r), k, e_vec))
+        _deflate(work, lambda g_o: g_o - apply_poly(omega(k, lam, g_o, et_vec, r), k, lam, e_vec))
         _deflate(work_p, lambda gt_o: gt_o - apply_poly(
-            _rebase(poly_star(omega(k, lam, e_vec, gt_o, r)), -lam), k, et_vec))
+            poly_star(omega(k, lam, e_vec, gt_o, r), lam), k, -lam, et_vec))
 
     done.sort(key=lambda pair: -pair[0].rank)
     return done
@@ -354,7 +304,7 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain]):
         for i, (g, rg) in enumerate(work):
             if rg == r:
                 w = omega(k, lam, g, g.conj(), r)
-                yield part(w.leading, r), _alpha_threshold(g), (w, i)
+                yield part(complex(w[0]), r), _alpha_threshold(g), (w, i)
 
     cross_pairs = _pair_candidates(work, lambda gi, gj, r: part(alpha(k, lam, gi, gj.conj(), r), r))
     while ranks := sorted({r for _, r in work if not real or r % 2 == 0}, reverse=True):
@@ -373,11 +323,11 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain]):
         sigma = np.sign(key) if r % 2 == 0 else 1j * np.sign(key)
         # (-1)^r sigma W leads with |key| > 0 up to round-off, so phi leads with
         # a positive real: a rank-1 e is g times a positive real, with no phase.
-        phi = poly_sqrt(NilpotentPoly(lam, (-1) ** r * sigma * w.array()))
-        e_vec = apply_poly(poly_inverse(phi), k, g)
+        phi = poly_sqrt((-1) ** r * sigma * w)
+        e_vec = apply_poly(poly_inverse(phi), k, lam, g)
         done.append((make_chain(k, lam, e_vec, r), sigma))
         _deflate(work, lambda g_o: g_o - sigma * apply_poly(
-            poly_star(omega(k, lam, e_vec, g_o.conj(), r)), k, e_vec))
+            poly_star(omega(k, lam, e_vec, g_o.conj(), r), lam), k, lam, e_vec))
 
     done.sort(key=lambda pair: -pair[0].rank)
     return done, sorted((make_chain(k, lam, g, r) for g, r in work), key=lambda c: -c.rank)
@@ -429,23 +379,23 @@ def zero_odd_pairing(k, chains: list[JordanChain]):
         e2 = work[j][0] / a
         work[:] = [w for idx, w in enumerate(work) if idx not in (i, j)]
 
-        e1, e2 = _dual_normalize(k, omega(k, 0.0, e1, e2, r), e1, e2, 0.0)
+        e1, e2 = _dual_normalize(k, 0.0, omega(k, 0.0, e1, e2, r), e1, e2, 0.0)
         e1, e2 = e1.real, e2.real
 
         a11 = omega(k, 0.0, e1, e1, r)
         a22 = omega(k, 0.0, e2, e2, r)
         psi = _solve_quadratic_correction(a11, a22)
-        f = e1 + apply_poly(psi, k, e2).real
+        f = e1 + apply_poly(psi, k, 0.0, e2).real
 
-        f, e2 = _dual_normalize(k, omega(k, 0.0, f, e2, r), f, e2, 0.0)
+        f, e2 = _dual_normalize(k, 0.0, omega(k, 0.0, f, e2, r), f, e2, 0.0)
         f, e2 = f.real, e2.real
 
         b22 = omega(k, 0.0, e2, e2, r)
-        h = e2 - 0.5 * apply_poly(b22, k, f).real
+        h = e2 - 0.5 * apply_poly(b22, k, 0.0, f).real
 
         def update(g_o):
-            corr = apply_poly(poly_star(omega(k, 0.0, h, g_o, r)), k, f).real
-            corr = corr - apply_poly(poly_star(omega(k, 0.0, f, g_o, r)), k, h).real
+            corr = apply_poly(poly_star(omega(k, 0.0, h, g_o, r), 0.0), k, 0.0, f).real
+            corr = corr - apply_poly(poly_star(omega(k, 0.0, f, g_o, r), 0.0), k, 0.0, h).real
             return g_o + corr
 
         _deflate(work, update)
@@ -455,17 +405,14 @@ def zero_odd_pairing(k, chains: list[JordanChain]):
     return pairs
 
 
-def _solve_quadratic_correction(a11: NilpotentPoly, a22: NilpotentPoly) -> NilpotentPoly:
+def _solve_quadratic_correction(a11: np.ndarray, a22: np.ndarray) -> np.ndarray:
     """Solve A - 2 Psi - Psi^2 B = 0 recursively (A, B have zero leading)."""
-    d = a11.rank_bound
-    ca, cb = a11.array(), a22.array()
-    psi = np.zeros(d, dtype=complex)
-    psi[0] = ca[0] / 2.0
-    for kk in range(1, d):
-        p = NilpotentPoly(0.0, psi)
-        sq = poly_product(poly_product(p, p), NilpotentPoly(0.0, cb)).array()
-        psi[kk] = (ca[kk] - sq[kk]) / 2.0
-    return NilpotentPoly(0.0, psi)
+    psi = np.zeros(len(a11), dtype=complex)
+    psi[0] = a11[0] / 2.0
+    for kk in range(1, len(a11)):
+        sq = poly_product(poly_product(psi, psi), a22)
+        psi[kk] = (a11[kk] - sq[kk]) / 2.0
+    return psi
 
 
 def orthonormalize_imaginary(k, lam: complex, chains: list[JordanChain]):

@@ -60,6 +60,11 @@ class EigenvalueKind(Enum):
     IMAGINARY_PAIR = "imaginary_pair"
 
 
+# Number of eigenvalues in each kind's orbit under negation and conjugation.
+_ORBIT_SIZE = {EigenvalueKind.ZERO: 1, EigenvalueKind.REAL_PAIR: 2,
+               EigenvalueKind.IMAGINARY_PAIR: 2, EigenvalueKind.COMPLEX_QUADRUPLET: 4}
+
+
 @dataclass(frozen=True)
 class EigenvalueClass:
     """One eigenvalue family with its representative and multiplicities.
@@ -81,8 +86,8 @@ class EigenvalueClass:
 
     @property
     def weight(self) -> int:
-        """Contribution of this class to the total dimension 2N."""
-        return len(self.members) * self.algebraic
+        """Contribution of this class to the total dimension 2N: orbit size times algebraic."""
+        return _ORBIT_SIZE[self.kind] * self.algebraic
 
 
 def _members(kind: EigenvalueKind, lam: complex) -> tuple[complex, ...]:
@@ -342,7 +347,7 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
     found = []  # (kind, representative, multiplicity) of each class
     simple, own = {}, []  # class index -> its columns' slice of the members in ``own``
     for lam, mult in clusters:
-        if lam in seen:
+        if lam in seen:  # an earlier member added its whole orbit, lam's, to seen
             continue
         if lam == 0:
             kind = EigenvalueKind.ZERO
@@ -357,8 +362,6 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
             kind = EigenvalueKind.COMPLEX_QUADRUPLET
             rep = complex(abs(lam.real), abs(lam.imag))
         members = _members(kind, rep)
-        if not seen.isdisjoint(members):
-            continue
         seen.update(members)
         if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
             taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
@@ -439,6 +442,7 @@ def jordan_chains(k, lam: complex, algebraic: int, *, _level1=None) -> list[Jord
     generator w is lifted to Q w, whose chain is built on K.  Real
     eigenvalues (including zero) use the real Schur form, so their
     chains are exactly real.  ``_level1`` is the restriction if known.
+    The chains come back in descending rank order, in the order chosen.
 
     Raises ``ChainExtractionError`` when the filtration stalls below the
     algebraic multiplicity.
@@ -518,9 +522,9 @@ def extract_class_chains(k, cls: EigenvalueClass, *,
                 [JordanChain(-lam, 1, (_level1[:, 1],))] if paired else [])
     k = np.asarray(k, dtype=float)
     schur = {} if _level1 is None else _level1[3]
-    chains = sorted(jordan_chains(k, lam, cls.algebraic, _level1=_level1), key=lambda c: -c.rank)
-    partners = sorted(jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
-        k, -lam, cls.algebraic, schur)), key=lambda c: -c.rank) if paired else []
+    chains = jordan_chains(k, lam, cls.algebraic, _level1=_level1)
+    partners = jordan_chains(k, -lam, cls.algebraic, _level1=_restrict(
+        k, -lam, cls.algebraic, schur)) if paired else []
     if paired and [c.rank for c in chains] != [c.rank for c in partners]:
         raise ChainExtractionError(f"chain ranks for {lam:.6g} and {-lam:.6g} do not pair up")
     return chains, partners

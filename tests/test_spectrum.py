@@ -19,6 +19,7 @@ from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
 from quadnf.spectrum import (
     CLUSTERING_TOL,
     _union_clusters,
+    EigenvalueClass,
     EigenvalueKind,
     classify_spectrum,
     cluster_eigenvalues,
@@ -258,6 +259,13 @@ class TestClassification:
             )
             assert weight == 2 * n
 
+    def test_weight_is_orbit_size_times_algebraic(self):
+        for kind, lam in [(EigenvalueKind.ZERO, 0j), (EigenvalueKind.REAL_PAIR, 2 + 0j),
+                          (EigenvalueKind.IMAGINARY_PAIR, 3j),
+                          (EigenvalueKind.COMPLEX_QUADRUPLET, 1 + 2j)]:
+            cls = EigenvalueClass(kind, lam, 3)
+            assert cls.weight == len(set(cls.members)) * 3
+
     def test_multiplicities_against_high_precision_oracle(self, rng):
         import mpmath as mp
 
@@ -433,6 +441,22 @@ class TestJordanChains:
                 assert g.strides == record[:, j].strides
                 assert g.dtype == column.dtype and g.tobytes() == column.tobytes()
         assert list(shifts) == [c.representative for c in classes]
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_chains_come_top_down(self, rank):
+        # Generators are picked rank by rank from the top, so the chains of lam
+        # and -lam, and those extract_class_chains passes on unsorted, are in
+        # descending rank order whatever order the blocks were planted in.
+        ranks = [1, rank, 2]
+        m, _ = seeded_matrix([(1, 1.3 + 0j, d, None) for d in ranks],
+                             np.random.default_rng([rank, 1]), 0.3)
+        k = build_eom(m)
+        want = sorted(ranks, reverse=True)
+        for lam in (1.3 + 0j, -1.3 + 0j):
+            assert [c.rank for c in jordan_chains(k, lam, sum(ranks))] == want
+        cls = EigenvalueClass(EigenvalueKind.REAL_PAIR, 1.3 + 0j, sum(ranks))
+        chains, partners = extract_class_chains(k, cls)
+        assert [c.rank for c in chains] == [c.rank for c in partners] == want
 
     def test_eigenvector_match_must_be_one_to_one(self, rng):
         # If -lam's own eigenvalue is replaced by lam, lam owns two eig(K)
