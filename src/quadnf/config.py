@@ -14,8 +14,11 @@ limit of a similarity in ``core`` and the verification budget in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -28,10 +31,16 @@ class Config:
         Absolute and relative tolerance for structural residual checks
         (symmetry, JK + K^T J = 0, symplectic condition).  It also
         widens ``normal_form``'s verification budget once it exceeds
-        ``normal_form.VERIFY_TOL``.
+        ``normal_form.VERIFY_TOL``.  It must be a finite number > 0, else
+        ``ValidationError``: a NaN or infinite one would switch the checks off.
     """
 
     tolerance: float = 1e-10
+
+    def __post_init__(self):
+        t = self.tolerance
+        if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < np.inf:
+            raise ValidationError(f"tolerance must be a finite number > 0, got {t!r}")
 
     def tol(self, scale: float = 1.0) -> float:
         """Combined tolerance for a structural check at the given scale."""

@@ -515,9 +515,9 @@ def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
     )
 
 
-def _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
+def _attempt_normal_form(m, k, classes, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
     shifts: dict = {}  # representative -> what classify_spectrum found for its class's chains
-    spectrum = classify_spectrum(k, clusters, _eigenvalues=eigenvalues,
+    spectrum = classify_spectrum(k, classes, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
     by_group: dict = {}  # (case, rank) -> the chains' column data, in the order found
 
@@ -555,11 +555,13 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     clusters at t_0 = ``spectrum.CLUSTERING_TOL`` and t_(j+1) = 10 t_j,
     up to t_8 = 10^8 t_0, a radius of 10 (1 + max|K|), and runs the rest
     of the pipeline on each clustering that pairs the spectrum up and
-    differs from every one tried before; the first that succeeds wins,
-    and after t_8 the last error is raised, its ``attempts`` set to one
-    plain-string record per radius: skipped (the spectrum did not pair up,
-    or the clustering repeats an earlier one) or the class and message of
-    the error that attempt raised.  Clean spectra cluster once, at t_0.
+    does not repeat one tried before: a clustering repeats an earlier one
+    when its classes' kinds and algebraic multiplicities do, class by
+    class.  The first that succeeds wins, and after t_8 the last error is
+    raised, its ``attempts`` set to one plain-string record per radius:
+    skipped (the spectrum did not pair up, or the clustering repeats an
+    earlier one) or the class and message of the error that attempt
+    raised.  Clean spectra cluster once, at t_0.
 
     ``cfg`` carries only the structural tolerance: it checks M's symmetry
     and T's symplectic condition, and it widens the verification budget
@@ -572,26 +574,26 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
     radii = [CLUSTERING_TOL]
     for _ in range(8):
         radii.append(radii[-1] * 10.0)
-    tried: dict = {}  # multiplicities of each clustering tried -> its radius index
+    tried: dict = {}  # (kind, algebraic) of each clustering's classes -> its radius index
     attempts: list[str] = []  # why each radius failed, as plain strings: no traceback is kept
     last: Exception | None = None
     try:
         for i, tol in enumerate(radii):
             try:
-                clusters = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
+                classes = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
             except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
                 last = exc
                 attempts.append(f"t_{i} = {tol:.0e}: skipped, the spectrum did not pair up "
                                 f"({type(exc).__name__}: {exc})")
                 continue
-            shape = tuple(mult for _, mult in clusters)
-            if shape in tried:  # a wider radius only merges, so this is a clustering tried before
+            shape = tuple((c.kind, c.algebraic) for c in classes)
+            if shape in tried:  # the same kinds and multiplicities; representatives may differ
                 attempts.append(f"t_{i} = {tol:.0e}: skipped, the clustering repeats "
                                 f"t_{tried[shape]}'s")
                 continue
             tried[shape] = i
             try:
-                return _attempt_normal_form(m, k, clusters, eigenvalues, vectors, cfg)
+                return _attempt_normal_form(m, k, classes, eigenvalues, vectors, cfg)
             except (PipelineError, VerificationError) as exc:
                 last = exc
                 attempts.append(f"t_{i} = {tol:.0e}: {type(exc).__name__}: {exc}")

@@ -47,7 +47,7 @@ class MatrixDocument:
     tolerance: float | None = None
 
     def config(self) -> Config:
-        return Config(self.tolerance) if self.tolerance else DEFAULT
+        return DEFAULT if self.tolerance is None else Config(self.tolerance)
 
 
 def _parse_json_document(text: str) -> MatrixDocument:
@@ -73,11 +73,11 @@ def _parse_json_document(text: str) -> MatrixDocument:
 
 
 def _validated(doc: MatrixDocument) -> MatrixDocument:
-    tol = doc.tolerance
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                            or not 0 < tol < np.inf):
-        raise ParseError(f"tolerance must be a finite number > 0, got {tol!r}")
-    require_hamiltonian_matrix(doc.matrix, doc.config())
+    try:
+        cfg = doc.config()
+    except ValidationError as exc:  # the tolerance's own error, raised as a document's
+        raise ParseError(str(exc)) from None
+    require_hamiltonian_matrix(doc.matrix, cfg)
     return doc
 
 

@@ -4,14 +4,17 @@ The structure J K + K^T J = 0 forces the eigenvalues of K into four
 families: real pairs {l, -l}, complex quadruplets {l, -l, conj(l),
 -conj(l)}, the zero eigenvalue (even multiplicity), and imaginary pairs
 {l, conj(l)}.  This module clusters the numerically computed spectrum,
-snaps it onto the axes, symmetrizes it so the pairing rules hold
-exactly, classifies the result, and extracts Jordan chains (generalized
-eigenvectors with their ranks) for every eigenvalue class.  It alone knows
-where a class's chains come from: ``classify_spectrum`` records, per class,
-the eig(K) columns of a simple one or K's restriction to a repeated one's
+snaps it onto the axes and symmetrizes it so the pairing rules hold
+exactly.  Each mirror orbit is decided once, in ``cluster_eigenvalues``,
+which returns it as an ``EigenvalueClass`` of its kind;
+``classify_spectrum`` adds the geometric multiplicities, and
+``extract_class_chains`` the Jordan chains (generalized eigenvectors
+with their ranks) of every class.  This module alone knows where a
+class's chains come from: ``classify_spectrum`` records, per class, the
+eig(K) columns of a simple one or K's restriction to a repeated one's
 invariant subspace in a Schur form, and ``extract_class_chains`` turns
-that record into the class's chains.  A class's chain ranks always add
-up to its algebraic multiplicity, so the zero class has an even number of
+that record into the class's chains.  A class's chain ranks always add up
+to its algebraic multiplicity, so the zero class has an even number of
 odd-rank chains.  Which of the normal form's six chain cases a chain
 falls in is decided in ``normal_form``, not here.
 """
@@ -72,7 +75,8 @@ class EigenvalueClass:
     The representative is the member with Re > 0 (real pairs and
     quadruplets, the latter also with Im > 0), Im > 0 (imaginary
     pairs), or 0.  ``algebraic``/``geometric`` are the multiplicities of
-    each individual member.
+    each individual member; ``cluster_eigenvalues`` leaves ``geometric``
+    None, and ``classify_spectrum`` fills it in.
     """
 
     kind: EigenvalueKind
@@ -96,7 +100,7 @@ def _members(kind: EigenvalueKind, lam: complex) -> tuple[complex, ...]:
     if kind is EigenvalueKind.REAL_PAIR:
         return (lam, -lam)
     if kind is EigenvalueKind.IMAGINARY_PAIR:
-        return (lam, lam.conjugate())
+        return (lam, -lam)
     return (lam, -lam, lam.conjugate(), -lam.conjugate())
 
 
@@ -138,11 +142,12 @@ def _union_clusters(values, mults, eps):
 
 
 def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
-    """Clustered, axis-snapped, symmetrized eigenvalues of K.
+    """Clustered, axis-snapped, symmetrized eigenvalue classes of K.
 
-    Returns a list of (eigenvalue, algebraic multiplicity) covering the
-    whole spectrum; mirror eigenvalues under negation/conjugation are
-    exact, and the multiplicities sum to 2N.
+    Returns one ``EigenvalueClass`` per mirror orbit, its kind and
+    algebraic multiplicity decided here and ``geometric`` left None,
+    sorted by (-Re, -Im) of the representative; the orbits are exactly
+    mirror symmetric, and their weights sum to 2N.
 
     Jordan structure is discontinuous under perturbation, so eigenvalues
     within ``tol * (1 + max|K|)`` of each other merge into one cluster
@@ -175,7 +180,7 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     for p, j in enumerate(order):
         place[j] = p
     used = [False] * len(values)
-    out: list[tuple[complex, int]] = []
+    out: list[EigenvalueClass] = []
     for i, v in enumerate(values):
         if used[i]:
             continue
@@ -218,23 +223,19 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
                 raise AmbiguousSpectrumError(
                     f"cluster around {v:.6g} has diameter {spread:.3e} after snapping"
                 )
-        # The set {rep, -rep, conj(rep), -conj(rep)}, the first of equal values kept
-        # (zero signs included), in (-Re, -Im) order.
         rep = complex(re, im)
-        if re and im:
-            members = (rep, rep.conjugate(), -rep.conjugate(), -rep)
-        else:
-            members = (rep, -rep) if re or im else (rep,)
-        out.extend((member, mult) for member in members)
+        kind = (EigenvalueKind.COMPLEX_QUADRUPLET if re and im else EigenvalueKind.REAL_PAIR
+                if re else EigenvalueKind.IMAGINARY_PAIR if im else EigenvalueKind.ZERO)
+        out.append(EigenvalueClass(kind, rep, mult))
         for j in orbit:
             used[j] = True
 
-    total = sum(m for _, m in out)
+    total = sum(c.weight for c in out)
     if total != dim:
         raise AmbiguousSpectrumError(
             f"clustered multiplicities sum to {total}, expected {dim}"
         )
-    out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
+    out.sort(key=lambda c: (-c.representative.real, -c.representative.imag))
     return out
 
 
@@ -319,13 +320,14 @@ def geometric_multiplicity(k, lam: complex, *, _level1=None) -> int:
     return basis.shape[1]
 
 
-def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None,
+def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
                       _shifts=None) -> SpectrumReport:
-    """Group the clustered spectrum into the four eigenvalue families.
+    """The eigenvalue classes of K with their geometric multiplicities.
 
-    Each family is represented once; the exact sum rule
-    2N = a_0 + 2*sum_R a + 4*sum_C a + 2*sum_I a holds by construction.
-    Without ``clusters`` it clusters once, at ``CLUSTERING_TOL``, on
+    ``classes`` are ``cluster_eigenvalues``'s; this fills in each one's
+    ``geometric``, and the exact sum rule
+    2N = a_0 + 2*sum_R a + 4*sum_C a + 2*sum_I a is checked.
+    Without ``classes`` it clusters once, at ``CLUSTERING_TOL``, on
     ``_eigenvalues`` if given; a failure to pair up there is raised, not
     retried (``normal_form`` widens the radius).  ``_shifts`` receives one
     entry per class, under its representative: what ``extract_class_chains``
@@ -335,66 +337,48 @@ def classify_spectrum(k, clusters=None, *, _eigenvalues=None, _eigenvectors=None
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
     nonzero class takes no Schur form: its columns are lam's and, if
     paired, -lam's, each owned by exactly one raw eigenvalue nearest to it
-    among the cluster members, else ``AmbiguousSpectrumError`` (for the
+    among all classes' members, else ``AmbiguousSpectrumError`` (for the
     first such class in report order).  The columns of every simple class
     are gathered in one indexing step, and each class's are a view of them.
     """
     k = np.asarray(k, dtype=float)
-    n_modes = k.shape[0] // 2
-    if clusters is None:
-        clusters = cluster_eigenvalues(k, _eigenvalues=_eigenvalues)
-    seen: set[complex] = set()
-    found = []  # (kind, representative, multiplicity) of each class
+    if classes is None:
+        classes = cluster_eigenvalues(k, _eigenvalues=_eigenvalues)
     simple, own = {}, []  # class index -> its columns' slice of the members in ``own``
-    for lam, mult in clusters:
-        if lam in seen:  # an earlier member added its whole orbit, lam's, to seen
-            continue
-        if lam == 0:
-            kind = EigenvalueKind.ZERO
-            rep = 0j
-        elif lam.imag == 0:
-            kind = EigenvalueKind.REAL_PAIR
-            rep = complex(abs(lam.real), 0.0)
-        elif lam.real == 0:
-            kind = EigenvalueKind.IMAGINARY_PAIR
-            rep = complex(0.0, abs(lam.imag))
-        else:
-            kind = EigenvalueKind.COMPLEX_QUADRUPLET
-            rep = complex(abs(lam.real), abs(lam.imag))
-        members = _members(kind, rep)
-        seen.update(members)
-        if _eigenvectors is not None and mult == 1 and kind is not EigenvalueKind.ZERO:
-            taken = members[:1 if kind is EigenvalueKind.IMAGINARY_PAIR else 2]
-            simple[len(found)] = slice(len(own), len(own) + len(taken))
+    for i, cls in enumerate(classes):
+        if _eigenvectors is not None and cls.algebraic == 1 and cls.kind is not EigenvalueKind.ZERO:
+            taken = cls.members[:1 if cls.kind is EigenvalueKind.IMAGINARY_PAIR else 2]
+            simple[i] = slice(len(own), len(own) + len(taken))
             own.extend(taken)
-        found.append((kind, rep, mult))
     # The eig(K) columns of every simple nonzero class, gathered at once: lam's
     # and, if paired, -lam's, each from the one raw eigenvalue that owns it.
     if own:
-        centers = np.array([lam for lam, _ in clusters])
-        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - centers), axis=1)
+        centers = sorted((mu for cls in classes for mu in cls.members),
+                         key=lambda z: (-z.real, -z.imag))
+        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - np.array(centers)), axis=1)
         owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
         raw_of = np.zeros(len(centers), dtype=int)  # 0 for a member no raw value owns
         raw_of[owner] = np.arange(len(owner))
-        index = {lam: i for i, (lam, _) in enumerate(clusters)}
+        index = {mu: i for i, mu in enumerate(centers)}
         own = [index[mu] for mu in own]
         single = (owned[own] == 1).tolist()
         columns = _eigenvectors[:, raw_of[own]]
     schur: dict = {}  # K's real and complex Schur forms, shared by the restrictions
-    classes = []
-    for i, (kind, rep, mult) in enumerate(found):
+    filled = []
+    for i, cls in enumerate(classes):
+        rep = cls.representative
         if i in simple:
             if not all(single[simple[i]]):
                 raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
             level1 = columns[:, simple[i]]
             level1 = level1.real if rep.imag == 0 else level1
         else:
-            level1 = _restrict(k, rep, mult, schur)
+            level1 = _restrict(k, rep, cls.algebraic, schur)
         if _shifts is not None:
             _shifts[rep] = level1
         geometric = geometric_multiplicity(k, rep, _level1=level1)
-        classes.append(EigenvalueClass(kind, rep, mult, geometric))
-    report = SpectrumReport(n_modes=n_modes, classes=tuple(classes))
+        filled.append(EigenvalueClass(cls.kind, rep, cls.algebraic, geometric))
+    report = SpectrumReport(n_modes=k.shape[0] // 2, classes=tuple(filled))
     if report.sum_rule_residual:
         raise SpectrumStructureError(
             f"multiplicity sum rule violated by {report.sum_rule_residual}")

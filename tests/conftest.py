@@ -67,6 +67,13 @@ GOLDEN_T = np.column_stack(
 )
 
 
+def flat_members(classes):
+    """(member, algebraic) of every member of ``cluster_eigenvalues``'s
+    classes, sorted by (-Re, -Im)."""
+    return sorted([(mu, c.algebraic) for c in classes for mu in c.members],
+                  key=lambda vm: (-vm[0].real, -vm[0].imag))
+
+
 def two_mode_m(eta, lam):
     return np.array(
         [[1.0, lam, 0, 0], [lam, eta, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, eta]]

@@ -24,6 +24,8 @@ from quadnf import (
     transform_hamiltonian,
     validate_eom_structure,
 )
+from quadnf.config import Config
+from quadnf.errors import ValidationError
 
 
 class TestSymplecticForm:
@@ -265,6 +267,23 @@ class TestStabilityOracle:
     def test_requires_positive_horizon(self):
         with pytest.raises(ContractViolationError):
             stability_oracle(np.zeros((2, 2)), t_max=0.0, growth_threshold=1.0)
+
+    @pytest.mark.parametrize("t_max", [float("inf"), float("nan")])
+    def test_requires_finite_horizon(self, t_max):
+        # a bounded oscillator: such a horizon raises, it does not report unbounded
+        with pytest.raises(ContractViolationError, match="finite"):
+            stability_oracle(build_eom(np.eye(2)), t_max=t_max, growth_threshold=10.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0, 0, True, "x"])
+    def test_rejects_what_is_not_a_finite_positive_number(self, tolerance):
+        # a NaN or infinite tolerance would let every structural check pass
+        with pytest.raises(ValidationError, match="tolerance must be a finite number > 0"):
+            Config(tolerance)
+
+    def test_accepts_positive_numbers(self):
+        assert Config(1).tolerance == 1 and Config(1e-6).tol(1.0) == 2e-6
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -47,7 +47,13 @@ from quadnf.normal_form import (
     expected_kn,
 )
 from quadnf.reporting import MatrixDocument, report_to_dict
-from quadnf.spectrum import CLUSTERING_TOL, EigenvalueKind, JordanChain, make_chain
+from quadnf.spectrum import (
+    CLUSTERING_TOL,
+    EigenvalueKind,
+    JordanChain,
+    cluster_eigenvalues,
+    make_chain,
+)
 
 
 def block_of(case, lam, rank, sigma=None):
@@ -656,6 +662,26 @@ class TestEscalationAttempts:
             f"t_{i} = {10.0 ** (i - 7):.0e}: skipped, the clustering repeats t_{j}'s"
             for i, j in repeats.items()]
         raised.clear()  # their tracebacks hold this frame
+
+    def test_a_new_orbit_structure_is_not_a_repeat(self, monkeypatch):
+        # Two case-5 rank-6 blocks at i: t_2 clusters them into 5 quadruplets and
+        # 2 imaginary pairs, t_3 into 6 quadruplets.  Every member has
+        # multiplicity 1 at both radii, yet the classes differ, so t_3 is tried.
+        m, _ = seeded_matrix([(5, 1j, 6, 1 + 0j), (5, 1j, 6, 1 + 0j)], np.random.default_rng(0))
+
+        def failing(*args):
+            raise ChainExtractionError("forced")
+
+        monkeypatch.setattr(sys.modules["quadnf.normal_form"], "_attempt_normal_form", failing)
+        with pytest.raises(ChainExtractionError) as info:
+            normal_form(m)
+        assert info.value.attempts[2:4] == ("t_2 = 1e-05: ChainExtractionError: forced",
+                                            "t_3 = 1e-04: ChainExtractionError: forced")
+        k = build_eom(m)
+        kinds = {tol: Counter(c.kind for c in cluster_eigenvalues(k, tol=tol))
+                 for tol in (1e-5, 1e-4)}
+        quad, imag = EigenvalueKind.COMPLEX_QUADRUPLET, EigenvalueKind.IMAGINARY_PAIR
+        assert kinds == {1e-5: Counter({quad: 5, imag: 2}), 1e-4: Counter({quad: 6})}
 
 
 class TestEscalationGarbage:

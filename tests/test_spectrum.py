@@ -10,6 +10,7 @@ from conftest import (
     GOLDEN_G02,
     GOLDEN_G11,
     GOLDEN_M,
+    flat_members,
     seeded_matrix,
     two_mode_m,
 )
@@ -36,20 +37,20 @@ def cluster_dict(clusters):
 class TestClustering:
     def test_golden_example(self):
         k = build_eom(GOLDEN_M)
-        got = cluster_eigenvalues(k)
+        got = flat_members(cluster_eigenvalues(k))
         assert cluster_dict(got) == {2: 2, -2: 2, 0: 2, 3j: 1, -3j: 1}
         for v, _ in got:
             exact = min(abs(v - t) for t in (2, -2, 0, 3j, -3j))
             assert exact < 1e-8
 
     def test_rotation_generator(self):
-        got = cluster_dict(cluster_eigenvalues(symplectic_form(2)))
+        got = cluster_dict(flat_members(cluster_eigenvalues(symplectic_form(2))))
         assert got == {1j: 2, -1j: 2}
 
     def test_two_mode_zero_boundary(self):
         # quartic lambda^4 + 2 lambda^2 = lambda^2 (lambda^2 + 2)
         k = build_eom(two_mode_m(1.0, 1.0))
-        got = cluster_dict(cluster_eigenvalues(k))
+        got = cluster_dict(flat_members(cluster_eigenvalues(k)))
         root = complex(np.round(np.sqrt(2), 6))
         assert got == {0: 2, root * 1j: 1, -root * 1j: 1}
 
@@ -57,7 +58,7 @@ class TestClustering:
         for _ in range(20):
             n = int(rng.integers(1, 5))
             a = rng.uniform(-3, 3, size=(2 * n, 2 * n))
-            clusters = cluster_eigenvalues(build_eom((a + a.T) / 2))
+            clusters = flat_members(cluster_eigenvalues(build_eom((a + a.T) / 2)))
             assert sum(m for _, m in clusters) == 2 * n
 
     def test_quadruplet_representative_is_numpy_mean(self, rng):
@@ -67,7 +68,7 @@ class TestClustering:
             lam = complex(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
             m, _ = seeded_matrix([(2, lam, 1, None)], rng)
             raw = np.linalg.eigvals(build_eom(m))
-            got = cluster_eigenvalues(build_eom(m), _eigenvalues=raw)
+            got = flat_members(cluster_eigenvalues(build_eom(m), _eigenvalues=raw))
             assert [mult for _, mult in got] == [1, 1, 1, 1]
             rep = got[0][0]  # sorted by descending real, then imaginary part
             assert rep.real == float(np.mean([abs(v.real) for v in raw]))
@@ -75,7 +76,7 @@ class TestClustering:
 
     def test_mirror_symmetry_exact(self, rng):
         a = rng.uniform(-3, 3, size=(8, 8))
-        clusters = cluster_eigenvalues(build_eom((a + a.T) / 2))
+        clusters = flat_members(cluster_eigenvalues(build_eom((a + a.T) / 2)))
         values = {v for v, _ in clusters}
         for v in values:
             assert -v in values
@@ -193,8 +194,12 @@ class TestClusteringReference:
                     assert str(info.value) == str(exc)
                     outcomes.add(str(exc).split()[0])  # which check raised
                     continue
-                got = cluster_eigenvalues(k, tol=tol, _eigenvalues=raw)
+                classes = cluster_eigenvalues(k, tol=tol, _eigenvalues=raw)
+                got = flat_members(classes)
                 assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+                reps = [c.representative for c in classes]
+                assert reps == sorted(reps, key=lambda z: (-z.real, -z.imag))
+                assert {c.geometric for c in classes} == {None}
                 assert [type(v) for v, _ in got] == [complex] * len(got)
                 outcomes.add("ok")
         # no mirror partner, unequal multiplicities, diameter, multiplicity sum
