@@ -24,7 +24,9 @@ nothing at lam = 0, so cases 3, 5 and 6 share one self-dual routine;
 the odd-rank zero chains (case 4) add the f/h pairing.  A simple class
 away from zero (one rank-1 chain, plus its partner for a real pair or
 quadruplet) has one-coefficient polynomials only, so its routine runs the
-same recipe in scalars.  A Bogoliubov diagonalization is the imaginary
+same recipe in scalars, over a leading chain axis that a stack of matrices
+shares (``_simple_pairing`` and ``_simple_pair``, ``_simple_self_pairing``
+and ``_simple_self_dual``).  A Bogoliubov diagonalization is the imaginary
 routine on rank-1 chains, where the square root reduces to a real scaling.
 """
 
@@ -67,9 +69,11 @@ def poly_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _root(lead: complex):
-    """The principal square root of a leading coefficient, as ``poly_sqrt`` takes it."""
-    if lead == 0:
+def _root(lead):
+    """The principal square root of a leading coefficient, as ``poly_sqrt`` takes it
+    (of each one of an array)."""
+    zero = lead == 0
+    if zero.any() if isinstance(zero, np.ndarray) else zero:
         raise NondegeneracyError("cannot take the square root of a nilpotent element")
     return np.sqrt(lead)
 
@@ -148,10 +152,11 @@ def alpha(k, lam: complex, x: np.ndarray, y: np.ndarray, rank: int) -> complex:
     return form_product(make_chain(k, lam, x, rank).vectors[0], y)
 
 
-def _alpha_threshold(x: np.ndarray, y: np.ndarray | None = None) -> float:
-    """Threshold for a vanishing pairing of x with y (with itself if y is None)."""
-    sx = 1.0 + maxnorm(x)
-    return ALPHA_TOL * sx * (sx if y is None else 1.0 + maxnorm(y))
+def _alpha_threshold(x: np.ndarray, y: np.ndarray | None = None):
+    """Threshold for a vanishing pairing of x with y (with itself if y is None),
+    over any leading axes of stacked vectors."""
+    sx = 1.0 + maxnorm(x, -1)
+    return ALPHA_TOL * sx * (sx if y is None else 1.0 + maxnorm(y, -1))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -206,6 +211,52 @@ def _deflate(work, update):
         work[idx] = (_unit(update(g)), r)
 
 
+def _per_chain(x):
+    """A chain's scalar as it is, or a stack's scalars as a column against its vectors."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _simple_pairing(g: np.ndarray, gt: np.ndarray):
+    """alpha = g^T J gt of the rank-1 chain g of a simple class and its partner
+    gt, or of each of a stack of them, and whether |alpha| is above its
+    threshold."""
+    a = form_product(g, gt)
+    size = abs(a) if isinstance(a, complex) else np.hypot(a.real, a.imag)  # both hypot
+    return a, size > _alpha_threshold(g, gt)
+
+
+def _simple_pair(g: np.ndarray, gt: np.ndarray, a):
+    """e and e~ of the rank-1 chain g and partner gt of a simple class, or of each
+    of a stack of them, given the pairing ``a`` (above its threshold).
+
+    One-coefficient polynomials make the recipe scalar: gt / alpha, then
+    phi = sqrt(W) and 1 / phi.  The partner's 1 / phi* is 1 / phi to the
+    bit: phi* is phi up to the sign of a zero imaginary part, which 1 / phi
+    ignores.  A real chain (of a real pair) stays real unless a 1 / phi of
+    the stack is not, as in ``apply_poly``'s real and complex branches.
+    """
+    gt = gt / _per_chain(a)
+    inv = 1.0 / _root(form_product(g, gt))
+    real = not np.iscomplexobj(g) and not np.count_nonzero(inv.imag)
+    return _per_chain(inv.real if real else inv) * g, _per_chain(inv) * gt
+
+
+def _simple_self_pairing(g: np.ndarray):
+    """W = g^T J conj(g) of the rank-1 chain g of a simple imaginary class, or of
+    each of a stack of them, and whether |Im W| is above its threshold."""
+    w = form_product(g, g.conj())
+    return w, abs(w.imag) > _alpha_threshold(g)
+
+
+def _simple_self_dual(g: np.ndarray, w):
+    """(e, sigma) of the rank-1 chain g of a simple imaginary class, or of each
+    of a stack of them, given the self-pairing ``w`` (above its threshold):
+    sigma = i sign(Im W), then e = g / sqrt(-sigma W), as the polynomial
+    recipe takes (-1)^r sigma W at r = 1."""
+    sigma = 1j * np.sign(w.imag)
+    return _per_chain(1.0 / _root(-1 * sigma * w)) * g, sigma
+
+
 def orthonormalize_real_complex(k, lam: complex, chains: list[JordanChain],
                                 partners: list[JordanChain]):
     """Symplectic orthonormalization for a real pair or complex quadruplet.
@@ -218,9 +269,7 @@ def orthonormalize_real_complex(k, lam: complex, chains: list[JordanChain],
     always exists in exact arithmetic).
 
     A simple class, one rank-1 chain and partner, takes the same steps
-    in scalars: alpha, then phi = sqrt(W) and 1 / phi.  The partner's
-    1 / phi* is 1 / phi to the bit: with one coefficient, phi* is phi
-    up to the sign of a zero imaginary part, which 1 / phi ignores.
+    in scalars, ``_simple_pairing`` and ``_simple_pair``.
 
     Returns a list of (chain, partner_chain) in descending rank order.
     """
@@ -229,13 +278,10 @@ def orthonormalize_real_complex(k, lam: complex, chains: list[JordanChain],
     work_p = [(c.generator.copy(), c.rank) for c in partners]
     if len(chains) == len(partners) == 1 and chains[0].rank == partners[0].rank == 1:
         (g, _), (gt, _) = work[0], work_p[0]
-        a = form_product(g, gt)
-        if abs(a) > _alpha_threshold(g, gt):  # else the loop raises on it
-            gt = gt / a
-            inv = 1.0 / _root(form_product(g, gt))
-            real = complex(lam).imag == 0 and not np.iscomplexobj(g) and inv.imag == 0
-            e_vec = (inv.real if real else inv) * g  # apply_poly's real and complex branches
-            return [(make_chain(k, lam, e_vec, 1), make_chain(k, -lam, inv * gt, 1))]
+        a, usable = _simple_pairing(g, gt)
+        if usable:  # else the loop raises on it
+            e_vec, et_vec = _simple_pair(g, gt, a)
+            return [(make_chain(k, lam, e_vec, 1), make_chain(k, -lam, et_vec, 1))]
     done: list[tuple[JordanChain, JordanChain]] = []
 
     def candidates(r):
@@ -280,7 +326,7 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain]):
     (``NondegeneracyError`` if there is none).
 
     A simple class at lam != 0, one rank-1 chain, takes the same steps
-    in scalars: the pairing, sigma, then sqrt(-sigma W) and its inverse.
+    in scalars, ``_simple_self_pairing`` and ``_simple_self_dual``.
 
     Returns ``(done, rest)``: the (chain, sigma) pivots and the leftover
     chains, both in descending rank order.
@@ -290,10 +336,9 @@ def _orthonormalize_self_dual(k, lam: complex, chains: list[JordanChain]):
     work = [(c.generator.astype(float if real else complex), c.rank) for c in chains]
     if not real and len(chains) == 1 and chains[0].rank == 1:
         g = work[0][0]
-        w = form_product(g, g.conj())
-        if abs(w.imag) > _alpha_threshold(g):  # else the loop raises on it
-            sigma = 1j * np.sign(w.imag)
-            e_vec = 1.0 / _root(-1 * sigma * w) * g  # (-1)^r sigma W at r = 1, as below
+        w, usable = _simple_self_pairing(g)
+        if usable:  # else the loop raises on it
+            e_vec, sigma = _simple_self_dual(g, w)
             return [(make_chain(k, lam, e_vec, 1), sigma)], []
     done: list[tuple[JordanChain, complex]] = []
 

@@ -50,9 +50,12 @@ class Config:
 DEFAULT = Config()
 
 
-def maxnorm(a) -> float:
-    """Max-norm of a matrix or vector (0.0 for empty input)."""
+def maxnorm(a, axis=None):
+    """Max-norm of a matrix or vector (0.0 for empty input); with ``axis``, the
+    max-norms over those axes, e.g. (-2, -1) for each matrix of a stack."""
     a = np.asarray(a)
+    if axis is not None:
+        return np.abs(a).max(axis=axis)
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())

@@ -50,11 +50,12 @@ COND_LIMIT = 1e12
 ORACLE_SAMPLES = 40
 
 
-def _even_dim(a: np.ndarray) -> int:
-    """Return N for a square 2N x 2N array, raising on bad shapes."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _even_dim(a: np.ndarray, stack: bool = False) -> int:
+    """Return N for a square 2N x 2N array, or with ``stack`` for an array of them
+    over leading axes, raising on bad shapes."""
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-2] != a.shape[-1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {a.shape}")
-    dim = a.shape[0]
+    dim = a.shape[-1]
     if dim == 0 or dim % 2 != 0:
         raise InvalidDimensionError(f"dimension must be a positive even number, got {dim}")
     return dim // 2
@@ -77,21 +78,40 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return j
 
 
-def form_product(x: np.ndarray, y: np.ndarray) -> complex:
-    """Bilinear symplectic product x^T J y (no conjugation)."""
-    n = x.shape[0] // 2
-    return complex(x[:n] @ y[n:] - x[n:] @ y[:n])
+def form_product(x: np.ndarray, y: np.ndarray):
+    """Bilinear symplectic product x^T J y (no conjugation): a complex for two
+    vectors, a complex array over the leading axes of stacked ones.
+
+    A stack's products are (1, n) @ (n, 1) matmuls, which NumPy runs as one
+    BLAS dot per pair of vectors, as it runs a vector's, so a member of a
+    stack gets its own bits.
+    """
+    n = x.shape[-1] // 2
+    if x.ndim == y.ndim == 1:
+        return complex(x[:n] @ y[n:] - x[n:] @ y[:n])
+    return (x[..., None, :n] @ y[..., n:, None]
+            - x[..., None, n:] @ y[..., :n, None])[..., 0, 0].astype(complex, copy=False)
+
+
+def _hamiltonian_defects(m: np.ndarray, cfg: Config):
+    """(non-finite, asymmetric, max |M - M^T|, its limit) of M or of each matrix
+    of a stack: whether it has a NaN or infinite entry (max |M| is then not
+    < inf), and whether it is not symmetric within the tolerance."""
+    scale = maxnorm(m, (-2, -1))
+    with np.errstate(invalid="ignore"):  # the asymmetry of a non-finite M is not used
+        asym = maxnorm(m - m.swapaxes(-1, -2), (-2, -1))
+    limit = cfg.tol(scale)
+    return ~(scale < np.inf), asym > limit, asym, limit
 
 
 def require_hamiltonian_matrix(m, cfg: Config = DEFAULT) -> np.ndarray:
     """Validate and return M as a float array (finite, symmetric, even-dimensional)."""
     m = np.asarray(m, dtype=float)
     _even_dim(m)
-    scale = maxnorm(m)
-    if not scale < np.inf:
+    non_finite, asymmetric, asym, limit = _hamiltonian_defects(m, cfg)
+    if non_finite:
         raise _non_finite_error(m)
-    asym, limit = maxnorm(m - m.T), cfg.tol(scale)
-    if asym > limit:
+    if asymmetric:
         raise StructureError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e} > {limit:.3e}")
     return m
 
@@ -114,10 +134,14 @@ def build_eom(m, cfg: Config = DEFAULT) -> np.ndarray:
     The result satisfies J K + K^T J = 0 to round-off, which is the
     structure preserving the canonical commutation relations.
     """
-    m = require_hamiltonian_matrix(m, cfg)
-    n = m.shape[0] // 2
-    # J M without forming J: top rows take the p-block, bottom rows negate the x-block.
-    return np.concatenate([m[n:, :], -m[:n, :]])
+    return _eom(require_hamiltonian_matrix(m, cfg))
+
+
+def _eom(m: np.ndarray) -> np.ndarray:
+    """K = J M of each matrix of a stack, without forming J: top rows take the
+    p-block, bottom rows negate the x-block."""
+    n = m.shape[-1] // 2
+    return np.concatenate([m[..., n:, :], -m[..., :n, :]], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -158,16 +182,18 @@ def validate_eom_structure(k, cfg: Config = DEFAULT) -> EomDiagnostics:
     )
 
 
-def symplectic_residual(t: np.ndarray) -> float:
-    """Max-norm of T J T^T - J, the symplectic defect; T J is formed exactly, as a column swap."""
+def symplectic_residual(t: np.ndarray):
+    """Max-norm of T J T^T - J, the symplectic defect, of T or of each matrix of
+    a stack of them; T J is formed exactly, as a column swap."""
     t = np.asarray(t)
-    n = _even_dim(t)
-    defect = np.concatenate([-t[:, n:], t[:, :n]], axis=1) @ t.T
+    n = _even_dim(t, stack=True)
+    defect = np.concatenate([-t[..., n:], t[..., :n]], axis=-1) @ t.swapaxes(-1, -2)
     # Minus J in place: its entries +1 at (i, n + i) and -1 at (n + i, i), i < n,
-    # lie every 2N + 1 places along the flattened product.
-    defect.flat[n:2 * n * n:2 * n + 1] -= 1.0
-    defect.flat[2 * n * n::2 * n + 1] += 1.0
-    return maxnorm(defect)
+    # lie every 2N + 1 places along each flattened product.
+    flat = defect.reshape(defect.shape[:-2] + (-1,))
+    flat[..., n:2 * n * n:2 * n + 1] -= 1.0
+    flat[..., 2 * n * n::2 * n + 1] += 1.0
+    return maxnorm(defect, (-2, -1))
 
 
 def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:
@@ -195,20 +221,27 @@ def transform_hamiltonian(m, t, cfg: Config = DEFAULT) -> np.ndarray:
     return (n + n.T) / 2.0
 
 
-def similarity(k, t, *, _cond: float | None = None) -> np.ndarray:
-    """Similarity transformation T^{-1} K T (spectrum preserving).
+def similarity(k, t, *, _cond=None) -> np.ndarray:
+    """Similarity transformation T^{-1} K T (spectrum preserving), of one pair
+    or of each pair of stacked K and T.
 
     Refuses matrices whose condition estimate exceeds ``COND_LIMIT``,
-    beyond which the result would be numerical noise.  ``_cond`` is that
-    estimate, cond(T), when the caller has computed it already.
+    beyond which the result would be numerical noise (a stack, if any of
+    its T does).  ``_cond`` is that estimate, cond(T), when the caller has
+    computed it already.
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
-    _even_dim(k)
+    _even_dim(k, stack=True)
     cond = np.linalg.cond(t) if _cond is None else _cond
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    if np.count_nonzero(_ill_conditioned(cond)):
+        raise IllConditionedError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.1e}")
     return np.linalg.solve(t, k @ t)
+
+
+def _ill_conditioned(cond):
+    """Whether each condition estimate is too large, or not finite, for ``similarity``."""
+    return ~np.isfinite(cond) | (cond > COND_LIMIT)
 
 
 def bosonic_conversion(n_modes: int) -> np.ndarray:
@@ -262,13 +295,18 @@ def stability_oracle(k, t_max: float, growth_threshold: float) -> bool:
     over [0, t_max] and reports True iff the supremum stays within
     ``growth_threshold``.  Overflow counts as unbounded.  A ``t_max`` that
     is not positive, or not finite (its step goes to ``propagate``), raises
-    ``ContractViolationError``.  This is a cross-check for the spectral
-    stability verdict, not a replacement for it.
+    ``ContractViolationError``, and so does a ``growth_threshold`` that is
+    not a finite number > 0: no norm exceeds a NaN or infinite one, so an
+    unstable K would read as bounded.  This is a cross-check for the
+    spectral stability verdict, not a replacement for it.
     """
     k = np.asarray(k, dtype=float)
     _even_dim(k)
     if t_max <= 0:
         raise ContractViolationError("t_max must be positive")
+    if not 0 < growth_threshold < np.inf:
+        raise ContractViolationError(
+            f"growth_threshold must be a finite number > 0, got {growth_threshold!r}")
     try:
         step = propagate(k, t_max / ORACLE_SAMPLES)
     except SaturationError:

@@ -12,7 +12,6 @@ point.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .core import require_hamiltonian_matrix
 from .errors import ParseError, QuadnfError, ValidationError
-from .normal_form import NormalFormReport, _format_eigenvalue, normal_form
+from .normal_form import NormalFormReport, _format_eigenvalue, _stack_normal_forms
 from .spectrum import EigenvalueKind
 
 __all__ = [
@@ -340,58 +339,6 @@ def _boundary_flags(signatures) -> np.ndarray:
     return flags
 
 
-def _scan_row(i: int, eta: float, lambdas: np.ndarray):
-    """Verdicts, signatures, structure tokens and errors of grid row ``i``.
-
-    The errors map ``(i, j)`` to the message of the ``QuadnfError``
-    that cell ``j`` raised.
-    """
-    verdicts, signatures, structure, errors = [], [], [], {}
-    for j, lam in enumerate(lambdas):
-        try:
-            rep = normal_form(two_mode_matrix(eta, lam))
-            verdict, signature = rep.verdict.value, signature_string(rep)
-            token = _drop_eigenvalues(signature)
-        except QuadnfError as exc:
-            verdict, signature = "error", f"error:{type(exc).__name__}"
-            token = signature
-            errors[(i, j)] = str(exc)
-        verdicts.append(verdict)
-        signatures.append(signature)
-        structure.append(token)
-    return verdicts, signatures, structure, errors
-
-
-# Smallest grid, in cells, whose rows are split between the caller and a pool.
-# Measured with 2 usable CPUs (2 vCPUs of an Intel Xeon, 1 BLAS thread, medians of
-# 41): a split scan takes about 20 ms more than half the serial time (12 ms on a
-# 2-cell grid, 19-20 ms on 40 and 82 cells), and a cell takes about 0.57 ms, so
-# the split gains from about 20 / (0.57 / 2) = 70 cells.
-_POOL_MIN_CELLS = 70
-
-
-def _scan_rows(rows: list) -> list:
-    """``_scan_row(*row)`` of every row, in row order, on the usable CPUs; serially
-    in the caller for a grid of fewer than ``_POOL_MIN_CELLS`` cells."""
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
-                  len(rows))
-    cells = len(rows) * len(rows[0][2])  # rows are (i, eta, lambdas)
-    if workers > 1 and cells >= _POOL_MIN_CELLS:
-        # imported here, as multiprocessing.pool would add about 25 ms
-        # to every CLI call that does not scan
-        import multiprocessing
-        # fork, not spawn: a spawned worker imports numpy and quadnf
-        # afresh, which costs more than its share of a 41x41 scan
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
-                pooled = pool.starmap_async(_scan_row, [r for r in rows if r[0] % workers],
-                                            chunksize=1)
-                mine = iter([_scan_row(*r) for r in rows if r[0] % workers == 0])
-                theirs = iter(pooled.get())
-                return [next(theirs if i % workers else mine) for i in range(len(rows))]
-    return [_scan_row(*r) for r in rows]
-
-
 def scan_two_mode(
     eta_range=(-2.0, 2.0),
     lambda_range=(-2.0, 2.0),
@@ -405,16 +352,13 @@ def scan_two_mode(
     differs from at least one 4-neighbor, so the flagged set straddles
     every classification boundary to within one cell.
 
-    The rows are split across the usable CPUs (the process's affinity
-    mask) once the grid has ``_POOL_MIN_CELLS`` cells; a smaller grid
-    runs serially.  Where the platform can fork, a pool of one fewer
-    processes takes every row whose index is not a multiple of the CPU
-    count, while the caller runs the rest.  Every row runs the same code
-    on the same inputs, so the grid, its errors and their order do not
-    depend on the CPU count.  The children run untraced: a tracer in the
-    calling process sees only the caller's rows.  An exception other
-    than ``QuadnfError`` in any row propagates, and the pool is
-    terminated first.
+    The grid's matrices go to ``normal_form._stack_normal_forms`` as one
+    stack: a point whose classes are all simple is built at array level
+    with every other such point, and the rest (repeated classes, as on the
+    classification boundaries, or a matrix ``normal_form`` rejects) one by
+    one; each report, and each error with its message, is the one
+    ``normal_form`` gives that point alone.  An exception other than
+    ``QuadnfError`` propagates.
     """
     if isinstance(steps, int):
         steps = (steps, steps)
@@ -422,13 +366,25 @@ def scan_two_mode(
         raise ValidationError(f"a scan needs at least 1 step per axis, got {steps}")
     etas = np.linspace(eta_range[0], eta_range[1], steps[0])
     lambdas = np.linspace(lambda_range[0], lambda_range[1], steps[1])
+    results = _stack_normal_forms([two_mode_matrix(eta, lam) for eta in etas for lam in lambdas])
     verdicts, signatures, structure, errors = [], [], [], {}
-    for vrow, srow, trow, row_errors in _scan_rows(
-            [(i, eta, lambdas) for i, eta in enumerate(etas)]):
+    for i in range(len(etas)):
+        vrow, srow, trow = [], [], []
+        for j in range(len(lambdas)):
+            rep = next(results)
+            if isinstance(rep, QuadnfError):
+                verdict, signature = "error", f"error:{type(rep).__name__}"
+                token = signature
+                errors[(i, j)] = str(rep)
+            else:
+                verdict, signature = rep.verdict.value, signature_string(rep)
+                token = _drop_eigenvalues(signature)
+            vrow.append(verdict)
+            srow.append(signature)
+            trow.append(token)
         verdicts.append(vrow)
         signatures.append(srow)
         structure.append(trow)
-        errors.update(row_errors)
     return ScanGrid(etas=etas, lambdas=lambdas, verdicts=verdicts, signatures=signatures,
                     structure=structure, boundary=_boundary_flags(structure), errors=errors)
 

@@ -55,6 +55,10 @@ CLUSTERING_TOL = 1e-7
 # Relative singular-value threshold for nullspace/rank decisions.
 RANK_TOL = 1e-7
 
+# A mirror partner, and any member of an orbit around its mean, lies within
+# _NEAR clustering radii.
+_NEAR = 10
+
 
 class EigenvalueKind(Enum):
     REAL_PAIR = "real_pair"
@@ -116,6 +120,38 @@ class SpectrumReport:
         return 2 * self.n_modes - sum(c.weight for c in self.classes)
 
 
+def _radius(k, tol: float):
+    """The clustering radius tol (1 + max|K|), of K or of each matrix of a stack."""
+    return tol * (1.0 + maxnorm(k, (-2, -1)))
+
+
+def _snap(x, eps):
+    """Real or imaginary parts within eps of zero snapped onto the axis, to +0.0."""
+    return np.where(np.abs(x) <= eps, 0.0, x)
+
+
+def _orbit_mean(values):
+    """(mean |Re|, mean |Im|) of an orbit's values, of one orbit or of arrays of
+    them, each summed left to right in index order (as np.mean sums 1-4 values)."""
+    re = im = 0
+    for v in values:
+        re = re + abs(v.real)
+        im = im + abs(v.imag)
+    return re / len(values), im / len(values)
+
+
+def _kind(re: float, im: float) -> EigenvalueKind:
+    """The kind of an orbit whose representative is re + i im, re, im >= 0."""
+    return (EigenvalueKind.COMPLEX_QUADRUPLET if re and im else EigenvalueKind.REAL_PAIR
+            if re else EigenvalueKind.IMAGINARY_PAIR if im else EigenvalueKind.ZERO)
+
+
+def _owners(raw: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """For each raw eigenvalue, the index of its nearest center (the first on a tie),
+    over any leading axes."""
+    return np.argmin(np.abs(raw[..., :, None] - centers[..., None, :]), axis=-1)
+
+
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
     merges the first close pair i < j, in row-major order, into its weighted mean at i.
@@ -159,13 +195,14 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     """
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
-    eps = tol * (1.0 + maxnorm(k))
+    eps = float(_radius(k, tol))
     raw = np.linalg.eigvals(k) if _eigenvalues is None else _eigenvalues
 
     values, mults = _union_clusters(list(raw), [1] * len(raw), eps)
     # Snap onto the real/imaginary axes, then re-merge anything that collided.
-    snapped = [complex(0.0 if abs(v.real) <= eps else v.real, 0.0 if abs(v.imag) <= eps else v.imag)
-               for v in values]
+    v = np.array(values)
+    snapped = [complex(re, im) for re, im in zip(_snap(v.real, eps).tolist(),
+                                                 _snap(v.imag, eps).tolist())]
     values, mults = _union_clusters(snapped, mults, eps) if snapped != values else (snapped, mults)
 
     # Group into mirror orbits and enforce the pairing rules exactly.  Each orbit takes,
@@ -173,7 +210,7 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     # Such a value's key max(|Re|, |Im|) is within 10 eps of v's, so only the values
     # whose keys lie within 20 eps of v's in one sorted order are tried (twice the
     # distance, so that no rounding of the keys' differences can leave a value out).
-    near = 10 * eps
+    near = _NEAR * eps
     keys = [max(abs(v.real), abs(v.imag)) for v in values]
     order = sorted(range(len(values)), key=keys.__getitem__)
     place = [0] * len(values)
@@ -202,17 +239,11 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
                 )
         orbit.sort()
         mult = mults[orbit[0]]
-        # Average the orbit onto exact mirror symmetry (left to right, as np.mean sums 1-4 values).
-        re = im = 0
-        for j in orbit:
-            if mults[j] != mult:
-                raise SpectrumStructureError(
-                    f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
-                )
-            re += abs(values[j].real)
-            im += abs(values[j].imag)
-        re /= len(orbit)
-        im /= len(orbit)
+        if any(mults[j] != mult for j in orbit):
+            raise SpectrumStructureError(
+                f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
+            )
+        re, im = _orbit_mean([values[j] for j in orbit])  # onto exact mirror symmetry
         # A value's distance to the corner (+-re, +-im) in its own quadrant is one of the
         # four distances the spread takes the least of: within 10 eps, it passes.
         if any(abs(complex(abs(values[j].real) - re, abs(values[j].imag) - im)) > near
@@ -223,10 +254,7 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
                 raise AmbiguousSpectrumError(
                     f"cluster around {v:.6g} has diameter {spread:.3e} after snapping"
                 )
-        rep = complex(re, im)
-        kind = (EigenvalueKind.COMPLEX_QUADRUPLET if re and im else EigenvalueKind.REAL_PAIR
-                if re else EigenvalueKind.IMAGINARY_PAIR if im else EigenvalueKind.ZERO)
-        out.append(EigenvalueClass(kind, rep, mult))
+        out.append(EigenvalueClass(_kind(re, im), complex(re, im), mult))
         for j in orbit:
             used[j] = True
 
@@ -355,7 +383,7 @@ def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
     if own:
         centers = sorted((mu for cls in classes for mu in cls.members),
                          key=lambda z: (-z.real, -z.imag))
-        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - np.array(centers)), axis=1)
+        owner = _owners(np.asarray(_eigenvalues), np.array(centers))
         owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
         raw_of = np.zeros(len(centers), dtype=int)  # 0 for a member no raw value owns
         raw_of[owner] = np.arange(len(owner))
@@ -383,6 +411,110 @@ def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
         raise SpectrumStructureError(
             f"multiplicity sum rule violated by {report.sum_rule_residual}")
     return report
+
+
+def _stack_simple_classes(ks: np.ndarray, eigenvalues: np.ndarray):
+    """The members of a stack of K whose classes are certainly all simple, and their classes.
+
+    ``eigenvalues`` holds each member's eig(K) values.  A member is sure
+    when ``classify_spectrum(k, cluster_eigenvalues(k), ...)`` on its
+    values, with its eig(K) columns, certainly gives classes of algebraic
+    and geometric multiplicity 1, none at zero; this decides that for the
+    whole stack at once.  It holds when:
+
+    - no two eigenvalues lie within the radius eps, so none merges;
+    - each mirror image of a snapped value has exactly one value within
+      10 eps, distinct images have distinct ones, and no orbit takes a
+      value an earlier one took, so the orbit search has one outcome;
+    - every member of an orbit lies within 10 eps of the orbit's corner,
+      and the orbit's size is its kind's, which is not zero;
+    - each eig(K) value owns exactly one member of one class.
+
+    A member that fails any of these is not sure, and is left to the
+    per-matrix path, which decides it.
+
+    Returns (sure, member, classes, lam_col, neg_col): whether each member
+    is sure and, for every class of a sure member, in report order, the
+    member's index, its ``EigenvalueClass`` (geometric 1) and the eig(K)
+    columns of lam and -lam.
+    """
+    count, dim = eigenvalues.shape
+    rows = np.arange(count)[:, None]
+    raw = eigenvalues.astype(complex)  # a stack of real spectra comes back real
+    eps = _radius(ks, CLUSTERING_TOL)[:, None]
+    near = _NEAR * eps
+    gap = raw[:, :, None] - raw[:, None, :]
+    apart = np.hypot(gap.real, gap.imag) > eps[..., None]
+    apart[:, range(dim), range(dim)] = True
+    sure = apart.all(axis=(1, 2))
+
+    values = np.empty_like(raw)
+    values.real, values.imag = _snap(raw.real, eps), _snap(raw.imag, eps)
+    images = [values, -values, values.conj(), -values.conj()]
+    partner = []  # (member, value, image) -> the one value within near of the image
+    for image in images:
+        gap = values[:, None, :] - image[:, :, None]
+        within = np.hypot(gap.real, gap.imag) <= near[..., None]
+        sure &= (within.sum(axis=-1) == 1).all(axis=1)
+        partner.append(within.argmax(axis=-1))
+    partner = np.stack(partner, axis=-1)
+    for a in range(4):
+        for b in range(a):
+            sure &= ~((images[a] != images[b]) & (partner[..., a] == partner[..., b])).any(axis=1)
+
+    # The orbit search in index order: the first value not taken opens an orbit.
+    used = np.zeros((count, dim), dtype=bool)
+    member, orbit = [], []
+    for i in range(dim):
+        opens = ~used[:, i]
+        sure &= ~(opens & used[rows, partner[:, i]].any(axis=1))
+        used[rows, partner[:, i]] |= opens[:, None]
+        member.append(np.flatnonzero(opens))
+        orbit.append(np.sort(partner[opens, i], axis=1))
+    member, orbit = np.concatenate(member), np.concatenate(orbit)
+    size = 1 + (np.diff(orbit, axis=1) != 0).sum(axis=1)  # distinct values: 1, 2 or 4
+    sure[member[size == 1]] = False
+    re, im = np.zeros(len(member)), np.zeros(len(member))
+    for n_values, columns in ((2, [0, 2]), (4, [0, 1, 2, 3])):
+        pick = size == n_values
+        at = member[pick]
+        parts = [values[at, j] for j in orbit[pick][:, columns].T]
+        re[pick], im[pick] = _orbit_mean(parts)
+        for part in parts:
+            spread = np.hypot(np.abs(part.real) - re[pick], np.abs(part.imag) - im[pick])
+            sure[at[spread > near[at, 0]]] = False
+    kinds = [_kind(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    sure[member[[_ORBIT_SIZE[kind] != n for kind, n in zip(kinds, size.tolist())]]] = False
+
+    # Every class of a sure member in report order, and its members as centers.
+    keep = np.flatnonzero(sure[member])
+    keep = keep[np.lexsort((-im[keep], -re[keep], member[keep]))]
+    kinds = [kinds[c] for c in keep.tolist()]
+    member, size = member[keep], size[keep]
+    lam = np.empty(len(keep), dtype=complex)
+    lam.real, lam.imag = re[keep], im[keep]
+    mirrors = np.stack([lam, -lam, lam.conj(), -lam.conj()], axis=1)
+    center_of = np.repeat(np.arange(len(keep)), size)
+    role = np.arange(len(center_of)) - np.repeat(np.cumsum(size) - size, size)
+    centers = mirrors[center_of, role]
+    by_member = np.lexsort((-centers.imag, -centers.real, member[center_of]))
+    place = np.empty(len(centers), dtype=int)
+    place[by_member] = np.tile(np.arange(dim), len(by_member) // dim)
+    taken = np.flatnonzero(sure)
+    owner = _owners(raw[taken], centers[by_member].reshape(len(taken), dim))
+    raw_of = np.argsort(owner, axis=1)  # the inverse of owner where it is one to one
+    one_to_one = (np.sort(owner, axis=1) == np.arange(dim)).all(axis=1)
+    sure[taken[~one_to_one]] = False
+
+    slot = np.empty(count, dtype=int)
+    slot[taken] = np.arange(len(taken))
+    first = np.cumsum(size) - size  # each class's lam; -lam is the next center
+    lam_col = raw_of[slot[member], place[first]]
+    neg_col = raw_of[slot[member], place[first + 1]]
+    keep = sure[member]
+    classes = [EigenvalueClass(kind, rep, 1, 1)
+               for kind, rep, kept in zip(kinds, lam.tolist(), keep.tolist()) if kept]
+    return sure, member[keep], classes, lam_col[keep], neg_col[keep]
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,15 @@ class TestStabilityOracle:
         with pytest.raises(ContractViolationError, match="finite"):
             stability_oracle(build_eom(np.eye(2)), t_max=t_max, growth_threshold=10.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0])
+    def test_requires_finite_positive_threshold(self, threshold):
+        # no norm exceeds a NaN or infinite threshold: this unstable K would read as bounded
+        k = build_eom([[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        assert not stability_oracle(k, t_max=50.0, growth_threshold=100.0)
+        with pytest.raises(ContractViolationError, match="growth_threshold must be a finite"):
+            stability_oracle(k, t_max=50.0, growth_threshold=threshold)
+
 
 class TestConfig:
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0, 0, True, "x"])

@@ -42,11 +42,12 @@ from quadnf.errors import (
 from quadnf.normal_form import (
     TermKind,
     _block,
+    _stack_normal_forms,
     build_case_columns,
     emit_terms,
     expected_kn,
 )
-from quadnf.reporting import MatrixDocument, report_to_dict
+from quadnf.reporting import MatrixDocument, report_to_dict, signature_string
 from quadnf.spectrum import (
     CLUSTERING_TOL,
     EigenvalueKind,
@@ -899,3 +900,86 @@ class TestFactorizationCounts:
         assert seen == [rep.residuals["symplectic"]]
         assert list(rep.residuals) == ["symplectic", "block_match", "n_reconstruction",
                                        "condition"]
+
+
+def _close(got, want) -> bool:
+    """Agreement to 1e-12 relative to the magnitude, with a floor of 1."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(
+        np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(want), initial=0.0)))
+
+
+class TestStackNormalForms:
+    """Each member of a stack gets what normal_form gives it alone: the same
+    discrete outcome exactly, and the same numbers to 1e-12."""
+
+    def assert_same_outcome(self, got, m):
+        try:
+            want = normal_form(m)
+        except QuadnfError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            return
+        assert (got.verdict, got.reasons, got.zero_frequency_modes) == (
+            want.verdict, want.reasons, want.zero_frequency_modes)
+        assert signature_string(got) == signature_string(want)
+        assert [(c.kind, c.algebraic, c.geometric) for c in got.spectrum.classes] == [
+            (c.kind, c.algebraic, c.geometric) for c in want.spectrum.classes]
+        assert [(b.case, b.rank, b.sigma) for b in got.blocks] == [
+            (b.case, b.rank, b.sigma) for b in want.blocks]
+        assert [(t.kind, t.modes) for t in got.terms] == [(t.kind, t.modes) for t in want.terms]
+        assert list(got.residuals) == list(want.residuals)
+        for a, b in [([c.representative for c in got.spectrum.classes],
+                      [c.representative for c in want.spectrum.classes]),
+                     ([b.eigenvalue for b in got.blocks], [b.eigenvalue for b in want.blocks]),
+                     ([t.coefficient for t in got.terms], [t.coefficient for t in want.terms]),
+                     (got.transform.matrix, want.transform.matrix),
+                     (got.k_normal, want.k_normal),
+                     (got.n_matrix, want.n_matrix),
+                     *zip(got.residuals.values(), want.residuals.values())]:
+            assert _close(a, b)
+
+    @staticmethod
+    def stacked(ms, monkeypatch):
+        """_stack_normal_forms(ms), and whether each member took the per-matrix path."""
+        nf, alone = sys.modules["quadnf.normal_form"], []
+        analyze = nf.normal_form
+
+        def recorded(m):
+            alone.append(m.tobytes())
+            return analyze(m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nf, "normal_form", recorded)
+            results = list(_stack_normal_forms(ms))
+        return results, [m.tobytes() in alone for m in ms]
+
+    @staticmethod
+    def all_simple(result) -> bool:
+        return not isinstance(result, QuadnfError) and all(
+            c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO
+            for c in result.spectrum.classes)
+
+    def test_every_cell_of_the_two_mode_grid(self, monkeypatch):
+        axis = np.linspace(-2.0, 2.0, 41)
+        ms = np.array([two_mode_m(eta, lam) for eta in axis for lam in axis])
+        results, alone = self.stacked(ms, monkeypatch)
+        assert alone == [not self.all_simple(r) for r in results]  # only repeated classes
+        for got, m in zip(results, ms):
+            self.assert_same_outcome(got, m)
+
+    def test_a_mixed_stack(self, rng, monkeypatch):
+        a = rng.normal(size=(6, 6))
+        generic = (a + a.T) / 2
+        positive = a @ a.T + 0.5 * np.eye(6)
+        defective, _ = seeded_matrix([(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j)], rng)
+        asymmetric = generic.copy()
+        asymmetric[0, 1] += 1.0
+        non_finite = generic.copy()
+        non_finite[2, 3] = np.nan
+        ms = np.array([generic, positive, defective, asymmetric, non_finite])
+        results, alone = self.stacked(ms, monkeypatch)
+        assert alone == [False, False, True, True, True]
+        assert [type(r).__name__ for r in results[3:]] == ["StructureError"] * 2
+        assert not self.all_simple(results[2])
+        for got, m in zip(results, ms):
+            self.assert_same_outcome(got, m)

@@ -1,6 +1,5 @@
 import json
-import multiprocessing
-import os
+import sys
 import warnings
 
 import numpy as np
@@ -239,60 +238,64 @@ class TestScan:
 
 
 def _fail_at(monkeypatch, cells, error):
-    """Make ``normal_form`` raise ``error(i, j)`` at cells (i, j) of the default 21x21 grid."""
+    """Make the scan's stack give the ``QuadnfError`` ``error(i, j)`` at cells (i, j)
+    of the default 21x21 grid; simple cells never reach ``normal_form`` itself."""
     axis = np.linspace(-2.0, 2.0, 21)
     planted = {(axis[i], axis[j]): (i, j) for i, j in cells}
-    analyze = reporting.normal_form
+    stack = reporting._stack_normal_forms
 
-    def flaky(m):
-        cell = planted.get((m[1, 1], m[0, 1]))
-        if cell is not None:
-            raise error(*cell)
-        return analyze(m)
+    def flaky(ms):
+        for m, result in zip(ms, stack(ms)):
+            cell = planted.get((m[1, 1], m[0, 1]))
+            yield result if cell is None else error(*cell)
 
-    monkeypatch.setattr(reporting, "normal_form", flaky)
+    monkeypatch.setattr(reporting, "_stack_normal_forms", flaky)
 
 
-class TestScanSplit:
-    """Rows split between the caller and a fork pool give the serial grid, bit for bit."""
+class TestScanStack:
+    """The grid is analysed as one stack; each cell still gets its own outcome."""
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_pool_matches_serial(self, monkeypatch, cpus):
-        # at 2 CPUs rows 1 and 3 go to the pool and row 2 stays with the
-        # caller; at 3 CPUs rows 1 and 2 go to the pool and row 3 stays
-        cells = [(1, 4), (2, 5), (3, 7)]
+    def test_planted_errors_are_recorded_in_row_major_order(self, monkeypatch):
+        cells = [(3, 7), (1, 4), (2, 5)]
         _fail_at(monkeypatch, cells, lambda i, j: SpectrumStructureError(f"planted at {i},{j}"))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = scan_two_mode(steps=21)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        split = scan_two_mode(steps=21)
+        grid = scan_two_mode(steps=21)
+        assert list(grid.errors.items()) == [(c, f"planted at {c[0]},{c[1]}") for c in sorted(cells)]
+        for i, j in cells:
+            assert grid.verdicts[i][j] == "error"
+            assert grid.signatures[i][j] == grid.structure[i][j] == "error:SpectrumStructureError"
+        assert grid.boundary[3, 7] and grid.boundary[3, 6]  # an error cell is a structure too
+        assert grid.verdicts[3][8] != "error"
 
-        assert list(serial.errors.items()) == [(c, f"planted at {c[0]},{c[1]}") for c in cells]
-        assert list(split.errors.items()) == list(serial.errors.items())
-        assert serialize_scan(split, boundary=True) == serialize_scan(serial, boundary=True)
-        assert split.verdicts == serial.verdicts
-        assert split.signatures == serial.signatures
-        assert split.structure == serial.structure
-        assert np.array_equal(split.boundary, serial.boundary)
-        assert split.signatures[3][7] == "error:SpectrumStructureError"
+    def test_unexpected_error_in_a_cell_propagates(self, monkeypatch):
+        # M = I (eta = 1, lambda = 0) has a repeated class, so it takes the per-matrix path
+        nf, analyzed = sys.modules["quadnf.normal_form"], []
+        analyze = nf.normal_form
 
-    def test_small_grid_stays_serial(self, monkeypatch):
-        # opening and closing a pool costs more than a few cells take
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("a small scan opened a pool")
+        def flaky(m):
+            analyzed.append((m[1, 1], m[0, 1]))
+            if (m[1, 1], m[0, 1]) == (1.0, 0.0):
+                raise RuntimeError("planted in the per-matrix path")
+            return analyze(m)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        grid = scan_two_mode(steps=(2, 1))
-        assert grid.errors == {} and len(grid.verdicts) == 2
-
-    def test_unexpected_error_in_a_pool_row_propagates(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        _fail_at(monkeypatch, [(3, 7)], lambda i, j: RuntimeError(f"pid {os.getpid()}"))
-        with pytest.raises(RuntimeError, match=r"^pid \d+$") as info:
+        monkeypatch.setattr(nf, "normal_form", flaky)
+        with pytest.raises(RuntimeError, match="^planted in the per-matrix path$"):
             scan_two_mode(steps=21)
-        assert str(info.value) != f"pid {os.getpid()}"  # raised in a pool worker
-        assert multiprocessing.active_children() == []
+        assert (1.0, 0.0) in analyzed and len(analyzed) < 21 * 21 // 10
+
+    def test_non_finite_cells_are_recorded_and_the_rest_classified(self):
+        # a NaN matrix fails validation per cell; it must not reach the stacked eig
+        grid = scan_two_mode((float("nan"), 1.0), (-1.0, 1.0), 3)
+        finite = scan_two_mode((1.0, 1.0), (-1.0, 1.0), (1, 3))
+        nan_rows = [i for i, eta in enumerate(grid.etas) if np.isnan(eta)]
+        assert nan_rows and len(nan_rows) < len(grid.etas)
+        assert list(grid.errors) == [(i, j) for i in nan_rows for j in range(3)]
+        assert all(msg.startswith("matrix has non-finite entries") for msg in grid.errors.values())
+        for i in range(len(grid.etas)):
+            if i in nan_rows:
+                assert grid.signatures[i] == ["error:StructureError"] * 3
+            else:
+                assert grid.verdicts[i] == finite.verdicts[0]
+                assert grid.signatures[i] == finite.signatures[0]
 
 
 class TestCli:
