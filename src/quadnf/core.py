@@ -197,8 +197,14 @@ def symplectic_residual(t: np.ndarray):
 
 
 def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:
-    """Validate that T is a real symplectic matrix and return it as float array."""
+    """Validate that T is a real symplectic matrix and return it as float array.
+
+    A T with a NaN or infinite entry, in either part, is refused: its
+    residual is not finite and would compare below any bound.
+    """
     t = np.asarray(t)
+    if not maxnorm(t) < np.inf:
+        raise ContractViolationError("transformation matrix has non-finite entries")
     if np.iscomplexobj(t):
         if maxnorm(t.imag) > cfg.tol(maxnorm(t)):
             raise ContractViolationError("transformation matrix must be real")
@@ -235,13 +241,19 @@ def similarity(k, t, *, _cond=None) -> np.ndarray:
     _even_dim(k, stack=True)
     cond = np.linalg.cond(t) if _cond is None else _cond
     if np.count_nonzero(_ill_conditioned(cond)):
-        raise IllConditionedError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.1e}")
+        raise _ill_conditioned_error(cond)
     return np.linalg.solve(t, k @ t)
 
 
 def _ill_conditioned(cond):
     """Whether each condition estimate is too large, or not finite, for ``similarity``."""
     return ~np.isfinite(cond) | (cond > COND_LIMIT)
+
+
+def _ill_conditioned_error(cond) -> IllConditionedError:
+    """The error ``similarity`` refuses a T of condition estimate ``cond`` with (the
+    largest of a stack's)."""
+    return IllConditionedError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.1e}")
 
 
 def bosonic_conversion(n_modes: int) -> np.ndarray:

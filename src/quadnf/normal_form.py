@@ -11,8 +11,8 @@ orthonormalized chains of K = J M, each case prescribes real column
 vectors for the transformation T = (T_+ T_-); ``build_case_columns``
 writes them for a whole group at once, with array operations over a
 chain axis (``_case_columns``).  The same data determines the real Jordan
-normal form K_N = T^{-1} K T block by block; each block is written down
-once, in ``_block``.  Blocks take consecutive modes in report order, into
+normal form K_N = T^{-1} K T block by block; ``_block`` writes a group's
+blocks at once too.  Blocks take consecutive modes in report order, into
 which ``assemble_transform`` gathers T once; the transformed Hamiltonian matrix
 N = T^T M T = -J K_N is then read off those blocks as a short list of
 elementary quadratic terms (oscillators, free particles, squeezers,
@@ -22,21 +22,24 @@ generates the expected blocks, emits the term list and decides the
 stability verdict.  A Bogoliubov diagonalization is the special case of
 an all-case-6, rank-1 spectrum, whose verdict is STABLE.
 
-``_stack_normal_forms`` runs ``normal_form`` over a stack of same-size
-matrices, as the two-mode scan does.  A member whose classes are all
-simple is built at array level with every other such member: one stacked
-eig(K), and the chains of cases 1, 2 and 6 normalized, written, ordered
-and checked over one flat chain axis by the same functions that
-``normal_form`` uses on one matrix, generalized to a leading axis.  Any
-other member takes ``normal_form`` itself, so every member's report or
-error is the one ``normal_form`` gives it alone.  A single matrix keeps
-the per-matrix path.
+One finisher, ``_finish``, ends every attempt: from the groups of a stack
+of matrices it orders the chains, gathers and checks T, and reads K_N and
+N off the blocks, over a leading member axis, and yields each member's
+report or the error that ends its attempt.  ``normal_form`` runs it on a
+stack of one.  ``_stack_normal_forms`` runs ``normal_form`` over a stack
+of same-size matrices, as the two-mode scan does: the members whose
+classes are all simple take their chains of cases 1, 2 and 6 from one
+stacked eig(K), normalized at array level, and ``_finish`` finishes them
+all at once.  Any other member, and any that ``_finish`` ends with an
+error, takes ``normal_form`` itself, so every member's report or error is
+the one ``normal_form`` gives it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +59,7 @@ from .core import (
     _eom,
     _hamiltonian_defects,
     _ill_conditioned,
+    _ill_conditioned_error,
     build_eom,
     similarity,
     symplectic_form,
@@ -210,13 +214,16 @@ class NormalFormReport:
 
 
 class _Group(NamedTuple):
-    """The orthonormalized chains of one case and rank: ``t_plus[c, j]``
-    (``t_minus[c, j]``) is column j of chain c in T_+ (T_-)."""
+    """The orthonormalized chains of one case and rank, of one matrix or of the
+    members of a stack: chain c is member ``members[c]``'s, of eigenvalue
+    ``eigenvalues[c]`` and sigma ``sigmas[c]`` (0 in cases 1, 2 and 4), and
+    ``t_plus[c, j]`` (``t_minus[c, j]``) is its column j in T_+ (T_-)."""
 
     case: int
     rank: int
-    eigenvalues: list
-    sigmas: list
+    members: np.ndarray
+    eigenvalues: np.ndarray
+    sigmas: np.ndarray
     t_plus: np.ndarray
     t_minus: np.ndarray
 
@@ -231,12 +238,13 @@ def build_case_columns(case: int, items) -> _Group:
     """
     chains = [chain for chain, _ in items]
     paired = case in (1, 2, 4)
-    sigmas = [None] * len(items) if paired else [complex(sigma) for _, sigma in items]
+    sigmas = np.array([0j if paired else complex(sigma) for _, sigma in items])
     t_plus, t_minus = _case_columns(
         case, np.array([chain.vectors for chain in chains]),
         np.array([other.vectors for _, other in items]) if paired else None,
-        None if paired else np.array(sigmas))
-    return _Group(case, chains[0].rank, [complex(chain.eigenvalue) for chain in chains], sigmas,
+        None if paired else sigmas)
+    return _Group(case, chains[0].rank, np.zeros(len(items), dtype=int),
+                  np.array([complex(chain.eigenvalue) for chain in chains]), sigmas,
                   t_plus, t_minus)
 
 
@@ -342,47 +350,57 @@ def _member_block(block: NormalFormBlock, g: int) -> NormalFormBlock:
 
 
 def expected_kn(blocks, n_modes: int) -> np.ndarray:
-    """Assemble the full expected K_N = [[O_I, O_R], [O_L, -O_I^T]]; of each
-    member of a stack, for blocks that ``_block`` wrote stacked over it."""
+    """Assemble the full expected K_N = [[O_I, O_R], [O_L, -O_I^T]] of blocks
+    that take consecutive modes."""
     covered = sum(b.size for b in blocks)
     if covered != n_modes:
         raise AssemblyError(f"blocks cover {covered} modes, expected {n_modes}")
+    first = np.cumsum([0] + [b.size for b in blocks])
+    return _stacked_kn(1, n_modes, [(b, [0], first[i:i + 1]) for i, b in enumerate(blocks)])[0]
+
+
+def _stacked_kn(count: int, n_modes: int, placed) -> np.ndarray:
+    """The expected K_N of each of ``count`` members, from (block, rows, first)
+    triples: chain c of ``block``, blocks ``_block`` wrote stacked over a chain
+    axis, lies in the K_N of member rows[c] from mode first[c] on."""
     n = n_modes
-    kn = np.zeros(blocks[0].i_i.shape[:-2] + (2 * n, 2 * n))
-    offset = 0
-    for b in blocks:
-        end = offset + b.size
-        kn[..., offset:end, offset:end] = b.i_i
-        kn[..., offset:end, n + offset:n + end] = b.i_r
-        kn[..., n + offset:n + end, offset:end] = b.i_l
-        offset = end
-    kn[..., n:, n:] = -kn[..., :n, :n].swapaxes(-1, -2)
+    kn = np.zeros((count, 2 * n, 2 * n))
+    for block, rows, first in placed:
+        modes = np.asarray(first)[:, None] + np.arange(block.size)
+        r, i, j = np.asarray(rows)[:, None, None], modes[:, :, None], modes[:, None, :]
+        kn[r, i, j], kn[r, i, n + j], kn[r, n + i, j] = block.i_i, block.i_r, block.i_l
+    kn[:, n:, n:] = -kn[:, :n, :n].swapaxes(-1, -2)
     return kn
 
 
-def assemble_transform(groups, order, n_modes: int,
-                       cfg: Config = DEFAULT) -> tuple[CanonicalTransform, float]:
-    """Gather T = (T_+ T_-) from the groups' columns and check the symplectic condition.
+def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT):
+    """Gather T = (T_+ T_-) of each member of a stack from the groups' columns,
+    and check the symplectic condition on each.
 
-    ``order`` lists the chains, numbered through the groups in turn, in
-    mode order.  On failure, the raised ``AssemblyError`` carries the
-    offending Gram residual matrix.  On success, returns T with the
-    symplectic residual checked.
+    ``order`` lists the chains, numbered through the groups in turn, member
+    by member and in mode order within each; each member's chains cover its
+    modes.  Returns the stacked T, each one's symplectic residual, and a
+    list holding, per member, None or the ``AssemblyError`` that ends its
+    attempt, which carries the offending Gram residual matrix.
     """
-    plus = [cols for g in groups for cols in g.t_plus]
-    minus = [cols for g in groups for cols in g.t_minus]
-    t = np.concatenate([plus[c] for c in order] + [minus[c] for c in order])
-    if len(t) != 2 * n_modes:
-        raise AssemblyError(f"column groups cover {len(t) // 2} modes, expected {n_modes}")
-    t = np.ascontiguousarray(t.T)
+    dim = 2 * n_modes
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))  # each chain's place in ``order``
+    width = [g.t_plus.shape[1] for g in groups]
+    by_mode = np.argsort(np.repeat(place, np.repeat(width, [len(g.members) for g in groups])),
+                         kind="stable")  # a chain's columns stay in order
+    t = np.concatenate([np.concatenate([getattr(g, part).reshape(-1, dim) for g in groups])[by_mode]
+                        .reshape(-1, n_modes, dim) for part in ("t_plus", "t_minus")], axis=1)
+    t = np.ascontiguousarray(t.swapaxes(1, 2))
     res = symplectic_residual(t)
-    if _not_symplectic(t, res, cfg):
+    errors: list = [None] * len(t)
+    for s in np.flatnonzero(_not_symplectic(t, res, cfg)).tolist():
         j = symplectic_form(n_modes)
-        raise AssemblyError(
-            f"assembled transformation is not symplectic: residual {res:.3e}",
-            gram_residual=t @ j @ t.T - j,
+        errors[s] = AssemblyError(
+            f"assembled transformation is not symplectic: residual {res[s]:.3e}",
+            gram_residual=t[s] @ j @ t[s].T - j,
         )
-    return CanonicalTransform(matrix=t), res
+    return t, res, errors
 
 
 def _not_symplectic(t: np.ndarray, res, cfg: Config):
@@ -519,67 +537,77 @@ def _mode_key(case, lam, rank, sigma):
     return (case, -np.hypot(lam.real, lam.imag), -lam.imag, -rank, -sigma.real, -sigma.imag)
 
 
-def _block_match(k, kn_actual, kn_expected, cond, cfg: Config):
-    """|T^-1 K T - K_N| and the budget it must not exceed, of one matrix or of
-    each of a stack: max(``VERIFY_TOL``, tolerance) (1 + max|K|) max(1, cond T)."""
-    residual = maxnorm(kn_actual - kn_expected, (-2, -1))
-    budget = max(VERIFY_TOL, cfg.tolerance) * (1.0 + maxnorm(k, (-2, -1))) * np.maximum(1.0, cond)
-    return residual, budget
+def _finish(ms, ks, spectra, groups, cfg: Config):
+    """Yield, for each member of a stack of M and K = J M in order, its report or
+    the error that ends its attempt, given its ``SpectrumReport`` in ``spectra``
+    and the groups of every member's orthonormalized chains.
 
+    Each step runs over the stack.  ``_block`` writes each group's blocks at
+    once, and one lexsort of ``_mode_key`` puts each member's chains in mode
+    order, in which ``assemble_transform`` gathers T and checks it
+    (``AssemblyError``).  Then cond(T) must pass ``similarity``'s limit
+    (``IllConditionedError``), and |T^-1 K T - K_N| must not exceed
+    max(``VERIFY_TOL``, tolerance) (1 + max|K|) max(1, cond T)
+    (``VerificationError``).  N = T^T M T is read off last; each report,
+    with its terms and verdict, is made as it is yielded.
+    """
+    count, dim = ks.shape[:2]
+    n_modes = dim // 2
+    blocks = [_block(g.case, g.eigenvalues, g.rank, None if g.case in (1, 2, 4) else g.sigmas)
+              for g in groups]
+    counts = [len(g.members) for g in groups]
+    case, rank, size = np.repeat(np.array([(g.case, g.rank, b.size)
+                                           for g, b in zip(groups, blocks)]), counts, axis=0).T
+    member, lam, sigma = (np.concatenate([getattr(g, name) for g in groups])
+                          for name in ("members", "eigenvalues", "sigmas"))
+    covered = np.bincount(member, weights=size)
+    if np.count_nonzero(covered != n_modes):
+        raise AssemblyError(f"column groups cover {covered[covered != n_modes][0]:.0f} modes, "
+                            f"expected {n_modes}")
+    # Member by member, then mode order (ties only within a group): each chain's
+    # first mode in its member's T and K_N.
+    order = np.lexsort(_mode_key(case, lam, rank, sigma)[::-1] + (member,))
+    first, ordered = np.empty_like(size), size[order]
+    first[order] = np.cumsum(ordered) - ordered - n_modes * member[order]
+    first = [first[end - each:end] for each, end in zip(counts, accumulate(counts))]
+    t, symplectic, errors = assemble_transform(groups, order, n_modes, cfg)
+    cond = np.linalg.cond(t)
+    for s in np.flatnonzero(_ill_conditioned(cond)).tolist():
+        errors[s] = errors[s] or _ill_conditioned_error(cond[s])
+    fine = np.flatnonzero([error is None for error in errors])
 
-def _n_matrix(m, t, kn_expected):
-    """N = T^T M T, symmetrized, and its distance to -J K_N, of one matrix or of
-    each of a stack."""
-    n_matrix = t.swapaxes(-1, -2) @ m @ t
-    n_matrix = (n_matrix + n_matrix.swapaxes(-1, -2)) / 2.0
-    n_expected = -_eom(kn_expected)  # -J K_N, exactly
-    return n_matrix, maxnorm(n_matrix - n_expected, (-2, -1))
-
-
-def _report(spectrum, transform, kn_actual, n_matrix, blocks, residuals) -> NormalFormReport:
-    """The report of checked results; ``residuals`` are symplectic, block_match,
-    n_reconstruction and condition, in this order."""
-    terms, zero_modes = emit_terms(blocks)
-    verdict, reasons = _verdict(blocks)
-    return NormalFormReport(
-        n_modes=spectrum.n_modes,
-        spectrum=spectrum,
-        transform=transform,
-        k_normal=kn_actual,
-        n_matrix=n_matrix,
-        blocks=blocks,
-        terms=terms,
-        verdict=verdict,
-        reasons=reasons,
-        zero_frequency_modes=zero_modes,
-        residuals=dict(zip(("symplectic", "block_match", "n_reconstruction", "condition"),
-                           residuals)),
-    )
-
-
-def _finish_report(m, k, spectrum, groups, cfg: Config) -> NormalFormReport:
-    n_modes = k.shape[0] // 2
-    chains = [(g.case, lam, g.rank, sigma)
-              for g in groups for lam, sigma in zip(g.eigenvalues, g.sigmas)]
-    keys = _mode_key(*(np.array(column) for column in zip(*(
-        (c, lam, d, sigma or 0j) for c, lam, d, sigma in chains))))
-    order = np.lexsort(keys[::-1]).tolist()  # mode order; ties only within a group
-    transform, symplectic = assemble_transform(groups, order, n_modes, cfg)
-    blocks = tuple(_block(*chains[c]) for c in order)
-    kn_expected = expected_kn(blocks, n_modes)
-    t = transform.matrix
-    cond = float(np.linalg.cond(t))
-    kn_actual = similarity(k, t, _cond=cond)
-    block_residual, budget = _block_match(k, kn_actual, kn_expected, cond, cfg)
-    if block_residual > budget:
-        raise VerificationError(
-            f"normal form mismatch: |T^-1 K T - expected| = {block_residual:.3e} "
-            f"exceeds {budget:.3e}",
-            residual=kn_actual - kn_expected,
+    kn_expected = _stacked_kn(count, n_modes, zip(blocks, (g.members for g in groups), first))[fine]
+    ks, ms, t, cond = ks[fine], ms[fine], t[fine], cond[fine]
+    kn_actual = similarity(ks, t, _cond=cond)
+    block_residual = maxnorm(kn_actual - kn_expected, (-2, -1))
+    budget = max(VERIFY_TOL, cfg.tolerance) * (1.0 + maxnorm(ks, (-2, -1))) * np.maximum(1.0, cond)
+    for j in np.flatnonzero(block_residual > budget).tolist():
+        errors[fine[j]] = VerificationError(
+            f"normal form mismatch: |T^-1 K T - expected| = {block_residual[j]:.3e} "
+            f"exceeds {budget[j]:.3e}",
+            residual=kn_actual[j] - kn_expected[j],
         )
-    n_matrix, n_residual = _n_matrix(m, t, kn_expected)
-    return _report(spectrum, transform, kn_actual, n_matrix, blocks,
-                   (symplectic, block_residual, n_residual, cond))
+    n_matrix = t.swapaxes(-1, -2) @ ms @ t
+    n_matrix = (n_matrix + n_matrix.swapaxes(-1, -2)) / 2.0
+    n_residual = maxnorm(n_matrix - -_eom(kn_expected), (-2, -1))  # -J K_N, exactly
+    residuals = [r.tolist() for r in (symplectic[fine], block_residual, n_residual, cond)]
+    where = [(b, c) for b, each in zip(blocks, counts) for c in range(each)]  # chain -> its block
+    rows, order, start = iter(range(len(fine))), order.tolist(), 0
+    for error, spectrum, end in zip(errors, spectra, accumulate(np.bincount(member).tolist())):
+        chains, start = order[start:end], end
+        if error is not None:
+            yield error
+            continue
+        j = next(rows)
+        mine = tuple(_member_block(*where[c]) for c in chains)
+        terms, zero_modes = emit_terms(mine)
+        verdict, reasons = _verdict(mine)
+        yield NormalFormReport(
+            n_modes=n_modes, spectrum=spectrum, transform=CanonicalTransform(matrix=t[j]),
+            k_normal=kn_actual[j], n_matrix=n_matrix[j], blocks=mine, terms=terms,
+            verdict=verdict, reasons=reasons, zero_frequency_modes=zero_modes,
+            residuals=dict(zip(("symplectic", "block_match", "n_reconstruction", "condition"),
+                               (r[j] for r in residuals))))
 
 
 def _attempt_normal_form(m, k, classes, eigenvalues, vectors, cfg: Config) -> NormalFormReport:
@@ -606,7 +634,10 @@ def _attempt_normal_form(m, k, classes, eigenvalues, vectors, cfg: Config) -> No
             for item in orthonormalize_imaginary(k, lam, chains):
                 add(5 + item[0].rank % 2, [item])
     groups = [build_case_columns(case, items) for (case, _), items in by_group.items()]
-    return _finish_report(m, k, spectrum, groups, cfg)
+    (outcome,) = _finish(m[None], k[None], (spectrum,), groups, cfg)
+    if isinstance(outcome, QuadnfError):
+        raise outcome
+    return outcome
 
 
 def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
@@ -681,20 +712,25 @@ def _stack_normal_forms(ms):
 
     A member that passes ``require_hamiltonian_matrix``'s checks and whose
     classes are all simple at t_0, as ``_stack_simple_classes`` decides over
-    the stack from one stacked eig(K), is built at array level by
-    ``_simple_reports``.  Every other member, and any that fails a check
-    there, goes to ``normal_form`` itself, so its report or error, attempt
-    records included, is the per-matrix one.  An exception other than
-    ``QuadnfError`` propagates.  Each report is made as it is yielded, so a
-    caller that keeps only what it reads from each holds one at a time.
+    the stack from one stacked eig(K), has its rank-1 chains normalized at
+    array level by ``_simple_members`` and is finished with every other such
+    member by ``_finish``, as ``normal_form`` finishes one matrix.  Every
+    other member, and any that ``_finish`` ends with an error, goes to
+    ``normal_form`` itself, so its report or error, attempt records included,
+    is the per-matrix one.  An exception other than ``QuadnfError``
+    propagates.  Each report is made as it is yielded, so a caller that keeps
+    only what it reads from each holds one at a time.
     """
     ms = np.asarray(ms, dtype=float)
     non_finite, asymmetric, _, _ = _hamiltonian_defects(ms, DEFAULT)
-    valid = ~(non_finite | asymmetric)
-    simple = _simple_reports(ms[valid])
-    for m, checked in zip(ms, valid.tolist()):
-        result = next(simple, None) if checked else None
-        if result is None:
+    valid = np.flatnonzero(~(non_finite | asymmetric))
+    taken, ks, spectra, groups = _simple_members(ms[valid])
+    sure = np.zeros(len(ms), dtype=bool)
+    sure[valid[taken]] = True
+    finished = _finish(ms[valid[taken]], ks, spectra, groups, DEFAULT)
+    for m, built in zip(ms, sure.tolist()):
+        result = next(finished) if built else None
+        if not isinstance(result, NormalFormReport):
             try:
                 result = normal_form(m)
             except QuadnfError as exc:
@@ -702,45 +738,19 @@ def _stack_normal_forms(ms):
         yield result
 
 
-def _simple_reports(ms: np.ndarray):
-    """Yield, for each member of a stack of valid M in order, its report if its
-    classes are all simple at t_0 and it passes every check, else None; the
-    iteration stops early once no member is left to report.  Each report is
-    made from ``_simple_members``' arrays as it is yielded."""
-    built = _simple_members(ms)
-    if built is None:
-        return
-    row, spectra, blocks, t, kn_actual, n_matrix, residuals = built
-    n_modes = ms.shape[1] // 2
-    for s, j in enumerate(row.tolist()):
-        if j < 0:
-            yield None
-            continue
-        stacked, g = blocks[j]
-        yield _report(SpectrumReport(n_modes, spectra[s]), CanonicalTransform(matrix=t[j]),
-                      kn_actual[j], n_matrix[j], tuple(_member_block(b, g) for b in stacked),
-                      tuple(r[j] for r in residuals))
-
-
 def _simple_members(ms: np.ndarray):
-    """The checked arrays of the members of a stack of valid M whose classes are
-    all simple at t_0: (row, spectra, blocks, t, kn_actual, n_matrix, residuals),
-    where ``row[s]`` is member s's row in the arrays, -1 for a member left to
-    ``normal_form``; None when no member is left.
+    """The members of a stack of valid M whose classes are all simple at t_0 and
+    whose rank-1 chains pair up, ready for ``_finish``: (taken, ks, spectra,
+    groups), where ``taken`` indexes them in the stack, ``ks`` holds their
+    K = J M, ``spectra`` their ``SpectrumReport``s, and ``groups`` one group
+    per case whose ``members`` number the taken members.
 
-    Each step is ``normal_form``'s on such a spectrum, run over a flat axis
-    of every sure member's rank-1 chains or over the sure members, by the
-    per-matrix path's own code: the chains of each case are normalized by
-    ``_simple_pair`` or ``_simple_self_dual`` and written by
-    ``_case_columns``; one lexsort of ``_mode_key`` gathers T in mode order;
-    ``symplectic_residual``, ``_not_symplectic``, cond(T), ``similarity``
-    and ``_block_match`` check it against ``_block``'s blocks, stacked over
-    the members whose cases run alike; ``emit_terms`` and ``_verdict`` run
-    per member, in ``_report``.
+    The chains are those ``normal_form`` takes on such a spectrum, over a
+    flat axis of every sure member's classes: the eig(K) columns, normalized
+    by ``_simple_pair`` or ``_simple_self_dual`` and written by
+    ``_case_columns``.  A member with a vanishing pairing is not taken.
     """
     count, dim = ms.shape[:2]
-    if not count:
-        return None
     ks = _eom(ms)
     eigenvalues, vectors = np.linalg.eig(ks)
     ok, member, classes, lam_col, neg_col = _stack_simple_classes(ks, eigenvalues)
@@ -764,62 +774,22 @@ def _simple_members(ms: np.ndarray):
             ok[member[of[~usable]]] = False
             pairings[c] = of, g, gt, w
     taken = np.flatnonzero(ok)
-    if not len(taken):
-        return None
-    chains, plus, minus, column_of = [], [], [], []
-    sigma = np.zeros(len(classes), dtype=complex)
+    renumber = np.cumsum(ok) - 1  # a taken member's place among the taken
+    lam = np.array([c.representative for c in classes], dtype=complex)
+    groups = []
     for c, (of, g, gt, w) in pairings.items():
         live = ok[member[of]]
         of, g, w = of[live], g[live], w[live]
         if c == 6:
-            e, sigma[of] = _simple_self_dual(g, w)
-            t_plus, t_minus = _case_columns(6, e[:, None], None, sigma[of])
+            e, sigma = _simple_self_dual(g, w)
+            t_plus, t_minus = _case_columns(6, e[:, None], None, sigma)
         else:
             e, et = _simple_pair(g, gt[live], w)
+            sigma = np.zeros(len(of), dtype=complex)
             t_plus, t_minus = _case_columns(c, e[:, None], et[:, None], None)
-        chains.append(of)
-        plus.append(t_plus.reshape(-1, dim))
-        minus.append(t_minus.reshape(-1, dim))
-        column_of.append(np.repeat(of, t_plus.shape[1]))
-    chains, column_of = np.concatenate(chains), np.concatenate(column_of)
-
-    # Each member's T, its chains' columns in mode order, and its checks.
-    lam = np.array([c.representative for c in classes], dtype=complex)
-    keys = _mode_key(case[chains], lam[chains], np.ones(len(chains), dtype=int), sigma[chains])
-    order = chains[np.lexsort(keys[::-1] + (member[chains],))]
-    rank = np.empty(len(classes), dtype=int)
-    rank[order] = np.arange(len(order))
-    by_mode = np.argsort(rank[column_of], kind="stable")  # a chain's columns stay in order
-    t = np.concatenate([np.concatenate(plus)[by_mode].reshape(len(taken), dim // 2, dim),
-                        np.concatenate(minus)[by_mode].reshape(len(taken), dim // 2, dim)], axis=1)
-    t = np.ascontiguousarray(np.swapaxes(t, 1, 2))
-    symplectic = symplectic_residual(t)
-    cond = np.linalg.cond(t)
-    fine = np.flatnonzero(~_not_symplectic(t, symplectic, DEFAULT) & ~_ill_conditioned(cond))
-    if not len(fine):
-        return None
-    # The blocks of the members whose cases run alike in mode order, stacked.
-    chains_of = np.split(order, np.cumsum(np.bincount(member[order], minlength=count))[:-1])
-    layouts: dict = {}
-    for j, s in enumerate(taken[fine].tolist()):
-        layouts.setdefault(tuple(case[chains_of[s]].tolist()), []).append(j)
-    kn_expected = np.empty((len(fine), dim, dim))
-    blocks: list = [None] * len(fine)  # each row's layout blocks and its place in them
-    for layout, rows in layouts.items():
-        at = np.array([chains_of[s] for s in taken[fine[rows]].tolist()])
-        stacked = [_block(c, lam[at[:, p]], 1, sigma[at[:, p]] if c == 6 else None)
-                   for p, c in enumerate(layout)]
-        kn_expected[rows] = expected_kn(stacked, dim // 2)
-        for g, j in enumerate(rows):
-            blocks[j] = stacked, g
+        groups.append(_Group(c, 1, renumber[member[of]], lam[of], sigma, t_plus, t_minus))
     spectra: list = [[] for _ in range(count)]
     for s, cls in zip(member.tolist(), classes):
         spectra[s].append(cls)
-    ks, ms, t, cond = ks[taken[fine]], ms[taken[fine]], t[fine], cond[fine]
-    kn_actual = similarity(ks, t, _cond=cond)
-    block_residual, budget = _block_match(ks, kn_actual, kn_expected, cond, DEFAULT)
-    n_matrix, n_residual = _n_matrix(ms, t, kn_expected)
-    row = np.full(count, -1)
-    row[taken[fine]] = np.where(block_residual > budget, -1, np.arange(len(fine)))
-    residuals = (symplectic[fine], block_residual, n_residual, cond.tolist())
-    return row, [tuple(c) for c in spectra], blocks, t, kn_actual, n_matrix, residuals
+    spectra = [SpectrumReport(dim // 2, tuple(spectra[s])) for s in taken.tolist()]
+    return taken, ks[taken], spectra, groups

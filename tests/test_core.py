@@ -148,6 +148,16 @@ class TestTransformHamiltonian:
         with pytest.raises(ContractViolationError):
             transform_hamiltonian(np.eye(2), 2 * np.eye(2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                       complex(np.nan, 0.0)])
+    def test_non_finite_transform_rejected(self, entry):
+        # A NaN residual compares below every bound, so T's entries are checked
+        # first, in both parts of a complex T.
+        t = np.eye(4, dtype=type(entry))
+        t[0, 0] = entry
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            transform_hamiltonian(np.eye(4), t)
+
 
 class TestSimilarity:
     def test_identity(self):

@@ -396,14 +396,17 @@ class TestAssemblyCheck:
         ((groups, order, n_modes),) = seen
         t_plus = groups[0].t_plus.copy()
         t_plus[0, 0] *= 2
-        (column,) = [j for j in range(2 * n_modes) if np.array_equal(t[:, j], t_plus[0, 0] / 2)]
+        # Chain 0's first column follows the columns of the chains before it in mode order.
+        widths = [g.t_plus.shape[1] for g in groups for _ in g.members]
+        column = sum(widths[c] for c in order[:list(order).index(0)])
         broken = t.copy()
         broken[:, column] *= 2
         j = symplectic_form(n_modes)
-        with pytest.raises(AssemblyError, match="not symplectic") as info:
-            assemble([groups[0]._replace(t_plus=t_plus), *groups[1:]], order, n_modes)
-        assert f"residual {symplectic_residual(broken):.3e}" in str(info.value)
-        assert np.array_equal(info.value.gram_residual, broken @ j @ broken.T - j)
+        assert assemble(groups, order, n_modes)[2] == [None]
+        _, _, (error,) = assemble([groups[0]._replace(t_plus=t_plus), *groups[1:]], order, n_modes)
+        assert isinstance(error, AssemblyError) and "not symplectic" in str(error)
+        assert f"residual {symplectic_residual(broken):.3e}" in str(error)
+        assert np.array_equal(error.gram_residual, broken @ j @ broken.T - j)
 
 
 def is_bogoliubov(spectrum) -> bool:
@@ -568,7 +571,7 @@ class TestPipeline:
         cfg = MatrixDocument(2, m, tolerance).config()
         cond = normal_form(m, cfg).residuals["condition"]
         nf = sys.modules["quadnf.normal_form"]
-        expected, attempt, raised = nf.expected_kn, nf._attempt_normal_form, []
+        expected, attempt, raised = nf._stacked_kn, nf._attempt_normal_form, []
 
         def recorded_attempt(*args):
             try:
@@ -577,7 +580,7 @@ class TestPipeline:
                 raised.append(str(exc))
                 raise
 
-        monkeypatch.setattr(nf, "expected_kn", lambda blocks, n: expected(blocks, n) + 1.0)
+        monkeypatch.setattr(nf, "_stacked_kn", lambda *args: expected(*args) + 1.0)
         monkeypatch.setattr(nf, "_attempt_normal_form", recorded_attempt)
         with pytest.raises(QuadnfError):  # the widest radius's error, not the first
             normal_form(m, cfg)
@@ -964,6 +967,30 @@ class TestStackNormalForms:
         ms = np.array([two_mode_m(eta, lam) for eta in axis for lam in axis])
         results, alone = self.stacked(ms, monkeypatch)
         assert alone == [not self.all_simple(r) for r in results]  # only repeated classes
+        for got, m in zip(results, ms):
+            self.assert_same_outcome(got, m)
+
+    @pytest.mark.parametrize("check", ["_not_symplectic", "_ill_conditioned"])
+    def test_a_member_failing_a_check_falls_back_alone(self, check, rng, monkeypatch):
+        # The stack's finisher flags member 1 of three generic members as not
+        # symplectic or ill-conditioned; that member alone reaches normal_form,
+        # and every outcome is normal_form's.
+        nf = sys.modules["quadnf.normal_form"]
+        flags = getattr(nf, check)
+
+        def flag_member_1(first, *args):
+            flagged = flags(first, *args)
+            if len(flagged) == 3:  # the stack's call, not a fallback's
+                flagged = flagged.copy()
+                flagged[1] = True
+            return flagged
+
+        monkeypatch.setattr(nf, check, flag_member_1)
+        a = rng.normal(size=(3, 6, 6))
+        ms = (a + a.swapaxes(1, 2)) / 2
+        results, alone = self.stacked(ms, monkeypatch)
+        assert alone == [False, True, False]
+        assert all(self.all_simple(r) for r in results)
         for got, m in zip(results, ms):
             self.assert_same_outcome(got, m)
 

@@ -12,9 +12,11 @@ exception's class and message followed by its ``attempts`` records,
 one a line, when the pipeline raises.  The planted
 pool then runs once more under a document's structural tolerance of
 1e-6, ``MatrixDocument(...).config()``, labelled
-``planted-defective@1e-06``.  A last line gives the SHA-1 of the
-``scan-2mode`` table, ``serialize_scan(..., boundary=True)`` of the
-default 41x41 grid.  Two source trees produce
+``planted-defective@1e-06``.  Two last lines give the SHA-1 of a scan
+table, ``serialize_scan(..., boundary=True)``: ``scan-2mode`` of the
+default 41x41 grid, and ``scan-offgrid`` of eta in [-3, 3] by lambda in
+[-1.5, 1.5] at 37 steps (``OFFGRID``), most of whose points fall between
+the default grid's.  Two source trees produce
 bit-identical reports when the outputs of this script on them are
 identical, e.g.
 
@@ -49,13 +51,19 @@ from workloads import SCAN_RANGE, SCAN_STEPS, PlantedInput, make_workload  # noq
 MATRIX_PASSES = (("generic-n32", None), ("pd-n32", None), ("planted-defective", None),
                  ("planted-defective", 1e-6))
 
+# A second scan grid, (eta range, lambda range, steps): wider in eta and finer
+# in lambda than the default one, so most of its cells and boundaries fall
+# between that grid's, and the stacked scan path is compared on matrices the
+# default grid does not reach.
+OFFGRID = ((-3.0, 3.0), (-1.5, 1.5), 37)
+
 
 def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
 def digests(seed: int):
-    """Yield (workload, index, digest) for each pool input, then the scan's."""
+    """Yield (workload, index, digest) for each pool input, then the two scans'."""
     import quadnf
     from quadnf import normal_form
     from quadnf.reporting import (
@@ -82,6 +90,7 @@ def digests(seed: int):
             yield label, index, _sha1(text)
     grid = scan_two_mode(SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
     yield "scan-2mode", 0, _sha1(serialize_scan(grid, boundary=True))
+    yield "scan-offgrid", 0, _sha1(serialize_scan(scan_two_mode(*OFFGRID), boundary=True))
 
 
 def main(argv=None) -> int:
