@@ -12,6 +12,7 @@ matrix-exponential propagator with a boundedness oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,18 @@ def _even_dim(a: np.ndarray, stack: bool = False) -> int:
     return dim // 2
 
 
+def _mode_count(n_modes) -> int:
+    """N as an int, raising unless it is an integer >= 1: a float or a bool is
+    refused, not truncated; a NumPy integer is taken."""
+    try:
+        n = None if isinstance(n_modes, bool) else operator.index(n_modes)
+    except TypeError:
+        n = None
+    if n is None or n < 1:
+        raise InvalidDimensionError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+    return n
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form J = [[0, I], [-I, 0]] for ``n_modes`` modes.
 
@@ -69,9 +82,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     n_modes : int
         Number of modes N; the result is 2N x 2N with integer entries.
     """
-    if n_modes < 1:
-        raise InvalidDimensionError(f"n_modes must be >= 1, got {n_modes}")
-    n = int(n_modes)
+    n = _mode_count(n_modes)
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -258,9 +269,7 @@ def _ill_conditioned_error(cond) -> IllConditionedError:
 
 def bosonic_conversion(n_modes: int) -> np.ndarray:
     """Unitary G mapping (a_1..a_N, a_1^+..a_N^+) to the quadrature ordering."""
-    if n_modes < 1:
-        raise InvalidDimensionError(f"n_modes must be >= 1, got {n_modes}")
-    n = int(n_modes)
+    n = _mode_count(n_modes)
     eye = np.eye(n)
     return np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
 

@@ -28,11 +28,12 @@ N off the blocks, over a leading member axis, and yields each member's
 report or the error that ends its attempt.  ``normal_form`` runs it on a
 stack of one.  ``_stack_normal_forms`` runs ``normal_form`` over a stack
 of same-size matrices, as the two-mode scan does: the members whose
-classes are all simple take their chains of cases 1, 2 and 6 from one
-stacked eig(K), normalized at array level, and ``_finish`` finishes them
-all at once.  Any other member, and any that ``_finish`` ends with an
-error, takes ``normal_form`` itself, so every member's report or error is
-the one ``normal_form`` gives it alone.
+classes are certainly all simple, their eig(K) values well apart, take
+their chains of cases 1, 2 and 6 from one stacked eig(K), normalized at
+array level, and ``_finish`` finishes them all at once.  Any other
+member, and any that ``_finish`` ends with an error, takes
+``normal_form`` itself, so every member's report or error is the one
+``normal_form`` gives it alone.
 """
 
 from __future__ import annotations
@@ -545,8 +546,9 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
     Each step runs over the stack.  ``_block`` writes each group's blocks at
     once, and one lexsort of ``_mode_key`` puts each member's chains in mode
     order, in which ``assemble_transform`` gathers T and checks it
-    (``AssemblyError``).  Then cond(T) must pass ``similarity``'s limit
-    (``IllConditionedError``), and |T^-1 K T - K_N| must not exceed
+    (``AssemblyError``).  Then cond(T), of the members whose T passed, must
+    pass ``similarity``'s limit (``IllConditionedError``), and, when a member
+    is left to transform, |T^-1 K T - K_N| must not exceed
     max(``VERIFY_TOL``, tolerance) (1 + max|K|) max(1, cond T)
     (``VerificationError``).  N = T^T M T is read off last; each report,
     with its terms and verdict, is made as it is yielded.
@@ -571,14 +573,16 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
     first[order] = np.cumsum(ordered) - ordered - n_modes * member[order]
     first = [first[end - each:end] for each, end in zip(counts, accumulate(counts))]
     t, symplectic, errors = assemble_transform(groups, order, n_modes, cfg)
-    cond = np.linalg.cond(t)
-    for s in np.flatnonzero(_ill_conditioned(cond)).tolist():
-        errors[s] = errors[s] or _ill_conditioned_error(cond[s])
     fine = np.flatnonzero([error is None for error in errors])
+    cond = np.linalg.cond(t[fine]) if len(fine) else np.empty(0)
+    ill = _ill_conditioned(cond)
+    for j in np.flatnonzero(ill).tolist():
+        errors[fine[j]] = _ill_conditioned_error(cond[j])
+    fine, cond = fine[~ill], cond[~ill]
 
     kn_expected = _stacked_kn(count, n_modes, zip(blocks, (g.members for g in groups), first))[fine]
-    ks, ms, t, cond = ks[fine], ms[fine], t[fine], cond[fine]
-    kn_actual = similarity(ks, t, _cond=cond)
+    ks, ms, t = ks[fine], ms[fine], t[fine]
+    kn_actual = similarity(ks, t, _cond=cond) if len(fine) else t  # no member left: t is empty
     block_residual = maxnorm(kn_actual - kn_expected, (-2, -1))
     budget = max(VERIFY_TOL, cfg.tolerance) * (1.0 + maxnorm(ks, (-2, -1))) * np.maximum(1.0, cond)
     for j in np.flatnonzero(block_residual > budget).tolist():
@@ -711,15 +715,16 @@ def _stack_normal_forms(ms):
     shape (S, 2N, 2N), in order: its report, or the ``QuadnfError`` it raises.
 
     A member that passes ``require_hamiltonian_matrix``'s checks and whose
-    classes are all simple at t_0, as ``_stack_simple_classes`` decides over
-    the stack from one stacked eig(K), has its rank-1 chains normalized at
-    array level by ``_simple_members`` and is finished with every other such
-    member by ``_finish``, as ``normal_form`` finishes one matrix.  Every
-    other member, and any that ``_finish`` ends with an error, goes to
-    ``normal_form`` itself, so its report or error, attempt records included,
-    is the per-matrix one.  An exception other than ``QuadnfError``
-    propagates.  Each report is made as it is yielded, so a caller that keeps
-    only what it reads from each holds one at a time.
+    classes ``_stack_simple_classes`` certifies all simple at t_0, from one
+    stacked eig(K) (its values pairwise more than 40 clustering radii apart,
+    and a few checks), has its rank-1 chains normalized at array level by
+    ``_simple_members`` and is finished with every other such member by
+    ``_finish``, as ``normal_form`` finishes one matrix.  Every other member,
+    and any that ``_finish`` ends with an error, goes to ``normal_form``
+    itself, so its report or error, attempt records included, is the
+    per-matrix one.  An exception other than ``QuadnfError`` propagates.
+    Each report is made as it is yielded, so a caller that keeps only what
+    it reads from each holds one at a time.
     """
     ms = np.asarray(ms, dtype=float)
     non_finite, asymmetric, _, _ = _hamiltonian_defects(ms, DEFAULT)
@@ -739,11 +744,12 @@ def _stack_normal_forms(ms):
 
 
 def _simple_members(ms: np.ndarray):
-    """The members of a stack of valid M whose classes are all simple at t_0 and
-    whose rank-1 chains pair up, ready for ``_finish``: (taken, ks, spectra,
-    groups), where ``taken`` indexes them in the stack, ``ks`` holds their
-    K = J M, ``spectra`` their ``SpectrumReport``s, and ``groups`` one group
-    per case whose ``members`` number the taken members.
+    """The members of a stack of valid M whose classes ``_stack_simple_classes``
+    certifies all simple at t_0 and whose rank-1 chains pair up, ready for
+    ``_finish``: (taken, ks, spectra, groups), where ``taken`` indexes them
+    in the stack, ``ks`` holds their K = J M, ``spectra`` their
+    ``SpectrumReport``s, and ``groups`` one group per case whose
+    ``members`` number the taken members.
 
     The chains are those ``normal_form`` takes on such a spectrum, over a
     flat axis of every sure member's classes: the eig(K) columns, normalized

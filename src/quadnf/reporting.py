@@ -353,11 +353,11 @@ def scan_two_mode(
     every classification boundary to within one cell.
 
     The grid's matrices go to ``normal_form._stack_normal_forms`` as one
-    stack: a point whose classes are all simple is built at array level
-    with every other such point, and the rest (repeated classes, as on the
-    classification boundaries, or a matrix ``normal_form`` rejects) one by
-    one; each report, and each error with its message, is the one
-    ``normal_form`` gives that point alone.  An exception other than
+    stack: a point whose classes are all simple and well apart is built at
+    array level with every other such point, and the rest (repeated or close
+    classes, as on the classification boundaries, or a matrix ``normal_form``
+    rejects) one by one; each report, and each error with its message, is
+    the one ``normal_form`` gives that point alone.  An exception other than
     ``QuadnfError`` propagates.
     """
     if isinstance(steps, int):

@@ -16,7 +16,12 @@ invariant subspace in a Schur form, and ``extract_class_chains`` turns
 that record into the class's chains.  A class's chain ranks always add up
 to its algebraic multiplicity, so the zero class has an even number of
 odd-rank chains.  Which of the normal form's six chain cases a chain
-falls in is decided in ``normal_form``, not here.
+falls in is decided in ``normal_form``, not here.  For a stack of K,
+``_stack_simple_classes`` certifies at once the members whose classes are
+all simple at t_0: their snapped eig(K) values lie pairwise more than
+``_APART`` times ``_NEAR`` clustering radii apart, which, with a few
+checks, proves what ``cluster_eigenvalues`` and ``classify_spectrum``
+would decide.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .errors import (
     AmbiguousSpectrumError,
     BorderlineRankWarning,
     ChainExtractionError,
+    ContractViolationError,
     SpectrumStructureError,
 )
 
@@ -58,6 +64,11 @@ RANK_TOL = 1e-7
 # A mirror partner, and any member of an orbit around its mean, lies within
 # _NEAR clustering radii.
 _NEAR = 10
+
+# The certificate of ``_stack_simple_classes``: snapped eig(K) values pairwise more
+# than _APART * _NEAR radii apart.  Its proof needs gaps above 2 near, 3 near and
+# 2 near + 2 sqrt(2) radii; 4 clears the largest by one near, so no step is tight.
+_APART = 4
 
 
 class EigenvalueKind(Enum):
@@ -146,12 +157,6 @@ def _kind(re: float, im: float) -> EigenvalueKind:
             if re else EigenvalueKind.IMAGINARY_PAIR if im else EigenvalueKind.ZERO)
 
 
-def _owners(raw: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """For each raw eigenvalue, the index of its nearest center (the first on a tie),
-    over any leading axes."""
-    return np.argmin(np.abs(raw[..., :, None] - centers[..., None, :]), axis=-1)
-
-
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
     merges the first close pair i < j, in row-major order, into its weighted mean at i.
@@ -191,8 +196,11 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     ``CLUSTERING_TOL`` unless given (``normal_form`` widens it).  A cluster
     whose mirror partner is missing or has a different multiplicity
     raises ``SpectrumStructureError``; a merge inconsistency raises
-    ``AmbiguousSpectrumError``.
+    ``AmbiguousSpectrumError``.  A ``tol`` that is not finite or is negative
+    raises ``ContractViolationError``; 0 merges only equal values.
     """
+    if not 0 <= tol < np.inf:
+        raise ContractViolationError(f"tol must be a finite number >= 0, got {tol!r}")
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
     eps = float(_radius(k, tol))
@@ -383,7 +391,7 @@ def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
     if own:
         centers = sorted((mu for cls in classes for mu in cls.members),
                          key=lambda z: (-z.real, -z.imag))
-        owner = _owners(np.asarray(_eigenvalues), np.array(centers))
+        owner = np.argmin(np.abs(np.asarray(_eigenvalues)[:, None] - np.array(centers)), axis=1)
         owned = np.bincount(owner, minlength=len(centers))  # raw eigenvalues per member
         raw_of = np.zeros(len(centers), dtype=int)  # 0 for a member no raw value owns
         raw_of[owner] = np.arange(len(owner))
@@ -419,59 +427,51 @@ def _stack_simple_classes(ks: np.ndarray, eigenvalues: np.ndarray):
     ``eigenvalues`` holds each member's eig(K) values.  A member is sure
     when ``classify_spectrum(k, cluster_eigenvalues(k), ...)`` on its
     values, with its eig(K) columns, certainly gives classes of algebraic
-    and geometric multiplicity 1, none at zero; this decides that for the
-    whole stack at once.  It holds when:
+    and geometric multiplicity 1, none at zero.  With eps the clustering
+    radius and near = ``_NEAR`` eps, that holds when its snapped values lie
+    pairwise more than ``_APART`` near apart (the certificate), each mirror
+    image of a value has a value within near, distinct images have distinct
+    ones, each value of an orbit lies within near of the orbit's corner in
+    its quadrant (its own corner), and the orbit's size is its kind's, not
+    zero's.  The certificate proves the rest, by the triangle inequality:
 
-    - no two eigenvalues lie within the radius eps, so none merges;
-    - each mirror image of a snapped value has exactly one value within
-      10 eps, distinct images have distinct ones, and no orbit takes a
-      value an earlier one took, so the orbit search has one outcome;
-    - every member of an orbit lies within 10 eps of the orbit's corner,
-      and the orbit's size is its kind's, which is not zero;
-    - each eig(K) value owns exactly one member of one class.
+    - snapping moves a value by at most sqrt(2) eps, so none merges;
+    - with a gap above 2 near, each image has at most one value within near;
+    - with a gap above 3 near, the partner rows of an orbit's members agree:
+      if w lies within near of the image x(v) of v, then for each mirror map
+      g the values within near of g(w) and of g(x(v)) lie within 3 near of
+      each other.  So the orbits partition the values, each opening at its
+      lowest one, and no orbit takes a value an earlier one took;
+    - a raw value lies within near + sqrt(2) eps of its own corner and more
+      than 3 near - sqrt(2) eps from every other center, the own corner of
+      another value, so the owner map is one to one by construction, and
+      lam's and -lam's columns are those of the values nearest lam and -lam.
 
-    A member that fails any of these is not sure, and is left to the
-    per-matrix path, which decides it.
+    Any other member is left to the per-matrix path, which decides it.
 
     Returns (sure, member, classes, lam_col, neg_col): whether each member
     is sure and, for every class of a sure member, in report order, the
     member's index, its ``EigenvalueClass`` (geometric 1) and the eig(K)
     columns of lam and -lam.
     """
-    count, dim = eigenvalues.shape
-    rows = np.arange(count)[:, None]
+    dim = eigenvalues.shape[1]
     raw = eigenvalues.astype(complex)  # a stack of real spectra comes back real
     eps = _radius(ks, CLUSTERING_TOL)[:, None]
     near = _NEAR * eps
-    gap = raw[:, :, None] - raw[:, None, :]
-    apart = np.hypot(gap.real, gap.imag) > eps[..., None]
-    apart[:, range(dim), range(dim)] = True
-    sure = apart.all(axis=(1, 2))
-
     values = np.empty_like(raw)
     values.real, values.imag = _snap(raw.real, eps), _snap(raw.imag, eps)
-    images = [values, -values, values.conj(), -values.conj()]
-    partner = []  # (member, value, image) -> the one value within near of the image
-    for image in images:
-        gap = values[:, None, :] - image[:, :, None]
-        within = np.hypot(gap.real, gap.imag) <= near[..., None]
-        sure &= (within.sum(axis=-1) == 1).all(axis=1)
-        partner.append(within.argmax(axis=-1))
-    partner = np.stack(partner, axis=-1)
-    for a in range(4):
-        for b in range(a):
-            sure &= ~((images[a] != images[b]) & (partner[..., a] == partner[..., b])).any(axis=1)
+    images = np.stack([values, -values, values.conj(), -values.conj()], axis=-1)
+    gap = values[:, None, None, :] - images[..., None]  # (member, value, image, value)
+    gap = np.hypot(gap.real, gap.imag)
+    nearest = np.sort(gap[..., 0, :], axis=-1)[..., 1]  # image 0 is the value, 0 from itself
+    sure = (nearest > _APART * near).all(axis=1)  # the certificate
+    sure &= (gap.min(axis=-1) <= near[..., None]).all(axis=(1, 2))  # each image has a partner
+    partner = gap.argmin(axis=-1)  # (member, value, image) -> the value within near
+    sure &= ((partner[..., :, None] == partner[..., None, :])
+             == (images[..., :, None] == images[..., None, :])).all(axis=(1, 2, 3))
 
-    # The orbit search in index order: the first value not taken opens an orbit.
-    used = np.zeros((count, dim), dtype=bool)
-    member, orbit = [], []
-    for i in range(dim):
-        opens = ~used[:, i]
-        sure &= ~(opens & used[rows, partner[:, i]].any(axis=1))
-        used[rows, partner[:, i]] |= opens[:, None]
-        member.append(np.flatnonzero(opens))
-        orbit.append(np.sort(partner[opens, i], axis=1))
-    member, orbit = np.concatenate(member), np.concatenate(orbit)
+    member, first = np.nonzero(partner.min(axis=-1) == np.arange(dim))  # each orbit's lowest
+    orbit = np.sort(partner[member, first], axis=1)
     size = 1 + (np.diff(orbit, axis=1) != 0).sum(axis=1)  # distinct values: 1, 2 or 4
     sure[member[size == 1]] = False
     re, im = np.zeros(len(member)), np.zeros(len(member))
@@ -486,35 +486,18 @@ def _stack_simple_classes(ks: np.ndarray, eigenvalues: np.ndarray):
     kinds = [_kind(x, y) for x, y in zip(re.tolist(), im.tolist())]
     sure[member[[_ORBIT_SIZE[kind] != n for kind, n in zip(kinds, size.tolist())]]] = False
 
-    # Every class of a sure member in report order, and its members as centers.
+    # Every class of a sure member in report order, and the columns nearest lam and -lam.
     keep = np.flatnonzero(sure[member])
     keep = keep[np.lexsort((-im[keep], -re[keep], member[keep]))]
-    kinds = [kinds[c] for c in keep.tolist()]
-    member, size = member[keep], size[keep]
+    member = member[keep]
     lam = np.empty(len(keep), dtype=complex)
     lam.real, lam.imag = re[keep], im[keep]
-    mirrors = np.stack([lam, -lam, lam.conj(), -lam.conj()], axis=1)
-    center_of = np.repeat(np.arange(len(keep)), size)
-    role = np.arange(len(center_of)) - np.repeat(np.cumsum(size) - size, size)
-    centers = mirrors[center_of, role]
-    by_member = np.lexsort((-centers.imag, -centers.real, member[center_of]))
-    place = np.empty(len(centers), dtype=int)
-    place[by_member] = np.tile(np.arange(dim), len(by_member) // dim)
-    taken = np.flatnonzero(sure)
-    owner = _owners(raw[taken], centers[by_member].reshape(len(taken), dim))
-    raw_of = np.argsort(owner, axis=1)  # the inverse of owner where it is one to one
-    one_to_one = (np.sort(owner, axis=1) == np.arange(dim)).all(axis=1)
-    sure[taken[~one_to_one]] = False
-
-    slot = np.empty(count, dtype=int)
-    slot[taken] = np.arange(len(taken))
-    first = np.cumsum(size) - size  # each class's lam; -lam is the next center
-    lam_col = raw_of[slot[member], place[first]]
-    neg_col = raw_of[slot[member], place[first + 1]]
-    keep = sure[member]
-    classes = [EigenvalueClass(kind, rep, 1, 1)
-               for kind, rep, kept in zip(kinds, lam.tolist(), keep.tolist()) if kept]
-    return sure, member[keep], classes, lam_col[keep], neg_col[keep]
+    columns = []
+    for center in (lam, -lam):
+        gap = values[member] - center[:, None]
+        columns.append(np.hypot(gap.real, gap.imag).argmin(axis=1))
+    classes = [EigenvalueClass(kinds[c], rep, 1, 1) for c, rep in zip(keep.tolist(), lam.tolist())]
+    return sure, member, classes, *columns
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,17 @@ class TestSymplecticForm:
         with pytest.raises(InvalidDimensionError):
             symplectic_form(0)
 
+    @pytest.mark.parametrize("make", [symplectic_form, bosonic_conversion])
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_a_mode_count_that_is_not_an_integer_rejected(self, make, n):
+        # Once truncated: 2.5 gave the 2-mode matrix and True the 1-mode one.
+        with pytest.raises(InvalidDimensionError, match="integer"):
+            make(n)
+
+    @pytest.mark.parametrize("make", [symplectic_form, bosonic_conversion])
+    def test_a_numpy_integer_mode_count_accepted(self, make):
+        assert np.array_equal(make(np.int64(2)), make(2))
+
 
 class TestBuildEom:
     def test_two_mode_model(self):

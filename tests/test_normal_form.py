@@ -408,6 +408,29 @@ class TestAssemblyCheck:
         assert f"residual {symplectic_residual(broken):.3e}" in str(error)
         assert np.array_equal(error.gram_residual, broken @ j @ broken.T - j)
 
+    def test_a_failed_assembly_takes_no_condition_estimate_and_no_solve(self, monkeypatch):
+        # The one member of normal_form's stack fails assembly: the finisher
+        # yields assembly's error as it is and calls neither cond(T) nor similarity.
+        nf = sys.modules["quadnf.normal_form"]
+        finish, assemble, seen, made, called = nf._finish, nf.assemble_transform, [], [], []
+
+        def recorded(*args):
+            out = assemble(*args)
+            made.append(out[2])
+            return out
+
+        monkeypatch.setattr(nf, "_finish", lambda *args: seen.append(args) or finish(*args))
+        normal_form(two_mode_m(0.5, 0.3))
+        monkeypatch.setattr(nf, "assemble_transform", recorded)
+        monkeypatch.setattr(nf, "_not_symplectic", lambda t, res, cfg: np.ones(len(t), dtype=bool))
+        monkeypatch.setattr(np.linalg, "cond", lambda *args: called.append("cond"))
+        monkeypatch.setattr(nf, "similarity", lambda *args, **kw: called.append("similarity"))
+        ((ms, *rest),) = seen
+        (outcome,) = finish(ms, *rest)
+        assert len(ms) == 1 and called == []
+        assert isinstance(outcome, AssemblyError) and "not symplectic" in str(outcome)
+        assert len(made) == 1 and made[0][0] is outcome
+
 
 def is_bogoliubov(spectrum) -> bool:
     """K is diagonalizable with a purely imaginary spectrum."""
@@ -962,11 +985,25 @@ class TestStackNormalForms:
             c.algebraic == 1 and c.kind is not EigenvalueKind.ZERO
             for c in result.spectrum.classes)
 
-    def test_every_cell_of_the_two_mode_grid(self, monkeypatch):
-        axis = np.linspace(-2.0, 2.0, 41)
-        ms = np.array([two_mode_m(eta, lam) for eta in axis for lam in axis])
+    @pytest.mark.parametrize("etas, lambdas, steps", [((-2.0, 2.0), (-2.0, 2.0), 41),
+                                                     ((-3.0, 3.0), (-1.5, 1.5), 37)],
+                             ids=["default", "offgrid"])
+    def test_every_cell_of_the_two_mode_grid(self, etas, lambdas, steps, monkeypatch):
+        ms = np.array([two_mode_m(eta, lam) for eta in np.linspace(*etas, steps)
+                       for lam in np.linspace(*lambdas, steps)])
         results, alone = self.stacked(ms, monkeypatch)
         assert alone == [not self.all_simple(r) for r in results]  # only repeated classes
+        for got, m in zip(results, ms):
+            self.assert_same_outcome(got, m)
+
+    def test_simple_classes_closer_than_the_certificate_fall_back(self, monkeypatch):
+        # Imaginary pairs 5e-6 apart are simple at t_0, whose 10 radii are about
+        # 2e-6, but lie within the 4 x 10 radii the stack's certificate asks of
+        # them: that member alone takes normal_form.
+        ms = np.array([np.diag([1, 1 + 5e-6, 1, 1 + 5e-6]), two_mode_m(0.5, 0.3)])
+        results, alone = self.stacked(ms, monkeypatch)
+        assert alone == [True, False]
+        assert all(self.all_simple(r) for r in results)
         for got, m in zip(results, ms):
             self.assert_same_outcome(got, m)
 

@@ -16,7 +16,7 @@ from conftest import (
 )
 from quadnf import build_eom, normal_form, symplectic_form
 from quadnf.config import maxnorm
-from quadnf.errors import AmbiguousSpectrumError, SpectrumStructureError
+from quadnf.errors import AmbiguousSpectrumError, ContractViolationError, SpectrumStructureError
 from quadnf.spectrum import (
     CLUSTERING_TOL,
     _union_clusters,
@@ -45,6 +45,16 @@ class TestClustering:
 
     def test_rotation_generator(self):
         got = cluster_dict(flat_members(cluster_eigenvalues(symplectic_form(2))))
+        assert got == {1j: 2, -1j: 2}
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_an_invalid_radius_rejected(self, tol):
+        # NaN and -1 once raised "no mirror partner", and inf merged +-i into one zero class.
+        with pytest.raises(ContractViolationError, match="tol"):
+            cluster_eigenvalues(symplectic_form(2), tol=tol)
+
+    def test_a_zero_radius_merges_only_equal_values(self):
+        got = cluster_dict(flat_members(cluster_eigenvalues(symplectic_form(2), tol=0.0)))
         assert got == {1j: 2, -1j: 2}
 
     def test_two_mode_zero_boundary(self):

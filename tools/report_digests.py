@@ -12,11 +12,14 @@ exception's class and message followed by its ``attempts`` records,
 one a line, when the pipeline raises.  The planted
 pool then runs once more under a document's structural tolerance of
 1e-6, ``MatrixDocument(...).config()``, labelled
-``planted-defective@1e-06``.  Two last lines give the SHA-1 of a scan
-table, ``serialize_scan(..., boundary=True)``: ``scan-2mode`` of the
-default 41x41 grid, and ``scan-offgrid`` of eta in [-3, 3] by lambda in
-[-1.5, 1.5] at 37 steps (``OFFGRID``), most of whose points fall between
-the default grid's.  Two source trees produce
+``planted-defective@1e-06``.  The last lines give, for two scan grids,
+the SHA-1 of the table ``serialize_scan(..., boundary=True)`` and then
+how many of the grid's points took the per-matrix path (``normal_form``
+itself) rather than the stacked one, counted by wrapping
+``quadnf.normal_form.normal_form`` during the scan: ``scan-2mode`` is
+the default 41x41 grid, and ``scan-offgrid`` eta in [-3, 3] by lambda
+in [-1.5, 1.5] at 37 steps (``OFFGRID``), most of whose points fall
+between the default grid's.  Two source trees produce
 bit-identical reports when the outputs of this script on them are
 identical, e.g.
 
@@ -33,6 +36,7 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -62,17 +66,32 @@ def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def _scan(*grid):
+    """The SHA-1 of ``scan_two_mode(*grid)``'s table, and how many of its points
+    took ``normal_form`` itself."""
+    from quadnf.reporting import scan_two_mode, serialize_scan
+
+    nf = importlib.import_module("quadnf.normal_form")
+    analyze, alone = nf.normal_form, []
+
+    def counted(m, *args):
+        alone.append(m)
+        return analyze(m, *args)
+
+    nf.normal_form = counted
+    try:
+        table = serialize_scan(scan_two_mode(*grid), boundary=True)
+    finally:
+        nf.normal_form = analyze
+    return _sha1(table), len(alone)
+
+
 def digests(seed: int):
-    """Yield (workload, index, digest) for each pool input, then the two scans'."""
+    """Yield (workload, index, digest) for each pool input, then for each scan
+    (grid, 0, digest) and (grid, "per-matrix", its count of such points)."""
     import quadnf
     from quadnf import normal_form
-    from quadnf.reporting import (
-        MatrixDocument,
-        report_to_dict,
-        report_to_text,
-        scan_two_mode,
-        serialize_scan,
-    )
+    from quadnf.reporting import MatrixDocument, report_to_dict, report_to_text
 
     print("# quadnf from", Path(quadnf.__file__).resolve().parent, file=sys.stderr)
 
@@ -88,9 +107,11 @@ def digests(seed: int):
             except Exception as exc:  # a crash outside QuadnfError is an output too
                 text = "\n".join([f"{type(exc).__name__}: {exc}", *getattr(exc, "attempts", ())])
             yield label, index, _sha1(text)
-    grid = scan_two_mode(SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
-    yield "scan-2mode", 0, _sha1(serialize_scan(grid, boundary=True))
-    yield "scan-offgrid", 0, _sha1(serialize_scan(scan_two_mode(*OFFGRID), boundary=True))
+    default = (SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
+    for name, grid in (("scan-2mode", default), ("scan-offgrid", OFFGRID)):
+        digest, alone = _scan(*grid)
+        yield name, 0, digest
+        yield name, "per-matrix", alone
 
 
 def main(argv=None) -> int:
