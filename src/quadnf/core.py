@@ -62,15 +62,15 @@ def _even_dim(a: np.ndarray, stack: bool = False) -> int:
     return dim // 2
 
 
-def _mode_count(n_modes) -> int:
-    """N as an int, raising unless it is an integer >= 1: a float or a bool is
-    refused, not truncated; a NumPy integer is taken."""
+def _count(value, name: str = "n_modes", error=InvalidDimensionError) -> int:
+    """``value`` as an int, raising ``error`` unless it is an integer >= 1: a
+    float or a bool is refused, not truncated; a NumPy integer is taken."""
     try:
-        n = None if isinstance(n_modes, bool) else operator.index(n_modes)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < 1:
-        raise InvalidDimensionError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
     return n
 
 
@@ -82,7 +82,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     n_modes : int
         Number of modes N; the result is 2N x 2N with integer entries.
     """
-    n = _mode_count(n_modes)
+    n = _count(n_modes)
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -269,7 +269,7 @@ def _ill_conditioned_error(cond) -> IllConditionedError:
 
 def bosonic_conversion(n_modes: int) -> np.ndarray:
     """Unitary G mapping (a_1..a_N, a_1^+..a_N^+) to the quadrature ordering."""
-    n = _mode_count(n_modes)
+    n = _count(n_modes)
     eye = np.eye(n)
     return np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
 

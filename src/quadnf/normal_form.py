@@ -12,18 +12,18 @@ vectors for the transformation T = (T_+ T_-); ``build_case_columns``
 writes them for a whole group at once, with array operations over a
 chain axis (``_case_columns``).  The same data determines the real Jordan
 normal form K_N = T^{-1} K T block by block; ``_block`` writes a group's
-blocks at once too.  Blocks take consecutive modes in report order, into
-which ``assemble_transform`` gathers T once; the transformed Hamiltonian matrix
-N = T^T M T = -J K_N is then read off those blocks as a short list of
-elementary quadratic terms (oscillators, free particles, squeezers,
-beam splitters), and one table gives each term kind's symbol and N
-entries.  This module builds the columns, assembles and verifies T,
-generates the expected blocks, emits the term list and decides the
-stability verdict.  A Bogoliubov diagonalization is the special case of
+blocks at once too.  Blocks take consecutive modes in report order, and
+``assemble_transform`` puts a chain's T columns on its block's modes; the
+transformed Hamiltonian matrix N = T^T M T = -J K_N is then read off those
+blocks as a short list of elementary quadratic terms (oscillators, free
+particles, squeezers, beam splitters), and one table gives each term kind's
+symbol and N entries.  This module builds the columns, assembles and
+verifies T, generates the expected blocks, emits the term list and decides
+the stability verdict.  A Bogoliubov diagonalization is the special case of
 an all-case-6, rank-1 spectrum, whose verdict is STABLE.
 
 One finisher, ``_finish``, ends every attempt: from the groups of a stack
-of matrices it orders the chains, gathers and checks T, and reads K_N and
+of matrices it orders the chains, places and checks T, and reads K_N and
 N off the blocks, over a leading member axis, and yields each member's
 report or the error that ends its attempt.  ``normal_form`` runs it on a
 stack of one.  ``_stack_normal_forms`` runs ``normal_form`` over a stack
@@ -357,42 +357,38 @@ def expected_kn(blocks, n_modes: int) -> np.ndarray:
     if covered != n_modes:
         raise AssemblyError(f"blocks cover {covered} modes, expected {n_modes}")
     first = np.cumsum([0] + [b.size for b in blocks])
-    return _stacked_kn(1, n_modes, [(b, [0], first[i:i + 1]) for i, b in enumerate(blocks)])[0]
+    return _stacked_kn(1, n_modes, [(b, [0], first[i] + np.arange(b.size)[None])
+                                    for i, b in enumerate(blocks)])[0]
 
 
 def _stacked_kn(count: int, n_modes: int, placed) -> np.ndarray:
-    """The expected K_N of each of ``count`` members, from (block, rows, first)
+    """The expected K_N of each of ``count`` members, from (block, rows, modes)
     triples: chain c of ``block``, blocks ``_block`` wrote stacked over a chain
-    axis, lies in the K_N of member rows[c] from mode first[c] on."""
+    axis, lies in the K_N of member rows[c] on modes[c]."""
     n = n_modes
     kn = np.zeros((count, 2 * n, 2 * n))
-    for block, rows, first in placed:
-        modes = np.asarray(first)[:, None] + np.arange(block.size)
+    for block, rows, modes in placed:
         r, i, j = np.asarray(rows)[:, None, None], modes[:, :, None], modes[:, None, :]
         kn[r, i, j], kn[r, i, n + j], kn[r, n + i, j] = block.i_i, block.i_r, block.i_l
     kn[:, n:, n:] = -kn[:, :n, :n].swapaxes(-1, -2)
     return kn
 
 
-def assemble_transform(groups, order, n_modes: int, cfg: Config = DEFAULT):
-    """Gather T = (T_+ T_-) of each member of a stack from the groups' columns,
+def assemble_transform(groups, modes, n_modes: int, cfg: Config = DEFAULT):
+    """Place T = (T_+ T_-) of each member of a stack from the groups' columns,
     and check the symplectic condition on each.
 
-    ``order`` lists the chains, numbered through the groups in turn, member
-    by member and in mode order within each; each member's chains cover its
-    modes.  Returns the stacked T, each one's symplectic residual, and a
-    list holding, per member, None or the ``AssemblyError`` that ends its
-    attempt, which carries the offending Gram residual matrix.
+    Chain c of group g, member ``g.members[c]``'s, takes T's columns
+    ``modes[g][c]`` (T_+) and N + ``modes[g][c]`` (T_-), its K_N block's modes;
+    each member's chains cover its modes.  Returns the stacked T, each one's
+    symplectic residual, and a list holding, per member, None or the
+    ``AssemblyError`` that ends its attempt, with the offending Gram residual.
     """
-    dim = 2 * n_modes
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))  # each chain's place in ``order``
-    width = [g.t_plus.shape[1] for g in groups]
-    by_mode = np.argsort(np.repeat(place, np.repeat(width, [len(g.members) for g in groups])),
-                         kind="stable")  # a chain's columns stay in order
-    t = np.concatenate([np.concatenate([getattr(g, part).reshape(-1, dim) for g in groups])[by_mode]
-                        .reshape(-1, n_modes, dim) for part in ("t_plus", "t_minus")], axis=1)
-    t = np.ascontiguousarray(t.swapaxes(1, 2))
+    n = n_modes
+    t = np.zeros((1 + max(g.members.max() for g in groups), 2 * n, 2 * n))
+    for g, m in zip(groups, modes):
+        rows = g.members[:, None]
+        t[rows, :, m], t[rows, :, n + m] = g.t_plus, g.t_minus
     res = symplectic_residual(t)
     errors: list = [None] * len(t)
     for s in np.flatnonzero(_not_symplectic(t, res, cfg)).tolist():
@@ -545,10 +541,11 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
 
     Each step runs over the stack.  ``_block`` writes each group's blocks at
     once, and one lexsort of ``_mode_key`` puts each member's chains in mode
-    order, in which ``assemble_transform`` gathers T and checks it
-    (``AssemblyError``).  Then cond(T), of the members whose T passed, must
-    pass ``similarity``'s limit (``IllConditionedError``), and, when a member
-    is left to transform, |T^-1 K T - K_N| must not exceed
+    order, which gives each chain its modes: there ``assemble_transform``
+    places its columns of T, then checks T (``AssemblyError``), and
+    ``_stacked_kn`` its block of K_N.  Then cond(T), of the members whose T
+    passed, must pass ``similarity``'s limit (``IllConditionedError``), and,
+    when a member is left to transform, |T^-1 K T - K_N| must not exceed
     max(``VERIFY_TOL``, tolerance) (1 + max|K|) max(1, cond T)
     (``VerificationError``).  N = T^T M T is read off last; each report,
     with its terms and verdict, is made as it is yielded.
@@ -567,12 +564,13 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
         raise AssemblyError(f"column groups cover {covered[covered != n_modes][0]:.0f} modes, "
                             f"expected {n_modes}")
     # Member by member, then mode order (ties only within a group): each chain's
-    # first mode in its member's T and K_N.
+    # first mode in its member's T and K_N, then, per group, its modes.
     order = np.lexsort(_mode_key(case, lam, rank, sigma)[::-1] + (member,))
     first, ordered = np.empty_like(size), size[order]
     first[order] = np.cumsum(ordered) - ordered - n_modes * member[order]
-    first = [first[end - each:end] for each, end in zip(counts, accumulate(counts))]
-    t, symplectic, errors = assemble_transform(groups, order, n_modes, cfg)
+    modes = [first[end - each:end, None] + np.arange(b.size)
+             for b, each, end in zip(blocks, counts, accumulate(counts))]
+    t, symplectic, errors = assemble_transform(groups, modes, n_modes, cfg)
     fine = np.flatnonzero([error is None for error in errors])
     cond = np.linalg.cond(t[fine]) if len(fine) else np.empty(0)
     ill = _ill_conditioned(cond)
@@ -580,7 +578,7 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
         errors[fine[j]] = _ill_conditioned_error(cond[j])
     fine, cond = fine[~ill], cond[~ill]
 
-    kn_expected = _stacked_kn(count, n_modes, zip(blocks, (g.members for g in groups), first))[fine]
+    kn_expected = _stacked_kn(count, n_modes, zip(blocks, (g.members for g in groups), modes))[fine]
     ks, ms, t = ks[fine], ms[fine], t[fine]
     kn_actual = similarity(ks, t, _cond=cond) if len(fine) else t  # no member left: t is empty
     block_residual = maxnorm(kn_actual - kn_expected, (-2, -1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Config
-from .core import require_hamiltonian_matrix
+from .core import _count, require_hamiltonian_matrix
 from .errors import ParseError, QuadnfError, ValidationError
 from .normal_form import NormalFormReport, _format_eigenvalue, _stack_normal_forms
 from .spectrum import EigenvalueKind
@@ -348,9 +348,11 @@ def scan_two_mode(
 
     Every grid point runs the full normal-form pipeline; per-point
     failures are recorded in the cell (verdict ``error``) instead of
-    aborting the scan.  Boundary cells are those whose signature
-    differs from at least one 4-neighbor, so the flagged set straddles
-    every classification boundary to within one cell.
+    aborting the scan.  ``steps`` counts the points per axis, one count for
+    both or an (eta, lambda) pair, each an integer >= 1 (``ValidationError``).
+    Boundary cells are those whose signature differs from at least one
+    4-neighbor, so the flagged set straddles every classification boundary
+    to within one cell.
 
     The grid's matrices go to ``normal_form._stack_normal_forms`` as one
     stack: a point whose classes are all simple and well apart is built at
@@ -360,12 +362,11 @@ def scan_two_mode(
     the one ``normal_form`` gives that point alone.  An exception other than
     ``QuadnfError`` propagates.
     """
-    if isinstance(steps, int):
-        steps = (steps, steps)
-    if min(steps) < 1:
-        raise ValidationError(f"a scan needs at least 1 step per axis, got {steps}")
-    etas = np.linspace(eta_range[0], eta_range[1], steps[0])
-    lambdas = np.linspace(lambda_range[0], lambda_range[1], steps[1])
+    steps = (steps, steps) if np.ndim(steps) == 0 else tuple(steps)
+    if len(steps) != 2:
+        raise ValidationError(f"steps must be one count or two, got {steps!r}")
+    etas, lambdas = (np.linspace(bounds[0], bounds[1], _count(each, "steps", ValidationError))
+                     for bounds, each in zip((eta_range, lambda_range), steps))
     results = _stack_normal_forms([two_mode_matrix(eta, lam) for eta in etas for lam in lambdas])
     verdicts, signatures, structure, errors = [], [], [], {}
     for i in range(len(etas)):

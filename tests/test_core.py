@@ -159,6 +159,15 @@ class TestTransformHamiltonian:
         with pytest.raises(ContractViolationError):
             transform_hamiltonian(np.eye(2), 2 * np.eye(2))
 
+    def test_a_complex_transform_with_zero_imaginary_part_taken_as_real(self):
+        n = transform_hamiltonian(GOLDEN_M, GOLDEN_T + 0j)
+        assert n.dtype == np.float64
+        assert np.array_equal(n, transform_hamiltonian(GOLDEN_M, GOLDEN_T))
+
+    def test_a_complex_transform_rejected(self):
+        with pytest.raises(ContractViolationError, match="must be real"):
+            transform_hamiltonian(GOLDEN_M, GOLDEN_T + 1e-3j)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
                                        complex(np.nan, 0.0)])
     def test_non_finite_transform_rejected(self, entry):

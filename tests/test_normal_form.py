@@ -386,24 +386,23 @@ class TestAssemblyCheck:
         nf = sys.modules["quadnf.normal_form"]
         assemble, seen = nf.assemble_transform, []
 
-        def recorded(groups, order, n_modes, cfg):
-            seen.append((groups, order, n_modes))
-            return assemble(groups, order, n_modes, cfg)
+        def recorded(groups, modes, n_modes, cfg):
+            seen.append((groups, modes, n_modes))
+            return assemble(groups, modes, n_modes, cfg)
 
         monkeypatch.setattr(nf, "assemble_transform", recorded)
         m, _ = seeded_matrix([(1, 1.3 + 0j, 2, None), (6, 0.8j, 1, -1j)], rng)
         t = normal_form(m).transform.matrix
-        ((groups, order, n_modes),) = seen
+        ((groups, modes, n_modes),) = seen
         t_plus = groups[0].t_plus.copy()
         t_plus[0, 0] *= 2
-        # Chain 0's first column follows the columns of the chains before it in mode order.
-        widths = [g.t_plus.shape[1] for g in groups for _ in g.members]
-        column = sum(widths[c] for c in order[:list(order).index(0)])
+        # Chain 0's first column of T_+ sits on the first mode of its block.
+        column = modes[0][0, 0]
         broken = t.copy()
         broken[:, column] *= 2
         j = symplectic_form(n_modes)
-        assert assemble(groups, order, n_modes)[2] == [None]
-        _, _, (error,) = assemble([groups[0]._replace(t_plus=t_plus), *groups[1:]], order, n_modes)
+        assert assemble(groups, modes, n_modes)[2] == [None]
+        _, _, (error,) = assemble([groups[0]._replace(t_plus=t_plus), *groups[1:]], modes, n_modes)
         assert isinstance(error, AssemblyError) and "not symplectic" in str(error)
         assert f"residual {symplectic_residual(broken):.3e}" in str(error)
         assert np.array_equal(error.gram_residual, broken @ j @ broken.T - j)

@@ -14,6 +14,7 @@ from quadnf.errors import (
     ParseError,
     SpectrumStructureError,
     StructureError,
+    ValidationError,
 )
 from quadnf.reporting import (
     MatrixDocument,
@@ -126,6 +127,29 @@ class TestDocumentFormat:
         with pytest.raises(ParseError):
             parse_matrix(json.dumps(obj))
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON document"),
+        (json.dumps({"matrix": [[1, 0], [0, 1]]}), "requires 'modes' and 'matrix'"),
+        (json.dumps({"modes": 1}), "requires 'modes' and 'matrix'"),
+        ("", "empty document"),
+        ("# only a comment\n\n", "empty document"),
+    ])
+    def test_a_document_without_a_matrix_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("count, message", [("x", "is not an integer"),
+                                                ("0", "must be positive")])
+    def test_a_header_without_a_positive_mode_count_carries_its_line(self, count, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_matrix(f"# header next\nmodes {count}\n1 0\n0 1\n")
+        assert err.value.line == 2
+
+    def test_a_row_of_the_wrong_width_carries_its_line(self):
+        with pytest.raises(ParseError, match="row has 3 entries, expected 2") as err:
+            parse_matrix("modes 1\n1 0\n\n0 1 3\n")
+        assert err.value.line == 4
+
 
 class TestSignatures:
     def test_stable_point(self):
@@ -177,6 +201,14 @@ class TestReportSerialization:
         assert "1.5*(X4^2 + P4^2)" in text
         assert "zero-frequency modes: 1" in text
 
+    def test_text_rendering_of_a_report_without_terms(self):
+        # M = 0: one zero-frequency mode, case 4, and N = 0 has no terms.
+        rep = normal_form(np.zeros((2, 2)))
+        assert rep.terms == () and rep.zero_frequency_modes == 1
+        text = report_to_text(rep)
+        assert "verdict: marginal" in text
+        assert "normal form: H = 0\n" in text
+
     @pytest.mark.parametrize("m", [GOLDEN_M, np.eye(4)])  # M = I: T and K_N hold -0.0
     def test_matrices_keep_every_bit(self, m):
         rep = normal_form(m)
@@ -203,6 +235,19 @@ class TestScan:
 
     def test_no_errors(self, grid):
         assert grid.errors == {}
+
+    @pytest.mark.parametrize("steps", [True, 2.5, (2, 2.5), "3", 0, (2, 0), (2, 2, 2)])
+    def test_a_step_count_that_is_not_an_integer_of_at_least_one_rejected(self, steps):
+        # Once True ran a 1x1 grid, and 2.5, (2, 2.5) and "3" raised a bare TypeError.
+        with pytest.raises(ValidationError, match="steps"):
+            scan_two_mode(steps=steps)
+
+    @pytest.mark.parametrize("steps, shape", [(np.int64(2), (2, 2)),
+                                              ((np.int32(2), 3), (2, 3))])
+    def test_numpy_integer_step_counts_accepted(self, steps, shape):
+        grid = scan_two_mode(steps=steps)
+        assert (len(grid.etas), len(grid.lambdas)) == shape
+        assert [len(row) for row in grid.verdicts] == [shape[1]] * shape[0]
 
     def test_key_points(self, grid):
         verdict, sig, _ = grid.at(1.0, 0.4)
@@ -417,6 +462,14 @@ class TestCli:
         lines = dst.read_text().splitlines()
         assert lines[0] == "# eta lambda verdict signature boundary"
         assert len(lines) == 26
+
+    def test_scan_to_stdout_equals_the_output_file(self, tmp_path):
+        dst = tmp_path / "scan.dat"
+        to_file = self.runner.invoke(main, ["scan", "--steps", "3", "--output", str(dst)])
+        to_stdout = self.runner.invoke(main, ["scan", "--steps", "3"])
+        assert to_file.exit_code == 0 and to_stdout.exit_code == 0
+        assert to_stdout.output == dst.read_text()
+        assert len(dst.read_text().splitlines()) == 1 + 9
 
     def test_tolerance_override(self):
         # slightly asymmetric input: rejected by default, passes with a
