@@ -67,7 +67,6 @@ from .core import (
     symplectic_residual,
 )
 from .errors import (
-    AmbiguousSpectrumError,
     AssemblyError,
     PipelineError,
     QuadnfError,
@@ -681,7 +680,7 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
         for i, tol in enumerate(radii):
             try:
                 classes = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
-            except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+            except SpectrumStructureError as exc:
                 last = exc
                 attempts.append(f"t_{i} = {tol:.0e}: skipped, the spectrum did not pair up "
                                 f"({type(exc).__name__}: {exc})")
@@ -715,9 +714,9 @@ def _stack_normal_forms(ms):
     A member that passes ``require_hamiltonian_matrix``'s checks and whose
     classes ``_stack_simple_classes`` certifies all simple at t_0, from one
     stacked eig(K) (its values pairwise more than 40 clustering radii apart,
-    and a few checks), has its rank-1 chains normalized at array level by
-    ``_simple_members`` and is finished with every other such member by
-    ``_finish``, as ``normal_form`` finishes one matrix.  Every other member,
+    and its folded mirror orbits whole), has its rank-1 chains normalized at
+    array level by ``_simple_members`` and is finished with every other such
+    member by ``_finish``, as ``normal_form`` finishes one matrix.  Every other member,
     and any that ``_finish`` ends with an error, goes to ``normal_form``
     itself, so its report or error, attempt records included, is the
     per-matrix one.  An exception other than ``QuadnfError`` propagates.

@@ -83,13 +83,14 @@ def _validated(doc: MatrixDocument) -> MatrixDocument:
 def parse_matrix(text: str, tolerance: float | None = None) -> MatrixDocument:
     """Parse a matrix document (plain text or JSON).
 
-    Plain text: first line ``modes N``, then 2N lines of 2N numbers.
-    Parse failures carry the offending line number.  ``tolerance``
+    A document whose first character past white space is ``{`` or ``[`` is
+    JSON, an object with ``modes`` and ``matrix`` fields.  Plain text: first
+    line ``modes N``, then 2N lines of 2N numbers.
+    Plain-text parse failures carry the offending line number.  ``tolerance``
     overrides the symmetry-validation tolerance (a tolerance declared
     inside a JSON document takes precedence).
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         doc = _parse_json_document(text)
         if doc.tolerance is None and tolerance is not None:
             doc = MatrixDocument(doc.n_modes, doc.matrix, tolerance)

@@ -5,8 +5,11 @@ families: real pairs {l, -l}, complex quadruplets {l, -l, conj(l),
 -conj(l)}, the zero eigenvalue (even multiplicity), and imaginary pairs
 {l, conj(l)}.  This module clusters the numerically computed spectrum,
 snaps it onto the axes and symmetrizes it so the pairing rules hold
-exactly.  Each mirror orbit is decided once, in ``cluster_eigenvalues``,
-which returns it as an ``EigenvalueClass`` of its kind;
+exactly.  Every value folds onto |Re| + i |Im|, where its four mirror
+images meet, and an orbit is a set of folded values pairwise within one
+clustering radius (``_folded_orbits``).  Each mirror orbit is decided
+once, in ``cluster_eigenvalues``, which returns it as an
+``EigenvalueClass`` of its kind;
 ``classify_spectrum`` adds the geometric multiplicities, and
 ``extract_class_chains`` the Jordan chains (generalized eigenvectors
 with their ranks) of every class.  This module alone knows where a
@@ -19,9 +22,9 @@ odd-rank chains.  Which of the normal form's six chain cases a chain
 falls in is decided in ``normal_form``, not here.  For a stack of K,
 ``_stack_simple_classes`` certifies at once the members whose classes are
 all simple at t_0: their snapped eig(K) values lie pairwise more than
-``_APART`` times ``_NEAR`` clustering radii apart, which, with a few
-checks, proves what ``cluster_eigenvalues`` and ``classify_spectrum``
-would decide.
+``_APART`` clustering radii apart, so that the same fold, taken on the
+whole stack, decides their orbits as ``cluster_eigenvalues`` would, and
+``classify_spectrum`` would take each class's eig(K) columns.
 """
 
 from __future__ import annotations
@@ -61,14 +64,11 @@ CLUSTERING_TOL = 1e-7
 # Relative singular-value threshold for nullspace/rank decisions.
 RANK_TOL = 1e-7
 
-# A mirror partner, and any member of an orbit around its mean, lies within
-# _NEAR clustering radii.
-_NEAR = 10
-
 # The certificate of ``_stack_simple_classes``: snapped eig(K) values pairwise more
-# than _APART * _NEAR radii apart.  Its proof needs gaps above 2 near, 3 near and
-# 2 near + 2 sqrt(2) radii; 4 clears the largest by one near, so no step is tight.
-_APART = 4
+# than _APART clustering radii apart.  Its proof needs gaps above 2 + 2 sqrt(2)
+# radii.  A smaller spacing would move members from the per-matrix path to the
+# stacked one, which gives the same reports.
+_APART = 40
 
 
 class EigenvalueKind(Enum):
@@ -157,6 +157,28 @@ def _kind(re: float, im: float) -> EigenvalueKind:
             if re else EigenvalueKind.IMAGINARY_PAIR if im else EigenvalueKind.ZERO)
 
 
+def _folded_orbits(values, eps):
+    """The mirror orbits of a spectrum, or of each spectrum of a stack, as
+    (close, first, cliques).
+
+    Each value folds onto re + i im = |Re| + i |Im|, so all four mirror
+    images of a value fold onto one point.  ``close`` holds, per spectrum,
+    which folded values lie within eps of each other, by hypot, which
+    rounds as abs(complex) and ``_union_clusters`` do; ``first`` is each
+    value's lowest close neighbour, itself included; and ``cliques`` says
+    whether every value's row of ``close`` equals its lowest neighbour's,
+    so that closeness is an equivalence.  An orbit is then the set of
+    values that share a lowest neighbour.  ``eps`` broadcasts against
+    ``values``: a number, or shape (S, 1) for a stack of S spectra.
+    """
+    re, im = np.abs(values.real), np.abs(values.imag)
+    close = (np.hypot(re[..., :, None] - re[..., None, :], im[..., :, None] - im[..., None, :])
+             <= np.asarray(eps)[..., None])
+    first = close.argmax(axis=-1)
+    cliques = (np.take_along_axis(close, first[..., None], axis=-2) == close).all(axis=(-2, -1))
+    return close, first, cliques
+
+
 def _union_clusters(values, mults, eps):
     """Greedy union of (value, multiplicity) pairs within distance eps: each pass
     merges the first close pair i < j, in row-major order, into its weighted mean at i.
@@ -191,18 +213,22 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
     mirror symmetric, and their weights sum to 2N.
 
     Jordan structure is discontinuous under perturbation, so eigenvalues
-    within ``tol * (1 + max|K|)`` of each other merge into one cluster
-    and clusters that close to an axis are snapped onto it; ``tol`` is
-    ``CLUSTERING_TOL`` unless given (``normal_form`` widens it).  A cluster
-    whose mirror partner is missing or has a different multiplicity
-    raises ``SpectrumStructureError``; a merge inconsistency raises
-    ``AmbiguousSpectrumError``.  A ``tol`` that is not finite or is negative
-    raises ``ContractViolationError``; 0 merges only equal values.
+    within eps = ``tol * (1 + max|K|)`` of each other merge into one
+    cluster and clusters that close to an axis are snapped onto it;
+    ``tol`` is ``CLUSTERING_TOL`` unless given (``normal_form`` widens it).
+    The clusters' mirror images pair at the same eps: folded onto
+    |Re| + i |Im|, the clusters of one orbit lie pairwise within eps
+    (``_folded_orbits``), and the orbit's representative is their folded
+    mean, summed in index order.  ``SpectrumStructureError`` is raised when
+    the folded clusters within eps of each other do not fall into such
+    cliques, when an orbit holds fewer clusters than its kind's orbit
+    (a mirror image is missing), or when its clusters' multiplicities
+    differ.  A ``tol`` that is not finite or is negative raises
+    ``ContractViolationError``; 0 merges only equal values.
     """
     if not 0 <= tol < np.inf:
         raise ContractViolationError(f"tol must be a finite number >= 0, got {tol!r}")
     k = np.asarray(k, dtype=float)
-    dim = k.shape[0]
     eps = float(_radius(k, tol))
     raw = np.linalg.eigvals(k) if _eigenvalues is None else _eigenvalues
 
@@ -213,64 +239,28 @@ def cluster_eigenvalues(k, tol: float = CLUSTERING_TOL, *, _eigenvalues=None):
                                                  _snap(v.imag, eps).tolist())]
     values, mults = _union_clusters(snapped, mults, eps) if snapped != values else (snapped, mults)
 
-    # Group into mirror orbits and enforce the pairing rules exactly.  Each orbit takes,
-    # for each mirror image of its first value v, the first unused value within 10 eps.
-    # Such a value's key max(|Re|, |Im|) is within 10 eps of v's, so only the values
-    # whose keys lie within 20 eps of v's in one sorted order are tried (twice the
-    # distance, so that no rounding of the keys' differences can leave a value out).
-    near = _NEAR * eps
-    keys = [max(abs(v.real), abs(v.imag)) for v in values]
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    place = [0] * len(values)
-    for p, j in enumerate(order):
-        place[j] = p
-    used = [False] * len(values)
+    # Group into mirror orbits: the values whose folded images share a lowest
+    # neighbour, when every value's neighbourhood is one such orbit.
+    close, first, cliques = _folded_orbits(np.array(values, dtype=complex), eps)
+    if not cliques:
+        i = next(i for i, row in enumerate(close) if (row != close[first[i]]).any())
+        raise SpectrumStructureError(
+            f"folded eigenvalues near {values[i]:.6g} are not pairwise within {eps:.3e}")
+    orbits: dict = {}  # lowest value -> the orbit's values, in index order
+    for j, i in enumerate(first.tolist()):
+        orbits.setdefault(i, []).append(j)
     out: list[EigenvalueClass] = []
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        lo = hi = place[i]
-        while lo > 0 and keys[i] - keys[order[lo - 1]] <= 2 * near:
-            lo -= 1
-        while hi + 1 < len(order) and keys[order[hi + 1]] - keys[i] <= 2 * near:
-            hi += 1
-        window = sorted([j for j in order[lo:hi + 1] if not used[j]])
-        orbit = []
-        for target in {v, -v, v.conjugate(), -v.conjugate()}:
-            for j in window:
-                if abs(values[j] - target) <= near and j not in orbit:
-                    orbit.append(j)
-                    break
-            else:
-                raise SpectrumStructureError(
-                    f"eigenvalue {v:.6g} has no mirror partner near {target:.6g}"
-                )
-        orbit.sort()
-        mult = mults[orbit[0]]
-        if any(mults[j] != mult for j in orbit):
-            raise SpectrumStructureError(
-                f"mirror eigenvalues of {v:.6g} have unequal multiplicities"
-            )
+    for i, orbit in orbits.items():
         re, im = _orbit_mean([values[j] for j in orbit])  # onto exact mirror symmetry
-        # A value's distance to the corner (+-re, +-im) in its own quadrant is one of the
-        # four distances the spread takes the least of: within 10 eps, it passes.
-        if any(abs(complex(abs(values[j].real) - re, abs(values[j].imag) - im)) > near
-               for j in orbit):
-            corners = {complex(re, im), complex(re, -im), complex(-re, im), complex(-re, -im)}
-            spread = max(min(abs(values[j] - s) for s in corners) for j in orbit)
-            if spread > near:
-                raise AmbiguousSpectrumError(
-                    f"cluster around {v:.6g} has diameter {spread:.3e} after snapping"
-                )
-        out.append(EigenvalueClass(_kind(re, im), complex(re, im), mult))
-        for j in orbit:
-            used[j] = True
-
-    total = sum(c.weight for c in out)
-    if total != dim:
-        raise AmbiguousSpectrumError(
-            f"clustered multiplicities sum to {total}, expected {dim}"
-        )
+        kind = _kind(re, im)
+        if len(orbit) != _ORBIT_SIZE[kind]:
+            raise SpectrumStructureError(
+                f"eigenvalue {values[i]:.6g} has {len(orbit)} of its {_ORBIT_SIZE[kind]} "
+                f"mirror images within {eps:.3e}")
+        if any(mults[j] != mults[i] for j in orbit):
+            raise SpectrumStructureError(
+                f"mirror eigenvalues of {values[i]:.6g} have unequal multiplicities")
+        out.append(EigenvalueClass(kind, complex(re, im), mults[i]))
     out.sort(key=lambda c: (-c.representative.real, -c.representative.imag))
     return out
 
@@ -428,24 +418,23 @@ def _stack_simple_classes(ks: np.ndarray, eigenvalues: np.ndarray):
     when ``classify_spectrum(k, cluster_eigenvalues(k), ...)`` on its
     values, with its eig(K) columns, certainly gives classes of algebraic
     and geometric multiplicity 1, none at zero.  With eps the clustering
-    radius and near = ``_NEAR`` eps, that holds when its snapped values lie
-    pairwise more than ``_APART`` near apart (the certificate), each mirror
-    image of a value has a value within near, distinct images have distinct
-    ones, each value of an orbit lies within near of the orbit's corner in
-    its quadrant (its own corner), and the orbit's size is its kind's, not
-    zero's.  The certificate proves the rest, by the triangle inequality:
+    radius, that holds when its snapped values lie pairwise more than
+    ``_APART`` eps apart (the certificate) and ``_folded_orbits`` finds
+    cliques whose orbits hold 2 or 4 values, their kind's orbit size.  The
+    certificate proves the rest, by the triangle inequality:
 
-    - snapping moves a value by at most sqrt(2) eps, so none merges;
-    - with a gap above 2 near, each image has at most one value within near;
-    - with a gap above 3 near, the partner rows of an orbit's members agree:
-      if w lies within near of the image x(v) of v, then for each mirror map
-      g the values within near of g(w) and of g(x(v)) lie within 3 near of
-      each other.  So the orbits partition the values, each opening at its
-      lowest one, and no orbit takes a value an earlier one took;
-    - a raw value lies within near + sqrt(2) eps of its own corner and more
-      than 3 near - sqrt(2) eps from every other center, the own corner of
-      another value, so the owner map is one to one by construction, and
-      lam's and -lam's columns are those of the values nearest lam and -lam.
+    - snapping moves a value by at most sqrt(2) eps, so no raw value merges
+      with another at eps, no snapped value collides with another, and
+      ``cluster_eigenvalues`` hands the same snapped values, in the same
+      order and with multiplicity 1, to ``_folded_orbits`` at the same eps:
+      it finds the same orbits, and their means and kinds, as here;
+    - two values of an orbit lie in different quadrants, since two values in
+      one quadrant lie as far apart folded as unfolded, so each corner of a
+      class is the own corner, the one in its quadrant, of exactly one value;
+    - a raw value lies within eps + sqrt(2) eps of its own corner and more
+      than _APART eps - eps - sqrt(2) eps from every other center, the own
+      corner of another value, so the owner map is one to one, and lam's
+      and -lam's columns are those of the values nearest lam and -lam.
 
     Any other member is left to the per-matrix path, which decides it.
 
@@ -457,34 +446,25 @@ def _stack_simple_classes(ks: np.ndarray, eigenvalues: np.ndarray):
     dim = eigenvalues.shape[1]
     raw = eigenvalues.astype(complex)  # a stack of real spectra comes back real
     eps = _radius(ks, CLUSTERING_TOL)[:, None]
-    near = _NEAR * eps
     values = np.empty_like(raw)
     values.real, values.imag = _snap(raw.real, eps), _snap(raw.imag, eps)
-    images = np.stack([values, -values, values.conj(), -values.conj()], axis=-1)
-    gap = values[:, None, None, :] - images[..., None]  # (member, value, image, value)
-    gap = np.hypot(gap.real, gap.imag)
-    nearest = np.sort(gap[..., 0, :], axis=-1)[..., 1]  # image 0 is the value, 0 from itself
-    sure = (nearest > _APART * near).all(axis=1)  # the certificate
-    sure &= (gap.min(axis=-1) <= near[..., None]).all(axis=(1, 2))  # each image has a partner
-    partner = gap.argmin(axis=-1)  # (member, value, image) -> the value within near
-    sure &= ((partner[..., :, None] == partner[..., None, :])
-             == (images[..., :, None] == images[..., None, :])).all(axis=(1, 2, 3))
+    gap = values[:, :, None] - values[:, None, :]
+    apart = np.hypot(gap.real, gap.imag) > _APART * eps[..., None]
+    sure = (apart | np.eye(dim, dtype=bool)).all(axis=(1, 2))  # the certificate
+    close, first, cliques = _folded_orbits(values, eps)
+    sure &= cliques
 
-    member, first = np.nonzero(partner.min(axis=-1) == np.arange(dim))  # each orbit's lowest
-    orbit = np.sort(partner[member, first], axis=1)
-    size = 1 + (np.diff(orbit, axis=1) != 0).sum(axis=1)  # distinct values: 1, 2 or 4
-    sure[member[size == 1]] = False
+    member, opening = np.nonzero(first == np.arange(dim))  # each orbit's lowest value
+    orbit = close[member, opening]
+    size = orbit.sum(axis=1)
     re, im = np.zeros(len(member)), np.zeros(len(member))
-    for n_values, columns in ((2, [0, 2]), (4, [0, 1, 2, 3])):
+    for n_values in (2, 4):
         pick = size == n_values
-        at = member[pick]
-        parts = [values[at, j] for j in orbit[pick][:, columns].T]
-        re[pick], im[pick] = _orbit_mean(parts)
-        for part in parts:
-            spread = np.hypot(np.abs(part.real) - re[pick], np.abs(part.imag) - im[pick])
-            sure[at[spread > near[at, 0]]] = False
+        at = np.nonzero(orbit[pick])[1].reshape(-1, n_values)  # in index order
+        re[pick], im[pick] = _orbit_mean([values[member[pick], j] for j in at.T])
     kinds = [_kind(x, y) for x, y in zip(re.tolist(), im.tolist())]
-    sure[member[[_ORBIT_SIZE[kind] != n for kind, n in zip(kinds, size.tolist())]]] = False
+    sure[member[[n not in (2, 4) or n != _ORBIT_SIZE[kind]
+                 for kind, n in zip(kinds, size.tolist())]]] = False
 
     # Every class of a sure member in report order, and the columns nearest lam and -lam.
     keep = np.flatnonzero(sure[member])

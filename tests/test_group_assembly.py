@@ -22,7 +22,7 @@ from test_normal_form import EVERY_BLOCK, same_block
 from test_two_mode_oracle import POINTS
 from quadnf import build_eom, similarity, symplectic_residual
 from quadnf.config import DEFAULT, maxnorm
-from quadnf.errors import AmbiguousSpectrumError, QuadnfError, SpectrumStructureError
+from quadnf.errors import QuadnfError, SpectrumStructureError
 from quadnf.algebra import (
     orthonormalize_imaginary,
     orthonormalize_real_complex,
@@ -133,7 +133,7 @@ def check_every_radius(m):
     for tol in radii:
         try:
             clusters = cluster_eigenvalues(k, tol=tol, _eigenvalues=eigenvalues)
-        except (SpectrumStructureError, AmbiguousSpectrumError):
+        except SpectrumStructureError:
             continue
         try:
             report = NF._attempt_normal_form(m, k, clusters, eigenvalues, vectors, DEFAULT)

@@ -20,6 +20,7 @@ from conftest import (
     GOLDEN_N,
     GOLDEN_S1,
     GOLDEN_T2,
+    flat_members,
     seeded_matrix,
     two_mode_m,
 )
@@ -50,9 +51,9 @@ from quadnf.normal_form import (
 from quadnf.reporting import MatrixDocument, report_to_dict, signature_string
 from quadnf.spectrum import (
     CLUSTERING_TOL,
+    EigenvalueClass,
     EigenvalueKind,
     JordanChain,
-    cluster_eigenvalues,
     make_chain,
 )
 
@@ -690,24 +691,28 @@ class TestEscalationAttempts:
         raised.clear()  # their tracebacks hold this frame
 
     def test_a_new_orbit_structure_is_not_a_repeat(self, monkeypatch):
-        # Two case-5 rank-6 blocks at i: t_2 clusters them into 5 quadruplets and
-        # 2 imaginary pairs, t_3 into 6 quadruplets.  Every member has
-        # multiplicity 1 at both radii, yet the classes differ, so t_3 is tried.
-        m, _ = seeded_matrix([(5, 1j, 6, 1 + 0j), (5, 1j, 6, 1 + 0j)], np.random.default_rng(0))
+        # One quadruplet at t_0, two imaginary pairs from t_1 on: every member
+        # has multiplicity 1 at both radii, yet the classes differ, so t_1 is
+        # tried.  The clustering is forced: under the fold rule, two radii
+        # that pair a real spectrum up with the same member multiplicities
+        # give the same classes, since a wider radius only merges and snaps.
+        nf = sys.modules["quadnf.normal_form"]
+        quad, imag = EigenvalueKind.COMPLEX_QUADRUPLET, EigenvalueKind.IMAGINARY_PAIR
+        by_radius = {CLUSTERING_TOL: [EigenvalueClass(quad, 1 + 1j, 1)]}
+        pairs = [EigenvalueClass(imag, 2j, 1), EigenvalueClass(imag, 1j, 1)]
+        assert [m for _, m in flat_members(by_radius[CLUSTERING_TOL])] == [
+            m for _, m in flat_members(pairs)]
 
         def failing(*args):
             raise ChainExtractionError("forced")
 
-        monkeypatch.setattr(sys.modules["quadnf.normal_form"], "_attempt_normal_form", failing)
+        monkeypatch.setattr(nf, "cluster_eigenvalues", lambda k, tol, **_: by_radius.get(tol, pairs))
+        monkeypatch.setattr(nf, "_attempt_normal_form", failing)
         with pytest.raises(ChainExtractionError) as info:
-            normal_form(m)
-        assert info.value.attempts[2:4] == ("t_2 = 1e-05: ChainExtractionError: forced",
-                                            "t_3 = 1e-04: ChainExtractionError: forced")
-        k = build_eom(m)
-        kinds = {tol: Counter(c.kind for c in cluster_eigenvalues(k, tol=tol))
-                 for tol in (1e-5, 1e-4)}
-        quad, imag = EigenvalueKind.COMPLEX_QUADRUPLET, EigenvalueKind.IMAGINARY_PAIR
-        assert kinds == {1e-5: Counter({quad: 5, imag: 2}), 1e-4: Counter({quad: 6})}
+            normal_form(np.eye(4))
+        assert info.value.attempts[:3] == ("t_0 = 1e-07: ChainExtractionError: forced",
+                                           "t_1 = 1e-06: ChainExtractionError: forced",
+                                           "t_2 = 1e-05: skipped, the clustering repeats t_1's")
 
 
 class TestEscalationGarbage:
@@ -860,7 +865,8 @@ class TestFactorizationCounts:
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
 
     def test_escalation_reuses_eigvals(self, calls, rng, monkeypatch):
-        # A rank-3 real pair splits beyond the first clustering radius.
+        # A rank-4 real pair splits beyond the first clustering radius, and its
+        # first full attempt fails.
         nf = sys.modules["quadnf.normal_form"]
         classify = nf.classify_spectrum
 
@@ -869,9 +875,9 @@ class TestFactorizationCounts:
             return classify(*args, **kwargs)
 
         monkeypatch.setattr(nf, "classify_spectrum", counted_classify)
-        m, _ = seeded_matrix([(1, 1.3 + 0j, 3, None)], rng)
+        m, _ = seeded_matrix([(1, 1.3 + 0j, 4, None)], rng)
         rep = normal_form(m)
-        assert [(b.case, b.rank) for b in rep.blocks] == [(1, 3)]
+        assert [(b.case, b.rank) for b in rep.blocks] == [(1, 4)]
         assert calls["attempts"] >= 2
         assert (calls["eig"], calls["eigvals"]) == (1, 0)
 

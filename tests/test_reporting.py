@@ -131,6 +131,8 @@ class TestDocumentFormat:
         ("{not json", "invalid JSON document"),
         (json.dumps({"matrix": [[1, 0], [0, 1]]}), "requires 'modes' and 'matrix'"),
         (json.dumps({"modes": 1}), "requires 'modes' and 'matrix'"),
+        (json.dumps([[1, 0], [0, 1]]), "requires 'modes' and 'matrix'"),  # an array, not a header
+        ("\n  [[1, 0],\n", "invalid JSON document"),
         ("", "empty document"),
         ("# only a comment\n\n", "empty document"),
     ])

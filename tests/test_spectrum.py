@@ -19,6 +19,7 @@ from quadnf.config import maxnorm
 from quadnf.errors import AmbiguousSpectrumError, ContractViolationError, SpectrumStructureError
 from quadnf.spectrum import (
     CLUSTERING_TOL,
+    _folded_orbits,
     _union_clusters,
     EigenvalueClass,
     EigenvalueKind,
@@ -111,8 +112,9 @@ def _reference_union(values, mults, eps):
 
 
 def _reference_clusters(k, tol, raw):
-    """cluster_eigenvalues as a plain scan: every orbit tries every value for each
-    mirror image, and every snapped spectrum is merged again."""
+    """cluster_eigenvalues as plain loops: every snapped spectrum is merged again,
+    and an orbit is the values whose folded images |Re| + i |Im| share their lowest
+    neighbour within eps, when every value's neighbours are exactly its orbit."""
     eps = tol * (1.0 + maxnorm(k))
     values, mults = _reference_union(list(raw), [1] * len(raw), eps)
     snapped = []
@@ -121,42 +123,31 @@ def _reference_clusters(k, tol, raw):
         im = 0.0 if abs(v.imag) <= eps else v.imag
         snapped.append(complex(re, im))
     values, mults = _reference_union(snapped, mults, eps)
-    used = [False] * len(values)
+    folded = [complex(abs(v.real), abs(v.imag)) for v in values]
+    close = [[abs(a - b) <= eps for b in folded] for a in folded]
+    first = [row.index(True) for row in close]
+    for i, row in enumerate(close):
+        if row != close[first[i]]:
+            raise SpectrumStructureError(
+                f"folded eigenvalues near {values[i]:.6g} are not pairwise within {eps:.3e}")
     out = []
     for i, v in enumerate(values):
-        if used[i]:
+        if first[i] != i:
             continue
-        orbit = []
-        for target in {v, -v, v.conjugate(), -v.conjugate()}:
-            found = None
-            for j, w in enumerate(values):
-                if not used[j] and abs(w - target) <= 10 * eps and j not in orbit:
-                    found = j
-                    break
-            if found is None:
-                raise SpectrumStructureError(
-                    f"eigenvalue {v:.6g} has no mirror partner near {target:.6g}")
-            orbit.append(found)
-        orbit = sorted(set(orbit))
-        if len({mults[j] for j in orbit}) != 1:
-            raise SpectrumStructureError(f"mirror eigenvalues of {v:.6g} have unequal multiplicities")
+        orbit = [j for j in range(len(values)) if first[j] == i]
         re = sum([abs(values[j].real) for j in orbit]) / len(orbit)
         im = sum([abs(values[j].imag) for j in orbit]) / len(orbit)
-        spread = max(min(abs(values[j] - s) for s in {complex(re, im), complex(re, -im),
-                                                         complex(-re, im), complex(-re, -im)})
-                     for j in orbit)
-        if spread > 10 * eps:
-            raise AmbiguousSpectrumError(
-                f"cluster around {v:.6g} has diameter {spread:.3e} after snapping")
+        size = 4 if re and im else 2 if re or im else 1
+        if len(orbit) != size:
+            raise SpectrumStructureError(
+                f"eigenvalue {v:.6g} has {len(orbit)} of its {size} mirror images within {eps:.3e}")
+        if len({mults[j] for j in orbit}) != 1:
+            raise SpectrumStructureError(f"mirror eigenvalues of {v:.6g} have unequal multiplicities")
         rep = complex(re, im)
         members = sorted({rep, -rep, rep.conjugate(), -rep.conjugate()},
                          key=lambda z: (-z.real, -z.imag))
-        for j in orbit:
-            used[j] = True
-        out.extend((member, mults[orbit[0]]) for member in members)
-    total = sum(m for _, m in out)
-    if total != k.shape[0]:
-        raise AmbiguousSpectrumError(f"clustered multiplicities sum to {total}, expected {k.shape[0]}")
+        out.extend((member, mults[i]) for member in members)
+    assert sum(m for _, m in out) == k.shape[0]  # implied by the orbit sizes
     out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
     return out
 
@@ -181,11 +172,16 @@ def _clustering_corpus(rng):
 
     for k in spectra():
         yield k, np.linalg.eigvals(k)
-    # A quadruplet whose members each sit 9.9 eps (at t_0) from a mirror image of
-    # 1 + i, one outward and two inward: one lies 12.4 eps from the orbit mean.
+    yield _spread_quadruplet()
+
+
+def _spread_quadruplet():
+    """(K, eig values): a quadruplet whose members each sit 9.9 eps (at t_0) from a
+    mirror image of 1 + i, one outward and two inward, so that two of its folded
+    images lie 19.8 eps apart."""
     k = build_eom(np.eye(4))
     e = 9.9 * CLUSTERING_TOL * (1.0 + maxnorm(k))
-    yield k, np.array([1 + 1j, -(1 + e) - 1j, (1 - e) - 1j, -(1 - e) + 1j])
+    return k, np.array([1 + 1j, -(1 + e) - 1j, (1 - e) - 1j, -(1 - e) + 1j])
 
 
 class TestClusteringReference:
@@ -198,7 +194,7 @@ class TestClusteringReference:
             for tol in radii:
                 try:
                     want = _reference_clusters(k, tol, raw)
-                except (SpectrumStructureError, AmbiguousSpectrumError) as exc:
+                except SpectrumStructureError as exc:
                     with pytest.raises(type(exc)) as info:
                         cluster_eigenvalues(k, tol=tol, _eigenvalues=raw)
                     assert str(info.value) == str(exc)
@@ -212,8 +208,8 @@ class TestClusteringReference:
                 assert {c.geometric for c in classes} == {None}
                 assert [type(v) for v, _ in got] == [complex] * len(got)
                 outcomes.add("ok")
-        # no mirror partner, unequal multiplicities, diameter, multiplicity sum
-        assert outcomes == {"ok", "eigenvalue", "mirror", "cluster", "clustered"}
+        # not cliques, a missing mirror image, unequal multiplicities
+        assert outcomes == {"ok", "folded", "eigenvalue", "mirror"}
 
 
     def test_merges_by_the_distance_of_the_mirror_search(self):
@@ -227,6 +223,41 @@ class TestClusteringReference:
         for eps in (float(np.abs(np.complex128(z))), abs(z)):  # on both sides of one of them
             merged = ([z / 2], [2]) if abs(z) <= eps else ([0j, z], [1, 1])
             assert _union_clusters([0j, z], [1, 1], eps) == merged, eps
+
+
+class TestFoldedOrbits:
+    """Mirror images pair when their folded images |Re| + i |Im| lie pairwise
+    within one clustering radius."""
+
+    def test_each_value_pairs_with_its_nearest_mirror_image(self):
+        # A first match within 10 radii once paired 1 with -(1 + 5e) and
+        # -1 with 1 + 5e, which gave 1 + 2.5e twice.
+        k = build_eom(np.eye(4))
+        e = CLUSTERING_TOL * (1.0 + maxnorm(k))
+        raw = np.array([1, -(1 + 5 * e), -1, 1 + 5 * e], dtype=complex)
+        classes = cluster_eigenvalues(k, _eigenvalues=raw)
+        assert [(c.kind, c.representative, c.algebraic) for c in classes] == [
+            (EigenvalueKind.REAL_PAIR, 1 + 5 * e, 1), (EigenvalueKind.REAL_PAIR, 1, 1)]
+
+    def test_a_spread_quadruplet_pairs_once_its_folded_images_are_within_the_radius(self):
+        k, raw = _spread_quadruplet()
+        with pytest.raises(SpectrumStructureError, match="has 1 of its 4 mirror images"):
+            cluster_eigenvalues(k, _eigenvalues=raw)  # at t_0 only the two inward ones fold together
+        with pytest.raises(SpectrumStructureError, match="not pairwise within"):
+            cluster_eigenvalues(k, tol=10 * CLUSTERING_TOL, _eigenvalues=raw)  # 9.9 eps, not 19.8
+        (cls,) = cluster_eigenvalues(k, tol=100 * CLUSTERING_TOL, _eigenvalues=raw)
+        assert (cls.kind, cls.algebraic) == (EigenvalueKind.COMPLEX_QUADRUPLET, 1)
+        assert cls.representative == complex(sum([abs(v.real) for v in raw]) / 4, 1.0)
+
+    def test_a_chain_of_close_values_is_not_a_clique(self):
+        # a ~ b ~ c with a and c apart, in the first spectrum; every mirror image
+        # of one value folds onto one point, in the second.
+        values = np.array([[3j, 0.8 + 3j, 1.6 + 3j], [1 + 2j, -1 - 2j, 1 - 2j]])
+        close, first, cliques = _folded_orbits(values, np.array([[1.0], [1.0]]))
+        assert cliques.tolist() == [False, True]
+        assert first.tolist() == [[0, 0, 1], [0, 0, 0]]
+        assert close[0].tolist() == [[True, True, False], [True, True, True], [False, True, True]]
+        assert not _folded_orbits(values[0], 1.0)[2]
 
 
 class TestClassification:

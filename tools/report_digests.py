@@ -6,10 +6,12 @@
 imports quadnf from SRC_DIR and prints one line per pool input of
 ``generic-n32``, ``pd-n32`` and ``planted-defective`` for SEED (the
 inputs ``bench/run.py --seed SEED`` checks): the workload, the input's
-index and the SHA-1 of ``json.dumps(report_to_dict(...))`` followed by
-``report_to_text(...)`` (the CLI's default rendering), or of the
+index, its outcome (``ok``, or the class of the exception the pipeline
+raised) and the SHA-1 of ``json.dumps(report_to_dict(...))`` followed
+by ``report_to_text(...)`` (the CLI's default rendering), or of the
 exception's class and message followed by its ``attempts`` records,
-one a line, when the pipeline raises.  The planted
+one a line, when the pipeline raises.  So a diff shows at once whether
+a changed digest belongs to an input that failed.  The planted
 pool then runs once more under a document's structural tolerance of
 1e-6, ``MatrixDocument(...).config()``, labelled
 ``planted-defective@1e-06``.  The last lines give, for two scan grids,
@@ -87,8 +89,8 @@ def _scan(*grid):
 
 
 def digests(seed: int):
-    """Yield (workload, index, digest) for each pool input, then for each scan
-    (grid, 0, digest) and (grid, "per-matrix", its count of such points)."""
+    """Yield (workload, index, "outcome digest") for each pool input, then for
+    each scan (grid, 0, digest) and (grid, "per-matrix", its count of such points)."""
     import quadnf
     from quadnf import normal_form
     from quadnf.reporting import MatrixDocument, report_to_dict, report_to_text
@@ -103,10 +105,11 @@ def digests(seed: int):
             m = inp.m if isinstance(inp, PlantedInput) else inp
             try:
                 report = normal_form(m, MatrixDocument(len(m) // 2, m, tolerance).config())
-                text = json.dumps(report_to_dict(report)) + report_to_text(report)
+                outcome, text = "ok", json.dumps(report_to_dict(report)) + report_to_text(report)
             except Exception as exc:  # a crash outside QuadnfError is an output too
-                text = "\n".join([f"{type(exc).__name__}: {exc}", *getattr(exc, "attempts", ())])
-            yield label, index, _sha1(text)
+                outcome = type(exc).__name__
+                text = "\n".join([f"{outcome}: {exc}", *getattr(exc, "attempts", ())])
+            yield label, index, f"{outcome} {_sha1(text)}"
     default = (SCAN_RANGE, SCAN_RANGE, SCAN_STEPS)
     for name, grid in (("scan-2mode", default), ("scan-offgrid", OFFGRID)):
         digest, alone = _scan(*grid)
