@@ -18,7 +18,6 @@ from .core import (
     symplectic_residual,
     to_bosonic,
     transform_hamiltonian,
-    validate_eom_structure,
 )
 from .errors import (
     AmbiguousSpectrumError,

@@ -1,7 +1,7 @@
 """The structural tolerance shared across the pipeline.
 
-Every structural check (symmetry, J K + K^T J = 0, the symplectic
-condition) uses the combined absolute/relative tolerance
+Every structural check (the symmetry of M, the symplectic condition)
+uses the combined absolute/relative tolerance
 ``tolerance + tolerance * scale``, where the scale is a max-norm of the
 matrix at hand; a document or ``--tolerance`` sets it.  The thresholds
 of the genuinely ill-posed decisions are constants of the module that
@@ -29,10 +29,10 @@ class Config:
     ----------
     tolerance : float
         Absolute and relative tolerance for structural residual checks
-        (symmetry, JK + K^T J = 0, symplectic condition).  It also
-        widens ``normal_form``'s verification budget once it exceeds
-        ``normal_form.VERIFY_TOL``.  It must be a finite number > 0, else
-        ``ValidationError``: a NaN or infinite one would switch the checks off.
+        (symmetry, symplectic condition).  It also widens ``normal_form``'s
+        verification budget once it exceeds ``normal_form.VERIFY_TOL``.  It
+        must be a finite number > 0, else ``ValidationError``: a NaN or
+        infinite one would switch the checks off.
     """
 
     tolerance: float = 1e-10

@@ -4,16 +4,15 @@ A quadratic Hamiltonian of N bosonic modes is specified by a real
 symmetric matrix M of size 2N x 2N acting on the quadrature vector
 (x_1..x_N, p_1..p_N).  The linear Heisenberg dynamics is generated by
 the equation-of-motion matrix K = J M, where J is the standard
-symplectic form.  This module provides J, the construction and
-validation of K, the action of canonical transformations, the
-conversion to the bosonic (creation/annihilation) representation, and a
-matrix-exponential propagator with a boundedness oracle.
+symplectic form.  This module provides J, the construction of K, the
+action of canonical transformations, the conversion to the bosonic
+(creation/annihilation) representation, and a matrix-exponential
+propagator with a boundedness oracle.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,6 @@ __all__ = [
     "form_product",
     "require_hamiltonian_matrix",
     "build_eom",
-    "EomDiagnostics",
-    "validate_eom_structure",
     "symplectic_residual",
     "require_symplectic",
     "transform_hamiltonian",
@@ -142,8 +139,9 @@ def _non_finite_error(m: np.ndarray) -> StructureError:
 def build_eom(m, cfg: Config = DEFAULT) -> np.ndarray:
     """Equation-of-motion matrix K = J M for a symmetric M.
 
-    The result satisfies J K + K^T J = 0 to round-off, which is the
-    structure preserving the canonical commutation relations.
+    K's rows are M's, moved and negated, so J K + K^T J = M^T - M holds
+    exactly: the symmetry check on M is the check that K preserves the
+    canonical commutation relations.
     """
     return _eom(require_hamiltonian_matrix(m, cfg))
 
@@ -153,44 +151,6 @@ def _eom(m: np.ndarray) -> np.ndarray:
     p-block, bottom rows negate the x-block."""
     n = m.shape[-1] // 2
     return np.concatenate([m[..., n:, :], -m[..., :n, :]], axis=-2)
-
-
-@dataclass(frozen=True)
-class EomDiagnostics:
-    """Residuals of the structural constraints on an equation-of-motion matrix."""
-
-    hamiltonian_residual: float
-    upper_block_asymmetry: float
-    lower_block_asymmetry: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.hamiltonian_residual <= self.tolerance
-            and self.upper_block_asymmetry <= self.tolerance
-            and self.lower_block_asymmetry <= self.tolerance
-        )
-
-
-def validate_eom_structure(k, cfg: Config = DEFAULT) -> EomDiagnostics:
-    """Check J K + K^T J = 0 and the symmetry of the off-diagonal N x N blocks.
-
-    Returns diagnostics rather than raising; ``passed`` is True when all
-    residuals are within tolerance.
-    """
-    k = np.asarray(k, dtype=float)
-    n = _even_dim(k)
-    j = symplectic_form(n)
-    residual = maxnorm(j @ k + k.T @ j)
-    a_r = k[:n, n:]
-    a_l = k[n:, :n]
-    return EomDiagnostics(
-        hamiltonian_residual=residual,
-        upper_block_asymmetry=maxnorm(a_r - a_r.T),
-        lower_block_asymmetry=maxnorm(a_l - a_l.T),
-        tolerance=float(cfg.tol(maxnorm(k))),
-    )
 
 
 def symplectic_residual(t: np.ndarray):
@@ -233,6 +193,8 @@ def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:
 def transform_hamiltonian(m, t, cfg: Config = DEFAULT) -> np.ndarray:
     """New Hamiltonian matrix N = T^T M T under a canonical transformation T."""
     m = require_hamiltonian_matrix(m, cfg)
+    if np.shape(t) != m.shape:
+        raise InvalidDimensionError(f"expected T of shape {m.shape}, got {np.shape(t)}")
     t = require_symplectic(t, cfg)
     n = t.T @ m @ t
     return (n + n.T) / 2.0
@@ -240,7 +202,7 @@ def transform_hamiltonian(m, t, cfg: Config = DEFAULT) -> np.ndarray:
 
 def similarity(k, t, *, _cond=None) -> np.ndarray:
     """Similarity transformation T^{-1} K T (spectrum preserving), of one pair
-    or of each pair of stacked K and T.
+    or of each pair of stacked K and T, which must have the same shape.
 
     Refuses matrices whose condition estimate exceeds ``COND_LIMIT``,
     beyond which the result would be numerical noise (a stack, if any of
@@ -250,6 +212,8 @@ def similarity(k, t, *, _cond=None) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
     _even_dim(k, stack=True)
+    if t.shape != k.shape:
+        raise InvalidDimensionError(f"expected T of shape {k.shape}, got {t.shape}")
     cond = np.linalg.cond(t) if _cond is None else _cond
     if np.count_nonzero(_ill_conditioned(cond)):
         raise _ill_conditioned_error(cond)

@@ -363,9 +363,10 @@ def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
     Given ``_eigenvectors`` (of eig(K), for ``_eigenvalues``), a simple
     nonzero class takes no Schur form: its columns are lam's and, if
     paired, -lam's, each owned by exactly one raw eigenvalue nearest to it
-    among all classes' members, else ``AmbiguousSpectrumError`` (for the
-    first such class in report order).  The columns of every simple class
-    are gathered in one indexing step, and each class's are a view of them.
+    among all classes' members.  A simple class without such owners takes
+    K's restriction, as a repeated class does.  The columns of every simple
+    class are gathered in one indexing step, and each class's are a view of
+    them.
     """
     k = np.asarray(k, dtype=float)
     if classes is None:
@@ -393,9 +394,7 @@ def classify_spectrum(k, classes=None, *, _eigenvalues=None, _eigenvectors=None,
     filled = []
     for i, cls in enumerate(classes):
         rep = cls.representative
-        if i in simple:
-            if not all(single[simple[i]]):
-                raise AmbiguousSpectrumError(f"no single eigenvector of eig(K) for {rep:.6g}")
+        if i in simple and all(single[simple[i]]):
             level1 = columns[:, simple[i]]
             level1 = level1.real if rep.imag == 0 else level1
         else:

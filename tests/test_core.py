@@ -22,9 +22,9 @@ from quadnf import (
     symplectic_residual,
     to_bosonic,
     transform_hamiltonian,
-    validate_eom_structure,
 )
 from quadnf.config import Config
+from quadnf.core import ORACLE_SAMPLES, require_symplectic
 from quadnf.errors import ValidationError
 
 
@@ -91,6 +91,10 @@ class TestBuildEom:
         with pytest.raises(InvalidDimensionError):
             build_eom(np.eye(3))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="square"):
+            build_eom(np.zeros((2, 4)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_non_finite_entry_rejected(self, bad, mirrored):
@@ -117,25 +121,6 @@ class TestSymplecticResidual:
         for t in (random_symplectic(n, rng, scale=0.8), rng.normal(size=(2 * n, 2 * n))):
             dense = float(np.max(np.abs(t @ j @ t.T - j)))
             assert symplectic_residual(t) == dense
-
-
-class TestEomStructure:
-    def test_construction_passes(self, rng):
-        a = rng.normal(size=(8, 8))
-        k = build_eom((a + a.T) / 2)
-        diag = validate_eom_structure(k)
-        assert diag.passed
-        scale = 1 + np.max(np.abs(k))
-        assert diag.hamiltonian_residual <= 1e-12 * scale
-
-    def test_identity_fails(self):
-        diag = validate_eom_structure(np.eye(2))
-        assert not diag.passed
-        assert diag.hamiltonian_residual == 2.0  # J K + K^T J = 2 J
-
-    def test_two_mode_passes(self):
-        diag = validate_eom_structure(build_eom(two_mode_m(1.0, 2.0)))
-        assert diag.passed
 
 
 class TestTransformHamiltonian:
@@ -178,6 +163,17 @@ class TestTransformHamiltonian:
         with pytest.raises(ContractViolationError, match="non-finite"):
             transform_hamiltonian(np.eye(4), t)
 
+    @pytest.mark.parametrize("t", [np.eye(2), np.eye(4)[:, :2], np.eye(4)[None]])
+    def test_a_transform_of_another_shape_rejected(self, t):
+        # Once NumPy's ValueError from the product; a 4 x 2 T was refused, but
+        # only as not square.
+        with pytest.raises(InvalidDimensionError, match=r"expected T of shape \(4, 4\)"):
+            transform_hamiltonian(np.eye(4), t)
+
+    def test_an_empty_transform_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            require_symplectic(np.zeros((0, 0)))
+
 
 class TestSimilarity:
     def test_identity(self):
@@ -203,6 +199,17 @@ class TestSimilarity:
         t = np.diag([1e13, 1e-13])
         with pytest.raises(IllConditionedError):
             similarity(symplectic_form(1), t)
+
+    @pytest.mark.parametrize("k_shape,t", [
+        ((4, 4), np.eye(2)),             # once NumPy's ValueError from the product
+        ((4, 4), np.eye(4)[:, :2]),      # once a misleading IllConditionedError
+        ((3, 4, 4), np.eye(4)),          # once broadcast over the stack
+        ((3, 4, 4), np.eye(4)[None].repeat(2, 0)),
+    ])
+    def test_a_transform_of_another_shape_rejected(self, k_shape, t):
+        k = np.broadcast_to(symplectic_form(2), k_shape)
+        with pytest.raises(InvalidDimensionError, match="expected T of shape"):
+            similarity(k, t)
 
     def test_golden_transform_reaches_jordan_form(self):
         # T assembled from the published component vectors brings K to the
@@ -293,6 +300,14 @@ class TestStabilityOracle:
 
     def test_zero_generator(self):
         assert stability_oracle(np.zeros((2, 2)), t_max=10.0, growth_threshold=1.0)
+
+    @pytest.mark.parametrize("step,threshold", [(800.0, 1e300), (100.0, 1e308)])
+    def test_overflow_counts_as_unbounded(self, step, threshold):
+        # exp(K t) = diag(e^t, e^-t): one step of 800 overflows in propagate;
+        # steps of 100 overflow in the product at the 8th, while every norm
+        # before it, up to e^700, stays within the threshold.
+        k = build_eom([[0.0, 1.0], [1.0, 0.0]])
+        assert not stability_oracle(k, t_max=ORACLE_SAMPLES * step, growth_threshold=threshold)
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ContractViolationError):

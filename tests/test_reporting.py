@@ -436,6 +436,22 @@ class TestCli:
         assert "tolerance: 2.000e-04" in result.output
         assert "status: ok" in result.output
 
+    def test_check_prints_the_asymmetry_and_its_limit(self):
+        # K = J M is Hamiltonian exactly when M is symmetric, so M's asymmetry
+        # against the structural tolerance is the whole structural check.
+        doc = json.dumps({"modes": 1, "matrix": [[1, 1e-6], [0, 1]], "tolerances": 1e-4})
+        result = self.runner.invoke(main, ["check", "-"], input=doc)
+        assert result.exit_code == 0
+        assert result.output == ("modes: 1\nasymmetry max |M - M^T|: 1.000e-06\n"
+                                 "tolerance: 2.000e-04\nstatus: ok\n")
+
+    def test_tolerance_applies_to_a_json_document_that_declares_none(self):
+        doc = json.dumps({"modes": 1, "matrix": [[1, 1e-6], [0, 1]]})
+        strict = self.runner.invoke(main, ["analyze", "-"], input=doc)
+        lenient = self.runner.invoke(main, ["analyze", "-", "--tolerance", "1e-4"], input=doc)
+        assert strict.exit_code == 1 and "not symmetric" in strict.output
+        assert lenient.exit_code == 0 and "verdict: stable" in lenient.output
+
     @pytest.mark.parametrize("entry", [1.5e-4, 2.5e-4])
     def test_document_tolerance_scales_with_max_m(self, entry):
         # A declared tolerance t bounds |M - M^T| by t (1 + max|M|), here 2e-4,

@@ -506,7 +506,9 @@ class TestJordanChains:
 
     def test_eigenvector_match_must_be_one_to_one(self, rng):
         # If -lam's own eigenvalue is replaced by lam, lam owns two eig(K)
-        # columns and -lam none: that raises rather than pairing wrongly.
+        # columns and -lam none: rather than pairing wrongly, that class takes
+        # K's restriction, as a repeated class does, and its chains at lam and
+        # -lam come from the filtration.  The other class keeps its columns.
         m, _ = seeded_matrix([(1, 0.9 + 0j, 1, None), (6, 2.0j, 1, -1j)], rng)
         k = build_eom(m)
         eigenvalues, vectors = np.linalg.eig(k)
@@ -514,9 +516,23 @@ class TestJordanChains:
         real = np.flatnonzero(eigenvalues.imag == 0)
         lam = eigenvalues[real[np.argmax(eigenvalues[real].real)]]
         eigenvalues[real[np.argmin(eigenvalues[real].real)]] = lam
-        with pytest.raises(AmbiguousSpectrumError, match="no single eigenvector"):
-            classify_spectrum(k, clusters, _eigenvalues=eigenvalues, _eigenvectors=vectors,
-                              _shifts={})
+        shifts = {}
+        classes = classify_spectrum(k, clusters, _eigenvalues=eigenvalues, _eigenvectors=vectors,
+                                    _shifts=shifts).classes
+        assert [(c.kind, c.algebraic, c.geometric) for c in classes] == [
+            (EigenvalueKind.REAL_PAIR, 1, 1), (EigenvalueKind.IMAGINARY_PAIR, 1, 1)]
+        real_pair, imaginary = classes
+        assert isinstance(shifts[imaginary.representative], np.ndarray)
+        q, a, _, _ = record = shifts[real_pair.representative]
+        assert q.shape == (k.shape[0], 1) and a.shape == (1, 1)
+        chains, partners = extract_class_chains(k, real_pair, _level1=record)
+        mu = real_pair.representative
+        assert [(c.eigenvalue, c.rank) for c in chains + partners] == [(mu, 1), (-mu, 1)]
+        for chain in chains + partners:
+            (v,) = chain.vectors
+            assert np.isrealobj(v)
+            residual = k @ v - chain.eigenvalue.real * v
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(k, 2) * np.linalg.norm(v)
 
 
 class TestSchurFailures:
