@@ -168,12 +168,13 @@ def symplectic_residual(t: np.ndarray):
 
 
 def require_symplectic(t, cfg: Config = DEFAULT) -> np.ndarray:
-    """Validate that T is a real symplectic matrix and return it as float array.
+    """Validate that T is one real symplectic 2N x 2N matrix; return it as float array.
 
     A T with a NaN or infinite entry, in either part, is refused: its
     residual is not finite and would compare below any bound.
     """
     t = np.asarray(t)
+    _even_dim(t)
     if not maxnorm(t) < np.inf:
         raise ContractViolationError("transformation matrix has non-finite entries")
     if np.iscomplexobj(t):

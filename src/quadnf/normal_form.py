@@ -2,11 +2,11 @@
 
 This module alone knows the six chain cases of the construction: 1 real
 pair, 2 complex quadruplet, 3/4 zero eigenvalue at even/odd rank, 5/6
-imaginary pair at even/odd rank.  ``_attempt_normal_form`` takes every
-eigenvalue class's chains from ``spectrum.extract_class_chains``, simple
-classes included, names each chain's case where it picks the
-orthonormalization for the chain's eigenvalue class, and collects the
-chains of each case and rank into a group.  Given the symplectically
+imaginary pair at even/odd rank, all in the table ``_CASE``.
+``_attempt_normal_form`` takes every eigenvalue class's chains from
+``spectrum.extract_class_chains``, simple classes included,
+orthonormalizes them by the class's kind, and collects the chains of
+each case and rank into a group.  Given the symplectically
 orthonormalized chains of K = J M, each case prescribes real column
 vectors for the transformation T = (T_+ T_-); ``build_case_columns``
 writes them for a whole group at once, with array operations over a
@@ -104,6 +104,13 @@ SQRT2 = np.sqrt(2.0)
 # symmetric to that tolerance cannot match its ideal block structure any
 # better.
 VERIFY_TOL = 1e-7
+
+# The case of a chain, by its class's kind, at even and at odd rank.
+_CASE = {EigenvalueKind.REAL_PAIR: (1, 1), EigenvalueKind.COMPLEX_QUADRUPLET: (2, 2),
+         EigenvalueKind.ZERO: (3, 4), EigenvalueKind.IMAGINARY_PAIR: (5, 6)}
+
+# The cases whose chains come with a partner (e~ of -lam, or h of f), not a sigma.
+_PAIRED = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -237,7 +244,7 @@ def build_case_columns(case: int, items) -> _Group:
     6; ``_case_columns`` writes the columns of all of them at once.
     """
     chains = [chain for chain, _ in items]
-    paired = case in (1, 2, 4)
+    paired = case in _PAIRED
     sigmas = np.array([0j if paired else complex(sigma) for _, sigma in items])
     t_plus, t_minus = _case_columns(
         case, np.array([chain.vectors for chain in chains]),
@@ -271,7 +278,7 @@ def _case_columns(case: int, v: np.ndarray, other: np.ndarray | None, sigmas: np
     d = v.shape[1]
     z = v[:, ::-1]  # z[c, k - 1] = z_k
     sign = (-1.0) ** np.arange(1, d + 1)  # (-1)^k
-    if case in (1, 2, 4):
+    if case in _PAIRED:
         w = ((-1.0) ** (d - np.arange(1, d + 1)))[:, None] * other
     if case in (1, 4):
         t_plus, t_minus = z.real, w.real
@@ -414,10 +421,10 @@ def _piece(entry, modes, a, b, single, pair) -> HamiltonianTerm:
     return HamiltonianTerm(pair, entry, (modes[a], modes[b]))
 
 
-def emit_terms(blocks) -> tuple[tuple[HamiltonianTerm, ...], int]:
-    """Elementary Hamiltonian terms of N = -J K_N, plus the count of
-    zero-frequency modes (those of blocks whose N is zero: case 4, rank 1).
-    The blocks take consecutive 1-based modes, as many as each one's size.
+def emit_terms(blocks) -> tuple[HamiltonianTerm, ...]:
+    """Elementary Hamiltonian terms of N = -J K_N.  The blocks take
+    consecutive 1-based modes, as many as each one's size; a block whose N
+    is zero, case 4 at rank 1, emits none.
 
     Each block's terms are read off its own N sub-blocks N_xx = -I_L,
     N_xp = I_I^T and N_pp = I_R, in this order, each part row-major:
@@ -428,7 +435,6 @@ def emit_terms(blocks) -> tuple[tuple[HamiltonianTerm, ...], int]:
     the N_xx pieces (b >= a) where the two differ.
     """
     terms: list[HamiltonianTerm] = []
-    zero_modes = 0
     offset = 0
     for block in blocks:
         modes = range(offset + 1, offset + block.size + 1)
@@ -462,12 +468,9 @@ def emit_terms(blocks) -> tuple[tuple[HamiltonianTerm, ...], int]:
                 if x and x != n_pp[a][b]:
                     leftovers.append(_piece(x, modes, a, b, TermKind.FREE_PARTICLE_X,
                                             TermKind.POSITION_COUPLING))
-        before = len(terms)
         for part in (squeezes, rotations, matched, couplings, leftovers):
             terms += part
-        if len(terms) == before:
-            zero_modes += len(modes)
-    return tuple(terms), zero_modes
+    return tuple(terms)
 
 
 def terms_matrix(terms, n_modes: int) -> np.ndarray:
@@ -499,16 +502,18 @@ def _format_eigenvalue(lam: complex) -> str:
     return f"{_format_value(re)}{'+' if im >= 0 else '-'}{_format_value(abs(im))}i"
 
 
-def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
+def _verdict(blocks) -> tuple[Verdict, tuple[str, ...], int]:
+    """The blocks' verdict, its reasons, and the count of zero-frequency modes:
+    those of case-4 rank-1 blocks, whose N is zero and which emit no term."""
     reasons = []
     stable = True
-    zero_modes = False
+    zero_modes = 0
     for b in blocks:
         if b.case == 6 and b.rank == 1:
             continue
         stable = False
         if b.case == 4 and b.rank == 1:
-            zero_modes = True
+            zero_modes += b.size
             continue
         lam = _format_eigenvalue(b.eigenvalue)
         if b.case in (1, 2):
@@ -519,12 +524,13 @@ def _verdict(blocks) -> tuple[Verdict, tuple[str, ...]]:
             msg = f"case {b.case} block at {lam}: polynomial growth order {b.poly_order}"
         reasons.append(msg)
     if stable:
-        return Verdict.STABLE, ()
-    if not reasons and zero_modes:
-        return Verdict.MARGINAL, ("zero-frequency modes present (bounded, non-oscillatory)",)
+        return Verdict.STABLE, (), 0
+    if not reasons:
+        return (Verdict.MARGINAL, ("zero-frequency modes present (bounded, non-oscillatory)",),
+                zero_modes)
     if zero_modes:
         reasons.append("zero-frequency modes present")
-    return Verdict.UNSTABLE, tuple(reasons)
+    return Verdict.UNSTABLE, tuple(reasons), zero_modes
 
 
 def _mode_key(case, lam, rank, sigma):
@@ -537,6 +543,10 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
     """Yield, for each member of a stack of M and K = J M in order, its report or
     the error that ends its attempt, given its ``SpectrumReport`` in ``spectra``
     and the groups of every member's orthonormalized chains.
+
+    Each member's blocks cover its N modes by the sum rule, unchecked: a
+    block is half as wide as the eigenvalues its chain and partner, conjugate
+    or f/h mate span, and a class's chain ranks add up to its multiplicity.
 
     Each step runs over the stack.  ``_block`` writes each group's blocks at
     once, and one lexsort of ``_mode_key`` puts each member's chains in mode
@@ -551,17 +561,13 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
     """
     count, dim = ks.shape[:2]
     n_modes = dim // 2
-    blocks = [_block(g.case, g.eigenvalues, g.rank, None if g.case in (1, 2, 4) else g.sigmas)
+    blocks = [_block(g.case, g.eigenvalues, g.rank, None if g.case in _PAIRED else g.sigmas)
               for g in groups]
     counts = [len(g.members) for g in groups]
     case, rank, size = np.repeat(np.array([(g.case, g.rank, b.size)
                                            for g, b in zip(groups, blocks)]), counts, axis=0).T
     member, lam, sigma = (np.concatenate([getattr(g, name) for g in groups])
                           for name in ("members", "eigenvalues", "sigmas"))
-    covered = np.bincount(member, weights=size)
-    if np.count_nonzero(covered != n_modes):
-        raise AssemblyError(f"column groups cover {covered[covered != n_modes][0]:.0f} modes, "
-                            f"expected {n_modes}")
     # Member by member, then mode order (ties only within a group): each chain's
     # first mode in its member's T and K_N, then, per group, its modes.
     order = np.lexsort(_mode_key(case, lam, rank, sigma)[::-1] + (member,))
@@ -601,11 +607,10 @@ def _finish(ms, ks, spectra, groups, cfg: Config):
             continue
         j = next(rows)
         mine = tuple(_member_block(*where[c]) for c in chains)
-        terms, zero_modes = emit_terms(mine)
-        verdict, reasons = _verdict(mine)
+        verdict, reasons, zero_modes = _verdict(mine)
         yield NormalFormReport(
             n_modes=n_modes, spectrum=spectrum, transform=CanonicalTransform(matrix=t[j]),
-            k_normal=kn_actual[j], n_matrix=n_matrix[j], blocks=mine, terms=terms,
+            k_normal=kn_actual[j], n_matrix=n_matrix[j], blocks=mine, terms=emit_terms(mine),
             verdict=verdict, reasons=reasons, zero_frequency_modes=zero_modes,
             residuals=dict(zip(("symplectic", "block_match", "n_reconstruction", "condition"),
                                (r[j] for r in residuals))))
@@ -616,24 +621,19 @@ def _attempt_normal_form(m, k, classes, eigenvalues, vectors, cfg: Config) -> No
     spectrum = classify_spectrum(k, classes, _eigenvalues=eigenvalues,
                                  _eigenvectors=vectors, _shifts=shifts)
     by_group: dict = {}  # (case, rank) -> the chains' column data, in the order found
-
-    def add(case, items):
-        for item in items:
-            by_group.setdefault((case, item[0].rank), []).append(item)
-
     for cls in spectrum.classes:
         lam, kind = cls.representative, cls.kind
         chains, partners = extract_class_chains(k, cls, _level1=shifts[lam])
         if kind in (EigenvalueKind.REAL_PAIR, EigenvalueKind.COMPLEX_QUADRUPLET):
-            add(1 if kind is EigenvalueKind.REAL_PAIR else 2,
-                orthonormalize_real_complex(k, lam, chains, partners))
-        elif kind is EigenvalueKind.ZERO:  # even ranks are case 3, odd ranks pair up as case 4
-            case3, case4 = orthonormalize_zero(k, chains)
-            add(3, case3)
-            add(4, zero_odd_pairing(k, case4))
+            items = orthonormalize_real_complex(k, lam, chains, partners)
+        elif kind is EigenvalueKind.ZERO:  # the odd ranks left over pair up
+            even, odd = orthonormalize_zero(k, chains)
+            items = even + zero_odd_pairing(k, odd)
         else:
-            for item in orthonormalize_imaginary(k, lam, chains):
-                add(5 + item[0].rank % 2, [item])
+            items = orthonormalize_imaginary(k, lam, chains)
+        for item in items:
+            rank = item[0].rank
+            by_group.setdefault((_CASE[kind][rank % 2], rank), []).append(item)
     groups = [build_case_columns(case, items) for (case, _), items in by_group.items()]
     (outcome,) = _finish(m[None], k[None], (spectrum,), groups, cfg)
     if isinstance(outcome, QuadnfError):
@@ -702,11 +702,6 @@ def normal_form(m, cfg: Config = DEFAULT) -> NormalFormReport:
         last = None  # its traceback holds this frame: drop the cycle on every exit
 
 
-# The case of a simple class's rank-1 chains, by its kind.
-_RANK1_CASE = {EigenvalueKind.REAL_PAIR: 1, EigenvalueKind.COMPLEX_QUADRUPLET: 2,
-               EigenvalueKind.IMAGINARY_PAIR: 6}
-
-
 def _stack_normal_forms(ms):
     """Yield ``normal_form(m)`` of each matrix of a stack of same-size ones,
     shape (S, 2N, 2N), in order: its report, or the ``QuadnfError`` it raises.
@@ -757,7 +752,7 @@ def _simple_members(ms: np.ndarray):
     ks = _eom(ms)
     eigenvalues, vectors = np.linalg.eig(ks)
     ok, member, classes, lam_col, neg_col = _stack_simple_classes(ks, eigenvalues)
-    case = np.array([_RANK1_CASE[c.kind] for c in classes], dtype=int)
+    case = np.array([_CASE[c.kind][1] for c in classes], dtype=int)
 
     # The eig(K) columns of each case's classes (contiguous, and real for real
     # pairs, as the per-matrix chains are), and their pairings; a member with

@@ -2,7 +2,7 @@
 
 The matrix document format is a plain-text header ``modes N`` followed
 by 2N rows of 2N whitespace-separated decimals; a JSON object with
-fields ``{modes, matrix, tolerances}`` is accepted interchangeably.
+fields ``{modes, matrix, tolerances: number}`` is accepted interchangeably.
 Reports serialize to JSON with stable key names or to a human-readable
 text rendering.  The scanner sweeps the standard two-oscillator
 position-coupling model over a parameter grid and classifies every
@@ -67,8 +67,7 @@ def _parse_json_document(text: str) -> MatrixDocument:
         raise ParseError(
             f"matrix shape {matrix.shape} does not match modes {n} (need {2*n}x{2*n})"
         )
-    tol = obj.get("tolerances", {}).get("structure") if isinstance(obj.get("tolerances"), dict) else obj.get("tolerances")
-    return MatrixDocument(n, matrix, tol)
+    return MatrixDocument(n, matrix, obj.get("tolerances"))
 
 
 def _validated(doc: MatrixDocument) -> MatrixDocument:

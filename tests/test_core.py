@@ -174,6 +174,12 @@ class TestTransformHamiltonian:
         with pytest.raises(InvalidDimensionError):
             require_symplectic(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("t", [np.stack([np.eye(2)] * 2), np.eye(2)[None]])
+    def test_a_stack_of_transforms_rejected(self, t):
+        # Once NumPy's ValueError on a stack of two, and a stack of one passed.
+        with pytest.raises(InvalidDimensionError, match=r"expected a square matrix"):
+            require_symplectic(t)
+
 
 class TestSimilarity:
     def test_identity(self):

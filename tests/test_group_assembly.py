@@ -155,8 +155,8 @@ def check_every_radius(m):
         assert same_bits(report.k_normal, similarity(k, t, _cond=float(np.linalg.cond(t))))
         assert len(report.blocks) == len(blocks)
         assert all(same_block(a, b) for a, b in zip(report.blocks, blocks))
-        assert repr((report.terms, report.zero_frequency_modes)) == repr(emit_terms(blocks))
-        assert (report.verdict, report.reasons) == NF._verdict(blocks)
+        assert repr(report.terms) == repr(emit_terms(blocks))
+        assert (report.verdict, report.reasons, report.zero_frequency_modes) == NF._verdict(blocks)
         assembled.update((b.case, b.rank) for b in blocks)
     return assembled
 

@@ -44,6 +44,7 @@ from quadnf.normal_form import (
     TermKind,
     _block,
     _stack_normal_forms,
+    _verdict,
     build_case_columns,
     emit_terms,
     expected_kn,
@@ -66,8 +67,7 @@ def block_of(case, lam, rank, sigma=None):
 def block_terms(specs):
     """emit_terms on the blocks of ``specs``; also the blocks and the mode count."""
     blocks = [block_of(*spec) for spec in specs]
-    terms, zero_modes = emit_terms(blocks)
-    return terms, zero_modes, blocks, sum(b.size for b in blocks)
+    return emit_terms(blocks), blocks, sum(b.size for b in blocks)
 
 
 # Every case at ranks 1-6 of its parity, with each sign.
@@ -111,6 +111,10 @@ class TestCaseColumns:
         assert np.allclose(s, np.sqrt(2) * np.imag(GOLDEN_E21))
         j = symplectic_form(4)
         assert abs(t @ j @ s - 1) < 1e-12
+
+    def test_an_unknown_case_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown case 7$"):
+            build_case_columns(7, [(JordanChain(1j, 1, (np.ones(2, dtype=complex),)), 1j)])
 
     def test_columns_match_the_paper_bit_for_bit(self, rng):
         # With z_k = A^(k-1) e and w_k = (-1)^(D-k) e~_k (cases 1, 2, 4) or
@@ -261,6 +265,10 @@ class TestExpectedBlocks:
         j = symplectic_form(4)
         assert np.max(np.abs(j @ kn + kn.T @ j)) < 1e-12
 
+    def test_blocks_that_miss_a_mode_rejected(self):
+        with pytest.raises(AssemblyError, match=r"^blocks cover 1 modes, expected 2$"):
+            expected_kn([block_of(1, 1.3 + 0j, 1)], 2)
+
 
 class TestEmitTerms:
     def terms_of(self, m):
@@ -322,14 +330,19 @@ class TestEmitTerms:
         # Terms rebuild -J K_N bit for bit on every one- and two-block list.
         lists = [[b] for b in EVERY_BLOCK] + [list(p) for p in itertools.product(EVERY_BLOCK, repeat=2)]
         for specs in lists:
-            terms, zero_modes, blocks, n_modes = block_terms(specs)
+            terms, blocks, n_modes = block_terms(specs)
             kn = expected_kn(blocks, n_modes)
             assert np.array_equal(terms_matrix(terms, n_modes), -symplectic_form(n_modes) @ kn), specs
-            assert zero_modes == sum(b.case == 4 and b.rank == 1 for b in blocks)
             assert all(type(t.coefficient) is float for t in terms)
+        # The blocks that emit no term are exactly those whose modes _verdict
+        # counts as zero-frequency.
+        for spec in EVERY_BLOCK:
+            b = block_of(*spec)
+            zero = b.case == 4 and b.rank == 1
+            assert (emit_terms([b]) == (), _verdict([b])[2]) == (zero, b.size if zero else 0), spec
 
     def test_quadruplet_rank_two_order(self):
-        terms, _, _, _ = block_terms([(2, 0.5 + 1.5j, 2)])
+        terms, _, _ = block_terms([(2, 0.5 + 1.5j, 2)])
         assert [(t.kind, t.coefficient, t.modes) for t in terms] == [
             (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (1,)),
             (TermKind.SINGLE_MODE_SQUEEZE, 0.5, (2,)),
@@ -344,7 +357,7 @@ class TestEmitTerms:
             "0.5*X4*P4", "1.5*(X2*P1 - X1*P2)", "1.5*(X4*P3 - X3*P4)"]
 
     def test_imaginary_even_rank_four_order(self):
-        terms, _, _, _ = block_terms([(5, 2.5j, 4, 1 + 0j)])
+        terms, _, _ = block_terms([(5, 2.5j, 4, 1 + 0j)])
         assert [(t.kind, t.coefficient, t.modes) for t in terms] == [
             (TermKind.BEAM_SPLITTER_XXPP, 2.5, (1, 4)),
             (TermKind.BEAM_SPLITTER_XXPP, 2.5, (2, 3)),

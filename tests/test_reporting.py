@@ -108,6 +108,14 @@ class TestDocumentFormat:
         with pytest.raises(ParseError, match="tolerance"):
             parse_matrix(json.dumps(obj))
 
+    @pytest.mark.parametrize("tolerances", [{"structure": 1e-4}, {"structur": 1e-4}])
+    def test_json_tolerance_object_rejected(self, tolerances):
+        # Once read through its "structure" key, any other key dropped: the
+        # misspelt one was held to the default and refused as not symmetric.
+        obj = {"modes": 1, "matrix": [[1, 1e-6], [0, 1]], "tolerances": tolerances}
+        with pytest.raises(ParseError, match=r"^tolerance must be a finite number > 0, got \{"):
+            parse_matrix(json.dumps(obj))
+
     def test_nan_tolerance_rejected(self):
         # a NaN tolerance would turn the symmetry check off
         with pytest.raises(ParseError, match="tolerance"):

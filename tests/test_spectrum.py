@@ -16,10 +16,16 @@ from conftest import (
 )
 from quadnf import build_eom, normal_form, symplectic_form
 from quadnf.config import maxnorm
-from quadnf.errors import AmbiguousSpectrumError, ContractViolationError, SpectrumStructureError
+from quadnf.errors import (
+    AmbiguousSpectrumError,
+    ChainExtractionError,
+    ContractViolationError,
+    SpectrumStructureError,
+)
 from quadnf.spectrum import (
     CLUSTERING_TOL,
     _folded_orbits,
+    _restrict,
     _union_clusters,
     EigenvalueClass,
     EigenvalueKind,
@@ -305,6 +311,12 @@ class TestClassification:
             )
             assert weight == 2 * n
 
+    def test_classes_that_miss_eigenvalues_rejected(self):
+        # The pair at +-2i is left out: the classes cover 2 of 4 eigenvalues.
+        k = build_eom(np.diag([1.0, 2.0, 1.0, 2.0]))
+        with pytest.raises(SpectrumStructureError, match=r"^multiplicity sum rule violated by 2$"):
+            classify_spectrum(k, cluster_eigenvalues(k)[:1])
+
     def test_weight_is_orbit_size_times_algebraic(self):
         for kind, lam in [(EigenvalueKind.ZERO, 0j), (EigenvalueKind.REAL_PAIR, 2 + 0j),
                           (EigenvalueKind.IMAGINARY_PAIR, 3j),
@@ -376,6 +388,14 @@ class TestGeometricMultiplicity:
 
 
 class TestJordanChains:
+    def test_partner_ranks_that_differ_rejected(self):
+        # K is not Hamiltonian: a rank-2 chain at 1 faces two rank-1 chains at -1.
+        k = np.array([[1.0, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        cls = EigenvalueClass(EigenvalueKind.REAL_PAIR, 1 + 0j, 2)
+        with pytest.raises(ChainExtractionError,
+                           match=r"^chain ranks for 1\+0j and -1-0j do not pair up$"):
+            extract_class_chains(k, cls)
+
     def test_golden_rank_two_chain(self):
         k = build_eom(GOLDEN_M)
         chains = jordan_chains(k, 2.0, algebraic=2)
@@ -552,6 +572,21 @@ class TestSchurFailures:
         monkeypatch.setattr(lapack, name, failing)
         with pytest.raises(AmbiguousSpectrumError, match="LAPACK info 1"):
             jordan_chains(build_eom(GOLDEN_M), lam, algebraic=2 if lam == 2.0 else 1)
+
+    @pytest.mark.parametrize("name,lam", [("dgees", 2.0), ("zgees", 3j)])
+    def test_schur_failure_is_ambiguous(self, name, lam, monkeypatch):
+        from scipy.linalg import lapack
+
+        gees = getattr(lapack, name)
+
+        def failing(*args, **kwargs):
+            *out, _ = gees(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(lapack, name, failing)
+        with pytest.raises(AmbiguousSpectrumError,
+                           match=r"^Schur form of K failed \(LAPACK info 1\)$"):
+            _restrict(build_eom(GOLDEN_M), lam, 2 if lam == 2.0 else 1, {})
 
     def test_stable_two_mode_leaves_scipy_linalg_unloaded(self):
         # Only a repeated eigenvalue needs a Schur form, so SciPy's import
